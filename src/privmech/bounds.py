@@ -1,19 +1,25 @@
 """Numerical certification of the contraction/privacy inequalities.
 
-Each check recomputes everything it needs from the channel so that a verdict
-is self-contained and auditable. A verdict passes when lhs <= rhs +
-ineq_slack; checks whose preconditions fail are flagged `applicable=False`
-and pass vacuously (they are excluded from exit-code aggregation).
+Every verdict is a closed-form function of the channel's exact certificates
+(eta_tv, LDP level, maximal leakage and minimum entry, bundled in a
+`PrivacyReport`); lemma 1 also needs the largest row-pair entry contrast.
+`run_all_checks` computes the report once and derives all nine verdicts from
+it; each public `check_*` picks its verdicts from the same derivation. An
+inequality stated twice (thm2 and the upper LDP sandwich, thm4 and the upper
+leakage sandwich) is decided once.
+
+A verdict passes when lhs <= rhs + ineq_slack; checks whose preconditions
+fail are flagged `applicable=False` and pass vacuously (they are excluded
+from exit-code aggregation).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import DEFAULT_TOL, Channel, ToleranceConfig, json_float
-from .coefficients import dobrushin_coefficient, ldp_level, max_leakage, min_entry
-from .errors import NegativeValue, TooFewValues
+from .coefficients import PrivacyReport, ldp_level, privacy_report
 
 
 @dataclass(frozen=True)
@@ -62,18 +68,85 @@ def _verdict(name, lhs, rhs, slack, applicable=True, note="") -> BoundCheckResul
 _PRODUCT_FORM_NOTE = "decided in the product form at unit scale"
 
 
+def _ldp_cap(alpha: float) -> float:
+    """(2**a - 1)/(2**a + 1), the right side of thm1 and lemma1; 1 at a = inf."""
+    if np.isinf(alpha):
+        return 1.0
+    r = 2.0 ** alpha
+    return (r - 1.0) / (r + 1.0)
+
+
+def _product_form(name, lhs, rhs, holds, applicable, why_not) -> BoundCheckResult:
+    """A likelihood-ratio verdict: reports lhs/rhs in ratio form, passes when
+    `holds` (the product form does), and passes vacuously with note `why_not`
+    when not applicable."""
+    passed = bool(holds) if applicable else True
+    note = _PRODUCT_FORM_NOTE if applicable else why_not
+    return BoundCheckResult(name, lhs, rhs, float(rhs - lhs), passed, applicable, note)
+
+
+def _report_verdicts(rep: PrivacyReport, slack: float) -> dict[str, BoundCheckResult]:
+    """The eight verdicts that depend on the report alone, by name, in output order."""
+    eta, wstar, inf = rep.eta_tv, rep.min_entry, float("inf")
+    ratio = 2.0 ** rep.ldp_level_bits  # worst likelihood ratio R
+    leak = 2.0 ** rep.maxl_bits  # column-max sum
+    # thm4 and maxl_sandwich_upper are one inequality
+    thm4 = _verdict("thm4", leak, 0.5 * rep.input_size * (1.0 + eta), slack)
+    # so are thm2 (R <= 1 + eta/w*) and ldp_sandwich_upper (R - 1 <= eta/w*),
+    # whose right sides are infinite when the channel has a zero entry
+    full = wstar > 0.0
+    q = eta / wstar if full else inf
+    upper_holds = (ratio - 1.0) * wstar <= eta + slack
+    below_one = eta < 1.0
+    return {
+        v.name: v
+        for v in (
+            _verdict("thm1", eta, _ldp_cap(rep.ldp_level_bits), slack),
+            _product_form("thm2", ratio, 1.0 + q, upper_holds, full, "zero entry"),
+            _verdict("thm3", eta, min(1.0, leak - 1.0), slack),
+            thm4,
+            _verdict("maxl_sandwich_lower", 1.0 + eta, leak, slack),
+            replace(thm4, name="maxl_sandwich_upper"),
+            _product_form(
+                "ldp_sandwich_lower",
+                2.0 * eta / (1.0 - eta) if below_one else inf,
+                ratio - 1.0,
+                2.0 * eta <= (ratio - 1.0) * (1.0 - eta) + slack,
+                below_one,
+                "eta_tv = 1",
+            ),
+            _product_form("ldp_sandwich_upper", ratio - 1.0, q, upper_holds, full, "zero entry"),
+        )
+    }
+
+
+def _lemma1(w: Channel, alpha: float, slack: float) -> BoundCheckResult:
+    # each row meets all later rows at once, so memory is O(k*m); zero-zero
+    # triples read as contrast 0, which never raises the maximum
+    rows = w.rows
+    lhs = 0.0
+    skipped = 0
+    for i in range(len(rows) - 1):
+        den = rows[i] + rows[i + 1:]
+        live = den > 0.0
+        skipped += live.size - int(np.count_nonzero(live))
+        contrast = np.divide(np.abs(rows[i] - rows[i + 1:]), den, out=np.zeros_like(den), where=live)
+        lhs = max(lhs, float(contrast.max()))
+    applicable = not np.isinf(alpha)
+    notes = [f"skipped {skipped} zero-zero triples"] if skipped else []
+    if not applicable:
+        notes.append("ldp level infinite")
+    return _verdict(
+        "lemma1", lhs, _ldp_cap(alpha), slack, applicable=applicable, note="; ".join(notes)
+    )
+
+
 def check_thm1(w: Channel, tol: ToleranceConfig = DEFAULT_TOL) -> BoundCheckResult:
     """Dobrushin coefficient <= (2**a - 1)/(2**a + 1) at the channel's LDP level.
 
     An infinite level gives the vacuous right side 1.
     """
-    alpha = ldp_level(w)
-    if np.isinf(alpha):
-        rhs = 1.0
-    else:
-        r = 2.0 ** alpha
-        rhs = (r - 1.0) / (r + 1.0)
-    return _verdict("thm1", dobrushin_coefficient(w), rhs, tol.ineq_slack)
+    return _report_verdicts(privacy_report(w), tol.ineq_slack)["thm1"]
 
 
 def check_thm2(w: Channel, tol: ToleranceConfig = DEFAULT_TOL) -> BoundCheckResult:
@@ -82,86 +155,30 @@ def check_thm2(w: Channel, tol: ToleranceConfig = DEFAULT_TOL) -> BoundCheckResu
     Only applicable to full-support channels; with a zero entry the right
     side is infinite.
     """
-    wstar = min_entry(w)
-    lhs = 2.0 ** ldp_level(w)
-    if wstar > 0.0:
-        eta = dobrushin_coefficient(w)
-        rhs = 1.0 + eta / wstar
-        passed = bool((lhs - 1.0) * wstar <= eta + tol.ineq_slack)
-        return BoundCheckResult(
-            "thm2", lhs, rhs, float(rhs - lhs), passed, True, _PRODUCT_FORM_NOTE
-        )
-    return _verdict(
-        "thm2", lhs, float("inf"), tol.ineq_slack, applicable=False, note="zero entry"
-    )
+    return _report_verdicts(privacy_report(w), tol.ineq_slack)["thm2"]
 
 
 def check_thm3(w: Channel, tol: ToleranceConfig = DEFAULT_TOL) -> BoundCheckResult:
     """Dobrushin coefficient <= min(1, 2**a - 1) at the channel's leakage level."""
-    rhs = min(1.0, 2.0 ** max_leakage(w) - 1.0)
-    return _verdict("thm3", dobrushin_coefficient(w), rhs, tol.ineq_slack)
+    return _report_verdicts(privacy_report(w), tol.ineq_slack)["thm3"]
 
 
 def check_thm4(w: Channel, tol: ToleranceConfig = DEFAULT_TOL) -> BoundCheckResult:
     """Column-max sum <= (|X|/2) * (1 + eta_tv); equality when |X| = 2."""
-    lhs = 2.0 ** max_leakage(w)
-    rhs = 0.5 * w.input_size * (1.0 + dobrushin_coefficient(w))
-    return _verdict("thm4", lhs, rhs, tol.ineq_slack)
+    return _report_verdicts(privacy_report(w), tol.ineq_slack)["thm4"]
 
 
 def check_maxl_sandwich(w: Channel, tol: ToleranceConfig = DEFAULT_TOL):
     """1 + eta_tv <= column-max sum <= (|X|/2)(1 + eta_tv), as two verdicts."""
-    eta = dobrushin_coefficient(w)
-    leak = 2.0 ** max_leakage(w)
-    lower = _verdict("maxl_sandwich_lower", 1.0 + eta, leak, tol.ineq_slack)
-    upper = _verdict(
-        "maxl_sandwich_upper", leak, 0.5 * w.input_size * (1.0 + eta), tol.ineq_slack
-    )
-    return lower, upper
+    v = _report_verdicts(privacy_report(w), tol.ineq_slack)
+    return v["maxl_sandwich_lower"], v["maxl_sandwich_upper"]
 
 
 def check_ldp_sandwich(w: Channel, tol: ToleranceConfig = DEFAULT_TOL):
     """2*eta/(1 - eta) <= R - 1 <= eta / (minimum entry), where R is the
     worst likelihood ratio. Each side carries its own applicability flag."""
-    eta = dobrushin_coefficient(w)
-    wstar = min_entry(w)
-    ratio = 2.0 ** ldp_level(w)
-    if eta < 1.0:
-        lhs = 2.0 * eta / (1.0 - eta)
-        if np.isinf(ratio):
-            passed = True
-        else:
-            passed = bool(2.0 * eta <= (ratio - 1.0) * (1.0 - eta) + tol.ineq_slack)
-        lower = BoundCheckResult(
-            "ldp_sandwich_lower", lhs, ratio - 1.0, float(ratio - 1.0 - lhs),
-            passed, True, _PRODUCT_FORM_NOTE,
-        )
-    else:
-        lower = _verdict(
-            "ldp_sandwich_lower",
-            float("inf"),
-            ratio - 1.0,
-            tol.ineq_slack,
-            applicable=False,
-            note="eta_tv = 1",
-        )
-    if wstar > 0.0:
-        rhs = eta / wstar
-        passed = bool((ratio - 1.0) * wstar <= eta + tol.ineq_slack)
-        upper = BoundCheckResult(
-            "ldp_sandwich_upper", ratio - 1.0, rhs, float(rhs - (ratio - 1.0)),
-            passed, True, _PRODUCT_FORM_NOTE,
-        )
-    else:
-        upper = _verdict(
-            "ldp_sandwich_upper",
-            ratio - 1.0,
-            float("inf"),
-            tol.ineq_slack,
-            applicable=False,
-            note="zero entry",
-        )
-    return lower, upper
+    v = _report_verdicts(privacy_report(w), tol.ineq_slack)
+    return v["ldp_sandwich_lower"], v["ldp_sandwich_upper"]
 
 
 def check_lemma1(w: Channel, tol: ToleranceConfig = DEFAULT_TOL) -> BoundCheckResult:
@@ -171,56 +188,13 @@ def check_lemma1(w: Channel, tol: ToleranceConfig = DEFAULT_TOL) -> BoundCheckRe
     indeterminate 0/0); the count of skipped triples is recorded in the
     note. Not applicable when the LDP level is infinite.
     """
-    alpha = ldp_level(w)
-    rows = w.rows
-    lhs = 0.0
-    skipped = 0
-    for i in range(w.input_size):
-        for j in range(i + 1, w.input_size):
-            num = np.abs(rows[i] - rows[j])
-            den = rows[i] + rows[j]
-            live = den > 0.0
-            skipped += int((~live).sum())
-            if live.any():
-                lhs = max(lhs, float((num[live] / den[live]).max()))
-    note = f"skipped {skipped} zero-zero triples" if skipped else ""
-    if np.isinf(alpha):
-        return _verdict(
-            "lemma1", lhs, 1.0, tol.ineq_slack, applicable=False,
-            note=(note + "; " if note else "") + "ldp level infinite",
-        )
-    r = 2.0 ** alpha
-    return _verdict("lemma1", lhs, (r - 1.0) / (r + 1.0), tol.ineq_slack, note=note)
-
-
-def pairwise_mean_bound(values) -> tuple[int, int, float]:
-    """Indices of the two largest values (ties to the lowest index) and their
-    mean, which always dominates the overall mean."""
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1 or arr.size < 2:
-        raise TooFewValues(f"need a vector of at least 2 values, got shape {arr.shape}")
-    if (arr < 0).any():
-        i = int(np.where(arr < 0)[0][0])
-        raise NegativeValue(f"negative value {arr[i]!r} at index {i}")
-    order = np.argsort(-arr, kind="stable")
-    i1, i2 = int(order[0]), int(order[1])
-    pair_mean = 0.5 * (float(arr[i1]) + float(arr[i2]))
-    assert arr.mean() <= pair_mean + 1e-15 * max(1.0, pair_mean)
-    return i1, i2, pair_mean
+    return _lemma1(w, ldp_level(w), tol.ineq_slack)
 
 
 def run_all_checks(w: Channel, tol: ToleranceConfig = DEFAULT_TOL) -> list[BoundCheckResult]:
-    """Every verdict for one channel, in a fixed order."""
-    maxl_lower, maxl_upper = check_maxl_sandwich(w, tol)
-    ldp_lower, ldp_upper = check_ldp_sandwich(w, tol)
+    """Every verdict for one channel, in a fixed order, from one report."""
+    rep = privacy_report(w)
     return [
-        check_thm1(w, tol),
-        check_thm2(w, tol),
-        check_thm3(w, tol),
-        check_thm4(w, tol),
-        maxl_lower,
-        maxl_upper,
-        ldp_lower,
-        ldp_upper,
-        check_lemma1(w, tol),
+        *_report_verdicts(rep, tol.ineq_slack).values(),
+        _lemma1(w, rep.ldp_level_bits, tol.ineq_slack),
     ]

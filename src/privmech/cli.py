@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__
@@ -29,21 +28,6 @@ SWEEP_COLUMNS = (
     "k,alpha_bits,n,replicates,seed,mean_risk,std_error,"
     "closed_form,upper_bound,lecam_lower,normalized_risk"
 )
-
-
-def _thread_cap() -> int:
-    """Parse PRIVMECH_THREADS (0 = auto). The library evaluates sequentially,
-    so any cap is honored; the knob is validated for forward compatibility."""
-    raw = os.environ.get("PRIVMECH_THREADS")
-    if raw is None:
-        return 0
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise PrivmechError(f"PRIVMECH_THREADS must be a nonnegative integer, got {raw!r}")
-    if cap < 0:
-        raise PrivmechError(f"PRIVMECH_THREADS must be >= 0, got {cap}")
-    return cap
 
 
 def _read_json(text: str) -> dict:
@@ -264,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _thread_cap()
         return args.func(args)
     except (PrivmechError, json.JSONDecodeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

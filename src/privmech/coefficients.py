@@ -22,7 +22,7 @@ from .core import (
     json_float,
     validate_distribution,
 )
-from .divergences import FDivergenceSpec, FKind, _builtin_f, _custom_slope_at_infinity
+from .divergences import FDivergenceSpec, FKind, _custom_slope_at_infinity
 from .errors import BudgetTooSmall, CustomFNotNormalized, DimensionMismatch
 
 _LN2 = math.log(2.0)
@@ -78,13 +78,14 @@ def dobrushin_coefficient(w: Channel) -> float:
     """Maximum total-variation distance between any two rows of the channel.
 
     Equals the channel's total-variation contraction factor. A single-row
-    channel has coefficient 0 (empty maximum).
+    channel has coefficient 0 (empty maximum). Each row is compared with
+    all later rows at once, so memory is O(k*m), never O(k*k*m).
     """
-    if w.input_size == 1:
-        return 0.0
     rows = w.rows
-    gaps = np.abs(rows[:, None, :] - rows[None, :, :]).sum(axis=2)
-    return 0.5 * float(gaps.max())
+    gap = 0.0
+    for i in range(w.input_size - 1):
+        gap = max(gap, float(np.abs(rows[i + 1:] - rows[i]).sum(axis=1).max()))
+    return 0.5 * gap
 
 
 def ldp_level(w: Channel) -> float:
@@ -96,16 +97,10 @@ def ldp_level(w: Channel) -> float:
     """
     col_max = w.rows.max(axis=0)
     col_min = w.rows.min(axis=0)
-    worst = 1.0
-    for hi, lo in zip(col_max, col_min):
-        if hi == 0.0:
-            ratio = 1.0
-        elif lo == 0.0:
-            return float("inf")
-        else:
-            ratio = hi / lo
-        worst = max(worst, ratio)
-    return float(np.log2(worst))
+    live = col_max > 0.0
+    if (col_min[live] == 0.0).any():
+        return float("inf")
+    return float(np.log2(np.max(col_max[live] / col_min[live], initial=1.0)))
 
 
 def max_leakage(w: Channel) -> float:

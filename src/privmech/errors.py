@@ -103,10 +103,3 @@ class PreconditionNotMet(PrivmechError, ValueError):
         self.min_n = min_n
         super().__init__(message)
 
-
-class TooFewValues(PrivmechError, ValueError):
-    """At least two values are required."""
-
-
-class NegativeValue(PrivmechError, ValueError):
-    """All values must be nonnegative."""

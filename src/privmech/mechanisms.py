@@ -14,9 +14,26 @@ from .errors import (
 )
 
 
-def _check_alpha_finite(alpha_bits: float):
+def _check_k(k):
+    if not isinstance(k, (int, np.integer)) or k < 2:
+        raise InvalidK(f"k must be an integer >= 2, got {k!r}")
+
+
+def _check_k_alpha(k, alpha_bits, allow_zero=False):
+    """Domain check shared by the mechanisms and the risk study.
+
+    k must be an integer >= 2 (InvalidK); alpha_bits must be finite
+    (AlphaOutOfRange) and positive (AlphaOutOfRange), or with `allow_zero`
+    nonnegative (NegativeAlpha). `_check_k` is the k half alone.
+    """
+    _check_k(k)
     if not np.isfinite(alpha_bits):
         raise AlphaOutOfRange(f"alpha_bits must be finite, got {alpha_bits!r}")
+    if allow_zero:
+        if alpha_bits < 0:
+            raise NegativeAlpha(f"alpha_bits must be >= 0, got {alpha_bits!r}")
+    elif alpha_bits <= 0:
+        raise AlphaOutOfRange(f"alpha_bits must be positive, got {alpha_bits!r}")
 
 
 def randomized_response(k: int, alpha_bits: float, tol: ToleranceConfig = DEFAULT_TOL) -> Channel:
@@ -26,11 +43,7 @@ def randomized_response(k: int, alpha_bits: float, tol: ToleranceConfig = DEFAUL
     1 / (2**a + k - 1). At a = 0 this degenerates to the constant uniform
     channel; its LDP level is exactly `alpha_bits`.
     """
-    if not isinstance(k, (int, np.integer)) or k < 2:
-        raise InvalidK(f"k must be an integer >= 2, got {k!r}")
-    _check_alpha_finite(alpha_bits)
-    if alpha_bits < 0:
-        raise NegativeAlpha(f"alpha_bits must be >= 0, got {alpha_bits!r}")
+    _check_k_alpha(k, alpha_bits, allow_zero=True)
     r = 2.0 ** float(alpha_bits)
     denom = r + k - 1.0
     rows = np.full((k, k), 1.0 / denom) + np.eye(k) * ((r - 1.0) / denom)
@@ -44,8 +57,7 @@ def z_channel(alpha_bits: float, tol: ToleranceConfig = DEFAULT_TOL) -> Channel:
     [0, 1], so the input is rejected rather than clamped. Its maximal
     leakage is exactly `alpha_bits` and its Dobrushin coefficient 2**a - 1.
     """
-    _check_alpha_finite(alpha_bits)
-    if not 0.0 <= alpha_bits <= 1.0:
+    if not 0.0 <= alpha_bits <= 1.0:  # also rejects nan and inf
         raise AlphaOutOfRange(f"alpha_bits must lie in [0, 1], got {alpha_bits!r}")
     r = 2.0 ** float(alpha_bits)
     rows = np.array([[r - 1.0, 2.0 - r], [0.0, 1.0]])
@@ -59,11 +71,7 @@ def staircase_rate(k: int, alpha_bits: float) -> float:
     constrains anything). Values of 2**a within one part in 1e9 of k are
     snapped to the boundary so that a = log2(k) is accepted exactly.
     """
-    if not isinstance(k, (int, np.integer)) or k < 2:
-        raise InvalidK(f"k must be an integer >= 2, got {k!r}")
-    _check_alpha_finite(alpha_bits)
-    if alpha_bits <= 0:
-        raise AlphaOutOfRange(f"alpha_bits must be positive, got {alpha_bits!r}")
+    _check_k_alpha(k, alpha_bits)
     r = 2.0 ** float(alpha_bits)
     if r > k:
         if r <= k * (1.0 + 1e-9):

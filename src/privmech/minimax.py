@@ -19,15 +19,8 @@ import numpy as np
 
 from .bounds import BoundCheckResult, _verdict
 from .core import DEFAULT_TOL, Channel, Distribution, ToleranceConfig, pushforward, validate_distribution
-from .errors import (
-    AlphaOutOfRange,
-    BadDirectionVector,
-    DimensionMismatch,
-    InvalidK,
-    PreconditionNotMet,
-    SymbolOutOfRange,
-)
-from .mechanisms import maxl_staircase, staircase_rate
+from .errors import BadDirectionVector, DimensionMismatch, PreconditionNotMet, SymbolOutOfRange
+from .mechanisms import _check_k, _check_k_alpha, maxl_staircase, staircase_rate
 
 
 @dataclass(frozen=True)
@@ -43,10 +36,7 @@ class SimulationConfig:
     source: Distribution
 
     def __post_init__(self):
-        if not isinstance(self.k, (int, np.integer)) or self.k < 2:
-            raise InvalidK(f"k must be an integer >= 2, got {self.k!r}")
-        if not np.isfinite(self.alpha_bits) or self.alpha_bits <= 0:
-            raise AlphaOutOfRange(f"alpha_bits must be positive, got {self.alpha_bits!r}")
+        _check_k_alpha(self.k, self.alpha_bits)
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n!r}")
         if self.replicates < 1:
@@ -204,8 +194,7 @@ def empirical_risk(cfg: SimulationConfig) -> RiskEstimate:
 def default_direction(k: int) -> np.ndarray:
     """Zero-sum unit vector (1/sqrt2, -1/sqrt2, 0, ..., 0): the perturbation
     needing the smallest sample size for the two-point pair to stay valid."""
-    if k < 2:
-        raise InvalidK(f"k must be >= 2, got {k!r}")
+    _check_k(k)
     u = np.zeros(k)
     u[0] = 1.0 / math.sqrt(2.0)
     u[1] = -u[0]
@@ -225,10 +214,7 @@ def lecam_pair(
     is flagged invalid when any p1 entry leaves [0, 1], which cannot happen
     once n >= k^2/(2**a - 1).
     """
-    if not isinstance(k, (int, np.integer)) or k < 2:
-        raise InvalidK(f"k must be an integer >= 2, got {k!r}")
-    if not np.isfinite(alpha_bits) or alpha_bits <= 0:
-        raise AlphaOutOfRange(f"alpha_bits must be positive, got {alpha_bits!r}")
+    _check_k_alpha(k, alpha_bits)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n!r}")
     uu = np.asarray(u, dtype=float)
@@ -289,8 +275,7 @@ def lecam_lower_check(
     """
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates!r}")
-    lam = staircase_rate(k, alpha_bits)  # validates k, alpha, applicability
-    del lam
+    w = maxl_staircase(k, alpha_bits)  # validates k, alpha and 2**a <= k
     r1 = 2.0 ** alpha_bits - 1.0
     n_min = math.ceil(k * k / r1)
     if n < n_min:
@@ -315,7 +300,6 @@ def lecam_lower_check(
         )
     pair = lecam_pair(k, alpha_bits, n, u, tol)
     assert pair.valid and pair.p1 is not None
-    w = maxl_staircase(k, alpha_bits)
     seqs = np.random.SeedSequence(seed).spawn(2 * replicates)
     risks0 = _mc_risks(w, pair.p0, k, alpha_bits, n, seqs[:replicates])
     risks1 = _mc_risks(w, pair.p1, k, alpha_bits, n, seqs[replicates:])

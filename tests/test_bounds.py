@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,14 +11,12 @@ from privmech import (
     check_thm2,
     check_thm3,
     check_thm4,
-    pairwise_mean_bound,
     random_channel,
     randomized_response,
     run_all_checks,
     validate_channel,
     z_channel,
 )
-from privmech.errors import NegativeValue, TooFewValues
 
 CONSTANT = validate_channel([[0.3, 0.7], [0.3, 0.7]])
 ALPHAS = [0.25, 0.5, 1.0, 2.0, 4.0]
@@ -157,35 +157,42 @@ class TestLemma1:
             assert res.applicable and res.passed
 
 
-class TestPairwiseMeanBound:
-    def test_all_equal(self):
-        i1, i2, pm = pairwise_mean_bound([1.0, 1.0, 1.0])
-        assert pm == 1.0 and i1 != i2
-
-    def test_single_spike(self):
-        i1, i2, pm = pairwise_mean_bound([0.0, 0.0, 6.0])
-        assert (i1, i2) == (2, 0)  # ties break to the lowest index
-        assert pm == 3.0 and pm >= np.mean([0, 0, 6.0])
-
-    def test_two_values_equality(self):
-        i1, i2, pm = pairwise_mean_bound([5.0, 1.0])
-        assert (i1, i2) == (0, 1) and pm == 3.0
-
-    def test_errors(self):
-        with pytest.raises(TooFewValues):
-            pairwise_mean_bound([3.0])
-        with pytest.raises(NegativeValue):
-            pairwise_mean_bound([1.0, -0.5, 2.0])
-
-    def test_fuzz_dominates_mean(self):
-        rng = np.random.default_rng(13)
-        for _ in range(500):
-            values = rng.gamma(1.0, 2.0, size=int(rng.integers(2, 12)))
-            _, _, pm = pairwise_mean_bound(values)
-            assert values.mean() <= pm + 1e-12
-
-
 class TestRunAllChecks:
+    def test_equals_the_public_checks(self):
+        rng = np.random.default_rng(31)
+        channels = [validate_channel(np.eye(3)), CONSTANT, validate_channel([[0.25] * 4])]
+        for _ in range(60):
+            k, m = (int(v) for v in rng.integers(1, 7, size=2))
+            rows = rng.dirichlet(np.full(m, rng.choice([0.1, 1.0, 10.0])), size=k)
+            zero = rng.random(rows.shape) < 0.3
+            zero[np.arange(k), rows.argmax(axis=1)] = False
+            rows[zero] = 0.0
+            channels.append(validate_channel(rows / rows.sum(axis=1, keepdims=True)))
+        assert sum(w.rows.min() == 0.0 for w in channels) >= 20
+        for w in channels:
+            public = [
+                check_thm1(w),
+                check_thm2(w),
+                check_thm3(w),
+                check_thm4(w),
+                *check_maxl_sandwich(w),
+                *check_ldp_sandwich(w),
+                check_lemma1(w),
+            ]
+            expected = [c.to_dict() for c in public]
+            assert [c.to_dict() for c in run_all_checks(w)] == expected, w.rows
+
+    def test_peak_memory_is_linear_in_channel_size(self):
+        # an all-pairs broadcast over rows needs k*k*m doubles: 216 MB here
+        w = random_channel(300, 300, 1.0, seed=5)
+        tracemalloc.start()
+        try:
+            run_all_checks(w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6, peak
+
     def test_order_and_names(self):
         names = [c.name for c in run_all_checks(randomized_response(3, 1.0))]
         assert names == [

@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import subprocess
 import sys
 
@@ -9,16 +8,12 @@ import pytest
 RR21 = {"rows": [[2 / 3, 1 / 3], [1 / 3, 2 / 3]], "tol": {"sum_tol": 1e-9}}
 
 
-def run_cli(*args, stdin=None, env_extra=None, cwd=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*args, stdin=None, cwd=None):
     return subprocess.run(
         [sys.executable, "-m", "privmech", *args],
         input=stdin,
         capture_output=True,
         text=True,
-        env=env,
         cwd=cwd,
     )
 
@@ -188,12 +183,6 @@ class TestDeterminismAndEnvironment:
             for res in (first, second):
                 assert res.returncode == 0, (argv, res.stderr)
             assert first.stdout == second.stdout, argv
-
-    def test_thread_cap_env_validated(self):
-        good = run_cli("construct", "z", "--alpha", "1", env_extra={"PRIVMECH_THREADS": "4"})
-        assert good.returncode == 0
-        bad = run_cli("construct", "z", "--alpha", "1", env_extra={"PRIVMECH_THREADS": "lots"})
-        assert bad.returncode == 2
 
     def test_no_subcommand_exits_two(self):
         assert run_cli().returncode == 2

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from privmech import (
+    Distribution,
+    SimulationConfig,
+    default_direction,
     dobrushin_coefficient,
+    lecam_pair,
     ldp_level,
     max_leakage,
     maxl_staircase,
@@ -180,3 +184,45 @@ class TestRandomChannel:
             random_channel(2, 2, 0.0, 0)
         with pytest.raises(InvalidConcentration):
             random_channel(2, 2, float("nan"), 0)
+
+
+class TestSharedDomainCheck:
+    """randomized_response, staircase_rate, SimulationConfig, lecam_pair and
+    default_direction reject k and alpha through one validator."""
+
+    @staticmethod
+    def _calls(k, alpha):
+        return {
+            "randomized_response": lambda: randomized_response(k, alpha),
+            "staircase_rate": lambda: staircase_rate(k, alpha),
+            "SimulationConfig": lambda: SimulationConfig(
+                k=k, alpha_bits=alpha, n=10, replicates=2, seed=0, source=Distribution.uniform(2)
+            ),
+            "lecam_pair": lambda: lecam_pair(k, alpha, 100, [2**-0.5, -(2**-0.5)]),
+        }
+
+    @pytest.mark.parametrize("k", [1, 0, 2.5, np.float64(3.0), "3", None])
+    def test_bad_k(self, k):
+        calls = {**self._calls(k, 1.0), "default_direction": lambda: default_direction(k)}
+        for call in calls.values():
+            with pytest.raises(InvalidK):
+                call()
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_alpha(self, alpha):
+        for call in self._calls(2, alpha).values():
+            with pytest.raises(AlphaOutOfRange):
+                call()
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0])
+    def test_non_positive_alpha(self, alpha):
+        calls = self._calls(2, alpha)
+        rr = calls.pop("randomized_response")
+        if alpha < 0.0:
+            with pytest.raises(NegativeAlpha):
+                rr()
+        else:
+            rr()  # a = 0 is the uniform channel
+        for call in calls.values():
+            with pytest.raises(AlphaOutOfRange):
+                call()
