@@ -22,8 +22,8 @@ from .core import (
     json_float,
     validate_distribution,
 )
-from .divergences import FDivergenceSpec, FKind, _custom_slope_at_infinity
-from .errors import BudgetTooSmall, CustomFNotNormalized, DimensionMismatch
+from .divergences import FDivergenceSpec, FKind, _custom_integrand, _f_sum
+from .errors import BudgetTooSmall, DimensionMismatch
 
 _LN2 = math.log(2.0)
 
@@ -199,22 +199,8 @@ def _make_pair_divergence(spec: FDivergenceSpec, tol: ToleranceConfig):
         return _chi2_pair
     # custom f: generic integrand on the reconstructed pair; precision near
     # the admission floor then depends on the caller's f
-    at_one = float(spec.custom_f(1.0))
-    if not abs(at_one) <= tol.eq_tol:
-        raise CustomFNotNormalized(f"f(1) = {at_one!r}, expected 0")
-    f_inf = _custom_slope_at_infinity(spec.custom_f)
-
-    def _custom_pair(base, diff):
-        p = np.clip(base + diff, 0.0, None)
-        qpos = base > 0
-        ratios = p[qpos] / base[qpos]
-        total = float(np.sum(base[qpos] * np.array([float(spec.custom_f(t)) for t in ratios])))
-        escaped = float(p[~qpos].sum())
-        if escaped > 0.0:
-            total += escaped * f_inf
-        return total
-
-    return _custom_pair
+    f_vec, f_inf = _custom_integrand(spec, tol)
+    return lambda base, diff: _f_sum(np.clip(base + diff, 0.0, None), base, f_vec, f_inf)
 
 
 def estimate_eta_f(

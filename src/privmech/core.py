@@ -19,6 +19,7 @@ from .errors import (
     EmptyMatrix,
     EmptyVector,
     NegativeEntry,
+    NonFiniteEntry,
     RaggedRows,
     RowSumOutOfTolerance,
     SumOutOfTolerance,
@@ -94,6 +95,18 @@ class Channel:
     output_size: int
 
 
+def _check_entries(arr: np.ndarray):
+    """Raise on the first non-finite entry, else on the first negative one
+    (row-major order), before any sum is formed."""
+    if arr.min() >= 0.0 and arr.max() < math.inf:  # NaN fails both tests
+        return
+    for mask, error in ((~np.isfinite(arr), NonFiniteEntry), (arr < 0, NegativeEntry)):
+        hits = np.argwhere(mask)
+        if hits.size:
+            at = tuple(int(i) for i in hits[0])
+            raise error(at[-1], float(arr[at]), row=at[0] if arr.ndim == 2 else None)
+
+
 def validate_distribution(p, tol: ToleranceConfig = DEFAULT_TOL) -> Distribution:
     """Validate a raw real vector as a probability distribution.
 
@@ -102,19 +115,15 @@ def validate_distribution(p, tol: ToleranceConfig = DEFAULT_TOL) -> Distribution
 
     Raises
     ------
-    EmptyVector, NegativeEntry, SumOutOfTolerance
+    EmptyVector, NonFiniteEntry, NegativeEntry, SumOutOfTolerance
     """
     arr = np.asarray(p, dtype=float)
     if arr.ndim != 1:
         raise ValidationError(f"expected a 1-d vector, got shape {arr.shape}")
     if arr.size == 0:
         raise EmptyVector("probability vector is empty")
-    negative = np.where(arr < 0)[0]
-    if negative.size:
-        i = int(negative[0])
-        raise NegativeEntry(i, float(arr[i]))
+    _check_entries(arr)
     total = float(arr.sum())
-    # `not <=` instead of `>` so NaN sums are rejected too
     if not abs(total - 1.0) <= tol.sum_tol:
         raise SumOutOfTolerance(total, tol.sum_tol)
     return Distribution(_readonly(arr), arr.size)
@@ -127,7 +136,7 @@ def validate_channel(m, tol: ToleranceConfig = DEFAULT_TOL) -> Channel:
 
     Raises
     ------
-    EmptyMatrix, RaggedRows, NegativeEntry, RowSumOutOfTolerance
+    EmptyMatrix, RaggedRows, NonFiniteEntry, NegativeEntry, RowSumOutOfTolerance
     """
     try:
         arr = np.asarray(m, dtype=float)
@@ -137,10 +146,7 @@ def validate_channel(m, tol: ToleranceConfig = DEFAULT_TOL) -> Channel:
         raise EmptyMatrix("channel matrix has no entries")
     if arr.ndim != 2:
         raise ValidationError(f"expected a 2-d matrix, got shape {arr.shape}")
-    bad_rows, bad_cols = np.where(arr < 0)
-    if bad_rows.size:
-        r, c = int(bad_rows[0]), int(bad_cols[0])
-        raise NegativeEntry(c, float(arr[r, c]), row=r)
+    _check_entries(arr)
     sums = arr.sum(axis=1)
     off = ~(np.abs(sums - 1.0) <= tol.sum_tol)
     if off.any():

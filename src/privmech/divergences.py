@@ -99,18 +99,31 @@ def _builtin_f(kind: FKind):
     raise ValueError(f"no built-in integrand for {kind}")
 
 
-def _custom_slope_at_infinity(f) -> float:
+def _custom_integrand(spec: FDivergenceSpec, tol: ToleranceConfig):
+    """Vectorized custom f and its slope at infinity lim f(t)/t; raises
+    CustomFNotNormalized unless f(1) = 0 within tol.eq_tol."""
+    f = spec.custom_f
+    at_one = float(f(1.0))
+    if not abs(at_one) <= tol.eq_tol:
+        raise CustomFNotNormalized(f"f(1) = {at_one!r}, expected 0")
+    f_vec = lambda x: np.array([float(f(t)) for t in x])
     # probe f(t)/t growth; a convex f has a (possibly infinite) limit slope
     try:
-        lo = f(1e8) / 1e8
-        hi = f(1e12) / 1e12
+        lo, hi = f(1e8) / 1e8, f(1e12) / 1e12
     except OverflowError:
-        return float("inf")
-    if not np.isfinite(hi):
-        return float("inf")
-    if hi > lo * (1.0 + 1e-6) + 1e-12:
-        return float("inf")
-    return float(hi)
+        return f_vec, float("inf")
+    if not np.isfinite(hi) or hi > lo * (1.0 + 1e-6) + 1e-12:
+        return f_vec, float("inf")
+    return f_vec, float(hi)
+
+
+def _f_sum(pp: np.ndarray, qq: np.ndarray, f_vec, f_inf: float) -> float:
+    qpos = qq > 0
+    total = float(np.sum(qq[qpos] * f_vec(pp[qpos] / qq[qpos])))
+    escaped = float(pp[~qpos].sum())  # mass where q vanishes; 0/0 pairs add 0
+    if escaped > 0.0:
+        total += escaped * f_inf
+    return total
 
 
 def f_divergence(
@@ -126,18 +139,7 @@ def f_divergence(
     """
     _check_sizes(p, q)
     if spec.kind is FKind.CUSTOM:
-        at_one = float(spec.custom_f(1.0))
-        if not abs(at_one) <= tol.eq_tol:
-            raise CustomFNotNormalized(f"f(1) = {at_one!r}, expected 0")
-        f_vec = lambda x: np.array([float(spec.custom_f(t)) for t in x])
-        f_inf = _custom_slope_at_infinity(spec.custom_f)
+        f_vec, f_inf = _custom_integrand(spec, tol)
     else:
         f_vec, f_inf = _builtin_f(spec.kind)
-
-    pp, qq = p.probs, q.probs
-    qpos = qq > 0
-    total = float(np.sum(qq[qpos] * f_vec(pp[qpos] / qq[qpos])))
-    escaped = float(pp[~qpos].sum())  # mass where q vanishes; 0/0 pairs add 0
-    if escaped > 0.0:
-        total += escaped * f_inf
-    return float(total)
+    return _f_sum(p.probs, q.probs, f_vec, f_inf)

@@ -21,15 +21,25 @@ class RaggedRows(ValidationError):
     """Channel rows of unequal lengths."""
 
 
-class NegativeEntry(ValidationError):
-    """A probability entry is negative."""
+class _EntryError(ValidationError):
+    """One bad entry, at `index` (the column, for a channel) of `row`."""
 
     def __init__(self, index, value, row=None):
         self.index = index
         self.row = row
         self.value = value
         where = f"row {row}, column {index}" if row is not None else f"index {index}"
-        super().__init__(f"negative entry {value!r} at {where}")
+        super().__init__(f"{self.what} entry {value!r} at {where}")
+
+
+class NonFiniteEntry(_EntryError):
+    """A probability entry is NaN or infinite."""
+    what = "non-finite"
+
+
+class NegativeEntry(_EntryError):
+    """A probability entry is negative."""
+    what = "negative"
 
 
 class SumOutOfTolerance(ValidationError):

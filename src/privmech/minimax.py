@@ -2,10 +2,11 @@
 privatized samples.
 
 The sampling path is: source distribution -> staircase mechanism ->
-i.i.d. output symbols -> unclipped plug-in estimate of the source. The
-estimator is deliberately NOT projected onto the simplex: the closed-form
-expected risk analyzed here is for the raw plug-in estimate, and projection
-would break that comparison (it could only reduce risk).
+output counts, Multinomial(n, q) with q = pW -> unclipped plug-in estimate
+of the source, which depends on the n i.i.d. privatized symbols only
+through their counts. The estimator is deliberately NOT projected onto the
+simplex: the closed-form expected risk analyzed here is for the raw
+plug-in estimate, and projection would break that comparison.
 
 Output symbols are 0-based column indices; the staircase dummy symbol is
 index k.
@@ -13,7 +14,7 @@ index k.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -22,11 +23,16 @@ from .core import DEFAULT_TOL, Channel, Distribution, ToleranceConfig, pushforwa
 from .errors import BadDirectionVector, DimensionMismatch, PreconditionNotMet, SymbolOutOfRange
 from .mechanisms import _check_k, _check_k_alpha, maxl_staircase, staircase_rate
 
+# Count cells per multinomial block. Rows are drawn in order from one
+# generator, so the block size bounds memory without changing any result.
+_BLOCK_CELLS = 1 << 16
+
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """One Monte Carlo configuration; identical configs give bit-identical
-    results regardless of execution environment."""
+    """One Monte Carlo configuration: `replicates` count rows of `n`
+    privatized samples each, drawn from one generator seeded by `seed`.
+    Identical configs give bit-identical results."""
 
     k: int
     alpha_bits: float
@@ -59,14 +65,7 @@ class RiskEstimate:
     lecam_lower: float
 
     def to_dict(self) -> dict:
-        return {
-            "mean_risk": self.mean_risk,
-            "std_error": self.std_error,
-            "replicates": self.replicates,
-            "closed_form": self.closed_form,
-            "upper_bound": self.upper_bound,
-            "lecam_lower": self.lecam_lower,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -98,33 +97,31 @@ class SweepRow:
 
 
 def sample_outputs(w: Channel, p: Distribution, n: int, seed) -> np.ndarray:
-    """n i.i.d. output symbols of the channel fed with p, by inverse CDF.
-
-    `seed` is anything numpy's default_rng accepts (int, SeedSequence, ...);
-    draws are deterministic given the seed.
-    """
+    """n i.i.d. output symbols of the channel fed with p: one multinomial
+    count row, in uniformly random order (the law of an i.i.d. sequence
+    given its counts). `seed` is anything numpy's default_rng accepts (int,
+    SeedSequence, ...); draws are deterministic given the seed."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n!r}")
-    q = pushforward(w, p)
-    cdf = np.cumsum(q.probs)
-    cdf[-1] = 1.0  # guard against float undersum; draws are in [0, 1)
+    q = pushforward(w, p).probs
     rng = np.random.default_rng(seed)
-    return np.searchsorted(cdf, rng.random(n), side="right").astype(np.int64)
+    return rng.permutation(np.repeat(np.arange(q.size), rng.multinomial(n, q)))
 
 
 def staircase_estimator(samples, k: int, alpha_bits: float, n: int) -> np.ndarray:
     """Unclipped plug-in estimate p_hat(x) = count(x) / (n * lam) for x < k.
 
-    The dummy symbol k contributes to no coordinate. The result is a raw
-    nonnegative vector: coordinates may exceed 1 and need not sum to 1.
+    Symbols are whole numbers in [0, k] (1.0 is accepted); the dummy k
+    contributes to no coordinate. The result is a raw nonnegative vector:
+    coordinates may exceed 1 and need not sum to 1.
     """
     lam = staircase_rate(k, alpha_bits)
     arr = np.asarray(samples)
     if arr.ndim != 1 or len(arr) != n:
         raise DimensionMismatch(f"expected {n} samples, got shape {arr.shape}")
-    if arr.size and (arr.min() < 0 or arr.max() > k):
-        bad = arr[(arr < 0) | (arr > k)][0]
-        raise SymbolOutOfRange(f"symbol {bad} outside [0, {k}]")
+    bad = ~((arr >= 0) & (arr <= k) & (arr == np.round(arr)))  # also catches NaN
+    if bad.any():
+        raise SymbolOutOfRange(f"symbol {arr[bad][0]} is not a whole number in [0, {k}]")
     counts = np.bincount(arr.astype(np.int64), minlength=k + 1)[:k]
     return counts / (n * lam)
 
@@ -141,32 +138,27 @@ def closed_form_risk(p: Distribution, k: int, alpha_bits: float, n: int) -> floa
     return float(np.sum(pp * (1.0 - lam * pp)) / (n * lam))
 
 
-def _replicate_risk(cdf, k, n, inv_lam_n, source_probs, seed) -> float:
-    rng = np.random.default_rng(seed)
-    symbols = np.searchsorted(cdf, rng.random(n), side="right")
-    counts = np.bincount(symbols, minlength=k + 1)[:k]
-    diff = counts * inv_lam_n - source_probs
-    return float(diff @ diff)
-
-
-def _mc_risks(w: Channel, source: Distribution, k, alpha_bits, n, seed_seqs) -> np.ndarray:
-    lam = staircase_rate(k, alpha_bits)
-    q = pushforward(w, source)
-    cdf = np.cumsum(q.probs)
-    cdf[-1] = 1.0
-    inv_lam_n = 1.0 / (n * lam)
-    return np.array(
-        [_replicate_risk(cdf, k, n, inv_lam_n, source.probs, s) for s in seed_seqs]
-    )
+def _mc_risks(w: Channel, source: Distribution, alpha_bits, n, replicates, rng) -> np.ndarray:
+    """Squared-l2 risk of the plug-in estimate on each of `replicates`
+    count rows, drawn in order from `rng` in blocks of _BLOCK_CELLS cells."""
+    k = source.alphabet_size
+    q = pushforward(w, source).probs
+    inv_lam_n = 1.0 / (n * staircase_rate(k, alpha_bits))
+    rows = max(1, _BLOCK_CELLS // q.size)
+    risks = np.empty(replicates)
+    for start in range(0, replicates, rows):
+        counts = rng.multinomial(n, q, size=min(rows, replicates - start))
+        diff = counts[:, :k] * inv_lam_n - source.probs
+        risks[start:start + len(diff)] = (diff * diff).sum(axis=1)
+    return risks
 
 
 def empirical_risk(cfg: SimulationConfig) -> RiskEstimate:
     """Monte Carlo mean of the plug-in estimator's squared-l2 risk.
 
-    Replicate i draws its samples from a substream spawned from
-    (cfg.seed, i), so growing `replicates` never reshuffles earlier
-    replicates. The standard error is the sample standard deviation over
-    replicates divided by sqrt(replicates).
+    Replicate i is the i-th count row drawn from default_rng(cfg.seed), so
+    growing `replicates` keeps the earlier replicates. The standard error is
+    the sample standard deviation over replicates divided by sqrt(replicates).
 
     Raises
     ------
@@ -174,8 +166,8 @@ def empirical_risk(cfg: SimulationConfig) -> RiskEstimate:
         When 2**alpha_bits > k, where the staircase mechanism is undefined.
     """
     w = maxl_staircase(cfg.k, cfg.alpha_bits)
-    seqs = np.random.SeedSequence(cfg.seed).spawn(cfg.replicates)
-    risks = _mc_risks(w, cfg.source, cfg.k, cfg.alpha_bits, cfg.n, seqs)
+    rng = np.random.default_rng(cfg.seed)
+    risks = _mc_risks(w, cfg.source, cfg.alpha_bits, cfg.n, cfg.replicates, rng)
     mean = float(risks.mean())
     std_error = (
         float(risks.std(ddof=1) / math.sqrt(cfg.replicates)) if cfg.replicates > 1 else 0.0
@@ -271,7 +263,8 @@ def lecam_lower_check(
       limit counts as converged, and for k >= 3 no sample size qualifies.
 
     The verdict passes iff S >= bound - 3*std_error, where S is the Monte
-    Carlo estimate of the two-point average risk.
+    Carlo estimate of the two-point average risk: `replicates` count rows
+    at p0, then `replicates` at p1, all from one default_rng(seed).
     """
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates!r}")
@@ -300,9 +293,9 @@ def lecam_lower_check(
         )
     pair = lecam_pair(k, alpha_bits, n, u, tol)
     assert pair.valid and pair.p1 is not None
-    seqs = np.random.SeedSequence(seed).spawn(2 * replicates)
-    risks0 = _mc_risks(w, pair.p0, k, alpha_bits, n, seqs[:replicates])
-    risks1 = _mc_risks(w, pair.p1, k, alpha_bits, n, seqs[replicates:])
+    rng = np.random.default_rng(seed)
+    risks0 = _mc_risks(w, pair.p0, alpha_bits, n, replicates, rng)
+    risks1 = _mc_risks(w, pair.p1, alpha_bits, n, replicates, rng)
     s_value = 0.5 * float(risks0.mean() + risks1.mean())
     if replicates > 1:
         se = 0.5 * math.sqrt(

@@ -50,6 +50,11 @@ class TestAnalyze:
         assert res.returncode == 2
         assert "row 0" in res.stderr
 
+    def test_non_finite_channel_exits_two(self):
+        res = run_cli("analyze", '{"rows": [[NaN, 1.0], [0.5, 0.5]]}')
+        assert res.returncode == 2
+        assert "non-finite entry nan at row 0, column 0" in res.stderr
+
     def test_reads_from_file_and_stdin(self, tmp_path):
         path = tmp_path / "w.json"
         path.write_text(json.dumps(RR21))

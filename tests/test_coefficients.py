@@ -8,6 +8,8 @@ from privmech import (
     KL,
     TOTAL_VARIATION,
     Distribution,
+    FDivergenceSpec,
+    FKind,
     compose,
     dobrushin_coefficient,
     estimate_eta_f,
@@ -26,7 +28,7 @@ from privmech import (
     validate_distribution,
     z_channel,
 )
-from privmech.errors import BudgetTooSmall, DimensionMismatch
+from privmech.errors import BudgetTooSmall, CustomFNotNormalized, DimensionMismatch
 
 CONSTANT = validate_channel([[0.3, 0.7], [0.3, 0.7]])
 BSC_THIRD = randomized_response(2, 1.0)  # [[2/3,1/3],[1/3,2/3]]
@@ -217,6 +219,14 @@ class TestEstimateEtaF:
         w = validate_channel([[0.2, 0.8]])
         est = estimate_eta_f(w, KL, budget=10, seed=0)
         assert est.value == 0.0
+
+    def test_custom_f(self):
+        w = random_channel(3, 4, 0.5, 2)
+        with pytest.raises(CustomFNotNormalized):
+            estimate_eta_f(w, FDivergenceSpec(FKind.CUSTOM, custom_f=lambda t: t), budget=100, seed=0)
+        chi2 = FDivergenceSpec(FKind.CUSTOM, custom_f=lambda t: (t - 1.0) ** 2)
+        est = estimate_eta_f(w, chi2, budget=300, seed=0)
+        assert 0.0 < est.value <= dobrushin_coefficient(w) + 1e-10
 
 
 class TestContractionProperties:

@@ -19,6 +19,7 @@ from privmech.errors import (
     EmptyMatrix,
     EmptyVector,
     NegativeEntry,
+    NonFiniteEntry,
     RaggedRows,
     RowSumOutOfTolerance,
     SumOutOfTolerance,
@@ -64,8 +65,14 @@ class TestValidateDistribution:
             validate_distribution([])
 
     def test_nan_rejected(self):
-        with pytest.raises(SumOutOfTolerance):
+        with pytest.raises(NonFiniteEntry):
             validate_distribution([float("nan"), 1.0])
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf")])
+    def test_infinite_entry_reports_index(self, bad):
+        with pytest.raises(NonFiniteEntry) as exc:
+            validate_distribution([0.5, 0.5, bad])
+        assert exc.value.index == 2 and exc.value.row is None
 
     def test_no_renormalization(self):
         # entries are stored exactly as given, never rescaled
@@ -104,6 +111,13 @@ class TestValidateChannel:
         with pytest.raises(NegativeEntry) as exc:
             validate_channel([[0.5, 0.5], [1.2, -0.2]])
         assert (exc.value.row, exc.value.index) == (1, 1)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_entry_reports_position(self, bad):
+        with pytest.raises(NonFiniteEntry) as exc:
+            validate_channel([[0.5, 0.5], [1.0, bad]])
+        assert (exc.value.row, exc.value.index) == (1, 1)
+        assert "row 1, column 1" in str(exc.value)
 
     def test_empty(self):
         with pytest.raises(EmptyMatrix):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from privmech import (
     validate_channel,
     validate_distribution,
 )
+from privmech import minimax
 from privmech.errors import (
     AlphaOutOfRange,
     BadDirectionVector,
@@ -83,6 +85,12 @@ class TestStaircaseEstimator:
             staircase_estimator(np.array([0, 4]), k=3, alpha_bits=1.0, n=2)
         with pytest.raises(SymbolOutOfRange):
             staircase_estimator(np.array([-1, 0]), k=3, alpha_bits=1.0, n=2)
+        with pytest.raises(SymbolOutOfRange):
+            staircase_estimator(np.array([0.5, 2.9, 1.0]), k=3, alpha_bits=1.0, n=3)
+
+    def test_whole_valued_floats_accepted(self):
+        est = staircase_estimator(np.array([0.0, 2.0, 1.0, 3.0]), k=3, alpha_bits=1.0, n=4)
+        assert np.array_equal(est, staircase_estimator(np.array([0, 2, 1, 3]), 3, 1.0, 4))
 
     def test_sample_count_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -170,8 +178,8 @@ class TestEmpiricalRisk:
         base = dict(k=3, alpha_bits=1.0, n=50, seed=5, source=Distribution.uniform(3))
         small = empirical_risk(SimulationConfig(replicates=100, **base))
         big = empirical_risk(SimulationConfig(replicates=200, **base))
-        # replicate substreams are keyed by index, so the two runs share
-        # their first 100 replicates: means cannot drift arbitrarily
+        # replicates are count rows drawn in order from one generator, so the
+        # two runs share their first 100 replicates: means cannot drift arbitrarily
         assert abs(small.mean_risk - big.mean_risk) <= 6 * small.std_error
 
     def test_staircase_inapplicable_alpha(self):
@@ -181,6 +189,41 @@ class TestEmpiricalRisk:
                     k=2, alpha_bits=1.5, n=10, replicates=2, seed=0, source=Distribution.uniform(2)
                 )
             )
+
+
+class TestCountsEngine:
+    CFG = SimulationConfig(
+        k=5, alpha_bits=1.0, n=300, replicates=1000, seed=42,
+        source=validate_distribution([0.4, 0.3, 0.2, 0.05, 0.05]),
+    )
+
+    @pytest.mark.parametrize("cells", [1, 37 * 6])  # one row per block; 37 rows, not dividing 1000
+    def test_block_size_does_not_change_results(self, monkeypatch, cells):
+        default = empirical_risk(self.CFG)
+        monkeypatch.setattr(minimax, "_BLOCK_CELLS", cells)
+        assert empirical_risk(self.CFG) == default
+
+    def test_growing_replicates_keeps_earlier_risks(self):
+        w = maxl_staircase(5, 1.0)
+
+        def risks(r):
+            rng = np.random.default_rng(self.CFG.seed)
+            return minimax._mc_risks(w, self.CFG.source, 1.0, self.CFG.n, r, rng)
+
+        assert np.array_equal(risks(2000)[:1000], risks(1000))
+
+    def test_peak_memory_is_bounded_by_the_block(self):
+        cfg = SimulationConfig(
+            k=512, alpha_bits=1.0, n=1000, replicates=20_000, seed=0,
+            source=Distribution.uniform(512),
+        )
+        tracemalloc.start()
+        try:
+            empirical_risk(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20  # an unblocked draw peaks near 249 MB
 
 
 class TestLeCamPair:
