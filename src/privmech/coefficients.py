@@ -9,7 +9,6 @@ claimed supremum.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,10 +21,8 @@ from .core import (
     json_float,
     validate_distribution,
 )
-from .divergences import FDivergenceSpec, FKind, _custom_integrand, _f_sum
+from .divergences import FDivergenceSpec, FKind, _pair_divergence
 from .errors import BudgetTooSmall, DimensionMismatch
-
-_LN2 = math.log(2.0)
 
 # Admission window for ratio denominators: pairs with divergence outside
 # (DIV_FLOOR, DIV_CEIL) are skipped, mirroring the 0 < D < inf constraint
@@ -144,65 +141,6 @@ def privacy_report(w: Channel) -> PrivacyReport:
     )
 
 
-# ---------------------------------------------------------------------------
-# contraction-coefficient lower-bound search
-# ---------------------------------------------------------------------------
-#
-# Ratio evaluation works on (base, difference) pairs rather than on two
-# separately rounded vectors: the difference is pushed through the channel
-# once and each divergence is computed from it at full relative precision.
-# Otherwise the hill climb happily chases rounding noise near the admission
-# floor and reports "lower bounds" above the true supremum.
-
-
-def _bracket_g(x: np.ndarray) -> np.ndarray:
-    # g(t) = (1+t)*log1p(t) - t, the nonnegative integrand of extended KL;
-    # series for small |t| to keep full relative precision
-    out = np.empty_like(x)
-    small = np.abs(x) <= 1e-4
-    xs = x[small]
-    out[small] = xs * xs * (0.5 - xs / 6.0 + xs * xs / 12.0)
-    xl = x[~small]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out[~small] = (1.0 + xl) * np.log1p(xl) - xl
-    out[x == -1.0] = 1.0
-    return out
-
-
-def _kl_pair_bits(base: np.ndarray, diff: np.ndarray) -> float:
-    zero = base == 0.0
-    if np.any(zero & (diff != 0.0)):
-        return float("inf")
-    q = base[~zero]
-    x = np.maximum(diff[~zero] / q, -1.0)
-    return float(np.sum(q * _bracket_g(x)) / _LN2)
-
-
-def _tv_pair(base: np.ndarray, diff: np.ndarray) -> float:
-    return 0.5 * float(np.abs(diff).sum())
-
-
-def _chi2_pair(base: np.ndarray, diff: np.ndarray) -> float:
-    zero = base == 0.0
-    if np.any(zero & (diff != 0.0)):
-        return float("inf")
-    d = diff[~zero]
-    return float(np.sum(d * d / base[~zero]))
-
-
-def _make_pair_divergence(spec: FDivergenceSpec, tol: ToleranceConfig):
-    if spec.kind is FKind.TOTAL_VARIATION:
-        return _tv_pair
-    if spec.kind is FKind.KL:
-        return _kl_pair_bits
-    if spec.kind is FKind.CHI_SQUARED:
-        return _chi2_pair
-    # custom f: generic integrand on the reconstructed pair; precision near
-    # the admission floor then depends on the caller's f
-    f_vec, f_inf = _custom_integrand(spec, tol)
-    return lambda base, diff: _f_sum(np.clip(base + diff, 0.0, None), base, f_vec, f_inf)
-
-
 def estimate_eta_f(
     w: Channel,
     spec: FDivergenceSpec,
@@ -247,7 +185,7 @@ def estimate_eta_f(
             f"total-variation search needs at least {n_vertex} evaluations "
             f"to cover all point-mass pairs, got {budget}"
         )
-    pair_div = _make_pair_divergence(spec, tol)
+    pair_div = _pair_divergence(spec, tol)
     rows = w.rows
 
     evals = 0

@@ -3,9 +3,18 @@
 All KL-type quantities are reported in bits (base-2 logs). Infinity is a
 legal return value, not an error: callers that need finite ratios filter
 infinite pairs themselves.
+
+Every divergence is evaluated in (base, difference) form, D(base + diff ||
+base), by the one kernel per kind that `_pair_divergence` selects, never
+from two separately rounded vectors: the public functions pass (q, p - q),
+and `estimate_eta_f` pushes the difference of a pair through the channel
+once. Each divergence is thus computed at full relative precision;
+otherwise the search's hill climb chases rounding noise near its admission
+floor and reports "lower bounds" above the true supremum.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -14,6 +23,8 @@ import numpy as np
 
 from .core import DEFAULT_TOL, Distribution, ToleranceConfig
 from .errors import CustomFNotNormalized, DimensionMismatch
+
+_LN2 = math.log(2.0)
 
 
 class FKind(Enum):
@@ -56,22 +67,18 @@ def _check_sizes(p: Distribution, q: Distribution):
 
 def total_variation(p: Distribution, q: Distribution) -> float:
     """(1/2) sum_z |p(z) - q(z)|; symmetric, in [0, 1]."""
-    _check_sizes(p, q)
-    return 0.5 * float(np.abs(p.probs - q.probs).sum())
+    return f_divergence(p, q, TOTAL_VARIATION)
 
 
 def kl_divergence(p: Distribution, q: Distribution) -> float:
-    """sum_z p(z) log2(p(z)/q(z)) in bits, with 0 log(0/q) = 0.
+    """Extended KL divergence in bits: sum_z q(z) g((p(z) - q(z))/q(z)) / ln 2
+    with g(t) = (1+t) ln(1+t) - t >= 0, which equals
+    sum_z p(z) log2(p(z)/q(z)) - (sum p - sum q)/ln 2 (0 log(0/q) = 0).
 
+    Never negative, even for inputs whose sums differ within tolerance.
     Returns +inf when p puts mass where q does not.
     """
-    _check_sizes(p, q)
-    pp, qq = p.probs, q.probs
-    mask = pp > 0
-    if np.any(qq[mask] == 0.0):
-        return float("inf")
-    pm = pp[mask]
-    return float(np.sum(pm * np.log2(pm / qq[mask])))
+    return f_divergence(p, q, KL)
 
 
 def l2_distance_sq(p: Distribution, q: Distribution) -> float:
@@ -81,49 +88,83 @@ def l2_distance_sq(p: Distribution, q: Distribution) -> float:
     return float(np.dot(d, d))
 
 
-def _xlog2x(x: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(x)
-    pos = x > 0
-    out[pos] = x[pos] * np.log2(x[pos])
+def _bracket_g(x: np.ndarray) -> np.ndarray:
+    # g(t) = (1+t)*log1p(t) - t, the nonnegative integrand of extended KL;
+    # series for small |t| to keep full relative precision
+    out = np.empty_like(x)
+    small = np.abs(x) <= 1e-4
+    xs = x[small]
+    out[small] = xs * xs * (0.5 - xs / 6.0 + xs * xs / 12.0)
+    xl = x[~small]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out[~small] = (1.0 + xl) * np.log1p(xl) - xl
+    out[x == -1.0] = 1.0
     return out
 
 
-def _builtin_f(kind: FKind):
-    """Vectorized integrand and its slope at infinity lim f(t)/t."""
-    if kind is FKind.TOTAL_VARIATION:
-        return lambda x: 0.5 * np.abs(x - 1.0), 0.5
-    if kind is FKind.KL:
-        return _xlog2x, float("inf")
-    if kind is FKind.CHI_SQUARED:
-        return lambda x: (x - 1.0) ** 2, float("inf")
-    raise ValueError(f"no built-in integrand for {kind}")
+def _kl_pair_bits(base: np.ndarray, diff: np.ndarray) -> float:
+    zero = base == 0.0
+    if np.any(zero & (diff != 0.0)):
+        return float("inf")
+    q = base[~zero]
+    x = np.maximum(diff[~zero] / q, -1.0)
+    return float(np.sum(q * _bracket_g(x)) / _LN2)
 
 
-def _custom_integrand(spec: FDivergenceSpec, tol: ToleranceConfig):
-    """Vectorized custom f and its slope at infinity lim f(t)/t; raises
+def _tv_pair(base: np.ndarray, diff: np.ndarray) -> float:
+    return 0.5 * float(np.abs(diff).sum())
+
+
+def _chi2_pair(base: np.ndarray, diff: np.ndarray) -> float:
+    zero = base == 0.0
+    if np.any(zero & (diff != 0.0)):
+        return float("inf")
+    d = diff[~zero]
+    return float(np.sum(d * d / base[~zero]))
+
+
+def _custom_pair(spec: FDivergenceSpec, tol: ToleranceConfig):
+    """Pair kernel of a custom f, evaluated on the reconstructed pair, so
+    its precision near zero divergence depends on the caller's f. Raises
     CustomFNotNormalized unless f(1) = 0 within tol.eq_tol."""
     f = spec.custom_f
     at_one = float(f(1.0))
     if not abs(at_one) <= tol.eq_tol:
         raise CustomFNotNormalized(f"f(1) = {at_one!r}, expected 0")
-    f_vec = lambda x: np.array([float(f(t)) for t in x])
     # probe f(t)/t growth; a convex f has a (possibly infinite) limit slope
     try:
         lo, hi = f(1e8) / 1e8, f(1e12) / 1e12
     except OverflowError:
-        return f_vec, float("inf")
+        lo = hi = float("inf")
     if not np.isfinite(hi) or hi > lo * (1.0 + 1e-6) + 1e-12:
-        return f_vec, float("inf")
-    return f_vec, float(hi)
+        f_inf = float("inf")
+    else:
+        f_inf = float(hi)
+
+    def pair(base: np.ndarray, diff: np.ndarray) -> float:
+        pp = np.clip(base + diff, 0.0, None)
+        qpos = base > 0
+        ratios = pp[qpos] / base[qpos]
+        total = float(np.sum(base[qpos] * np.array([float(f(t)) for t in ratios])))
+        escaped = float(pp[~qpos].sum())  # mass where q vanishes; 0/0 pairs add 0
+        if escaped > 0.0:
+            total += escaped * f_inf
+        return total
+
+    return pair
 
 
-def _f_sum(pp: np.ndarray, qq: np.ndarray, f_vec, f_inf: float) -> float:
-    qpos = qq > 0
-    total = float(np.sum(qq[qpos] * f_vec(pp[qpos] / qq[qpos])))
-    escaped = float(pp[~qpos].sum())  # mass where q vanishes; 0/0 pairs add 0
-    if escaped > 0.0:
-        total += escaped * f_inf
-    return total
+def _pair_divergence(spec: FDivergenceSpec, tol: ToleranceConfig):
+    """The kernel D(base + diff || base) of `spec`, as a function of two
+    arrays. Support violations (base = 0 < diff) give +inf for KL and chi^2
+    and contribute |diff|/2 for total variation."""
+    if spec.kind is FKind.TOTAL_VARIATION:
+        return _tv_pair
+    if spec.kind is FKind.KL:
+        return _kl_pair_bits
+    if spec.kind is FKind.CHI_SQUARED:
+        return _chi2_pair
+    return _custom_pair(spec, tol)
 
 
 def f_divergence(
@@ -132,14 +173,14 @@ def f_divergence(
     spec: FDivergenceSpec,
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> float:
-    """sum_z q(z) f(p(z)/q(z)) with the conventions 0/0 := 1 and 1/0 := inf.
+    """sum_z q(z) f(p(z)/q(z)) with the conventions 0/0 := 1 and 1/0 := inf,
+    evaluated from the base q and the difference p - q.
 
     A symbol with q(z) = 0 < p(z) contributes p(z) * lim_{t->inf} f(t)/t,
     which makes the result +inf for f of superlinear growth (KL, chi^2).
+    KL is the extended form sum_z q(z) g((p(z) - q(z))/q(z)) / ln 2 with
+    g(t) = (1+t) ln(1+t) - t, equal to sum_z p(z) log2(p(z)/q(z)) -
+    (sum p - sum q)/ln 2 and never negative.
     """
     _check_sizes(p, q)
-    if spec.kind is FKind.CUSTOM:
-        f_vec, f_inf = _custom_integrand(spec, tol)
-    else:
-        f_vec, f_inf = _builtin_f(spec.kind)
-    return _f_sum(p.probs, q.probs, f_vec, f_inf)
+    return _pair_divergence(spec, tol)(q.probs, p.probs - q.probs)

@@ -20,12 +20,20 @@ import numpy as np
 
 from .bounds import BoundCheckResult, _verdict
 from .core import DEFAULT_TOL, Channel, Distribution, ToleranceConfig, pushforward, validate_distribution
+from .divergences import _LN2, _kl_pair_bits
 from .errors import BadDirectionVector, DimensionMismatch, PreconditionNotMet, SymbolOutOfRange
 from .mechanisms import _check_k, _check_k_alpha, maxl_staircase, staircase_rate
 
 # Count cells per multinomial block. Rows are drawn in order from one
 # generator, so the block size bounds memory without changing any result.
 _BLOCK_CELLS = 1 << 16
+
+
+def _check_count(name: str, value) -> None:
+    """Raise ValueError unless `value` is a whole number >= 1 (100.0 passes;
+    2.5, nan and inf do not, since numpy would draw floor(value) samples)."""
+    if not (value >= 1 and float(value).is_integer()):
+        raise ValueError(f"{name} must be a whole number >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -43,10 +51,8 @@ class SimulationConfig:
 
     def __post_init__(self):
         _check_k_alpha(self.k, self.alpha_bits)
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n!r}")
-        if self.replicates < 1:
-            raise ValueError(f"replicates must be >= 1, got {self.replicates!r}")
+        _check_count("n", self.n)
+        _check_count("replicates", self.replicates)
         if self.source.alphabet_size != self.k:
             raise DimensionMismatch(
                 f"source alphabet {self.source.alphabet_size} != k = {self.k}"
@@ -101,8 +107,7 @@ def sample_outputs(w: Channel, p: Distribution, n: int, seed) -> np.ndarray:
     count row, in uniformly random order (the law of an i.i.d. sequence
     given its counts). `seed` is anything numpy's default_rng accepts (int,
     SeedSequence, ...); draws are deterministic given the seed."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n!r}")
+    _check_count("n", n)
     q = pushforward(w, p).probs
     rng = np.random.default_rng(seed)
     return rng.permutation(np.repeat(np.arange(q.size), rng.multinomial(n, q)))
@@ -131,8 +136,7 @@ def closed_form_risk(p: Distribution, k: int, alpha_bits: float, n: int) -> floa
     staircase mechanism: (1/(n*lam)) * sum_x p(x) (1 - lam p(x))."""
     if p.alphabet_size != k:
         raise DimensionMismatch(f"source alphabet {p.alphabet_size} != k = {k}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n!r}")
+    _check_count("n", n)
     lam = staircase_rate(k, alpha_bits)
     pp = p.probs
     return float(np.sum(pp * (1.0 - lam * pp)) / (n * lam))
@@ -207,8 +211,7 @@ def lecam_pair(
     once n >= k^2/(2**a - 1).
     """
     _check_k_alpha(k, alpha_bits)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n!r}")
+    _check_count("n", n)
     uu = np.asarray(u, dtype=float)
     if uu.shape != (k,):
         raise BadDirectionVector(f"direction must have length {k}, got shape {uu.shape}")
@@ -228,16 +231,12 @@ def lecam_pair(
     return LeCamPair(p0=p0, p1=p1, u=uu_ro, valid=valid)
 
 
-def _kl_nats(p: np.ndarray, q: np.ndarray) -> float:
-    mask = p > 0
-    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
-
-
 def _taylor_value(k, alpha_bits, n, u) -> float:
+    """n*(2**a - 1)*KL(p1 || p0) in nats, with KL taken from the base p0
+    and the exact difference p1 - p0, so no cancellation at large n."""
     r1 = 2.0 ** alpha_bits - 1.0
-    p1 = 1.0 / k + np.asarray(u, float) / math.sqrt(n * r1)
-    p0 = np.full(k, 1.0 / k)
-    return n * r1 * _kl_nats(p1, p0)
+    diff = np.asarray(u, float) / math.sqrt(n * r1)
+    return n * r1 * _LN2 * _kl_pair_bits(np.full(k, 1.0 / k), diff)
 
 
 def lecam_lower_check(
@@ -256,8 +255,8 @@ def lecam_lower_check(
     smallest satisfying n:
 
     * pair validity: n >= k^2/(2**a - 1);
-    * large-sample condition: n*(2**a - 1)*KL_nats(p1 || p0) <= 1 +
-      taylor_slack. The product approaches k/2 from above as n grows
+    * large-sample condition: n*(2**a - 1)*KL(p1 || p0) <= 1 + taylor_slack,
+      with KL in nats. The product approaches k/2 from above as n grows
       (for k = 2 it is 1 + 1/(3n(2**a - 1))), so a strict <= 1 test is
       unsatisfiable for every n; `taylor_slack` sets how close to the
       limit counts as converged, and for k >= 3 no sample size qualifies.
@@ -266,8 +265,7 @@ def lecam_lower_check(
     Carlo estimate of the two-point average risk: `replicates` count rows
     at p0, then `replicates` at p1, all from one default_rng(seed).
     """
-    if replicates < 1:
-        raise ValueError(f"replicates must be >= 1, got {replicates!r}")
+    _check_count("replicates", replicates)
     w = maxl_staircase(k, alpha_bits)  # validates k, alpha and 2**a <= k
     r1 = 2.0 ** alpha_bits - 1.0
     n_min = math.ceil(k * k / r1)
@@ -358,8 +356,11 @@ def scaling_sweep(
     if source is None:
         source = Distribution.uniform(k)
     r1 = 2.0 ** alpha_bits - 1.0
+    grid = list(n_grid)
+    for n in grid:
+        _check_count("n", n)
     rows = []
-    for idx, n in enumerate(sorted(int(n) for n in n_grid)):
+    for idx, n in enumerate(sorted(int(n) for n in grid)):
         row_seed = int(np.random.SeedSequence([int(seed), idx]).generate_state(1, np.uint64)[0])
         cfg = SimulationConfig(
             k=k, alpha_bits=alpha_bits, n=n, replicates=replicates,

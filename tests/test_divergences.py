@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from privmech import (
     CHI_SQUARED,
@@ -12,7 +14,9 @@ from privmech import (
     f_divergence,
     kl_divergence,
     l2_distance_sq,
+    pushforward,
     total_variation,
+    validate_channel,
     validate_distribution,
 )
 from privmech.errors import CustomFNotNormalized, DimensionMismatch
@@ -128,8 +132,11 @@ class TestFDivergence:
 
     def test_nonnegativity_all_kinds(self):
         rng = np.random.default_rng(8)
-        for _ in range(200):
-            p, q = random_pair(rng, int(rng.integers(2, 6)))
+        pairs = [random_pair(rng, int(rng.integers(2, 6))) for _ in range(200)]
+        # sums differ within tolerance; plain sum p log(p/q) gives -1.44e-9 here
+        pairs.append((dist([0.5, 0.5 - 5e-10]), dist([0.5, 0.5 + 5e-10])))
+        for p, q in pairs:
+            assert kl_divergence(p, q) >= 0.0
             for spec in (TOTAL_VARIATION, KL, CHI_SQUARED):
                 assert f_divergence(p, q, spec) >= 0.0
                 assert f_divergence(p, p, spec) == pytest.approx(0.0, abs=1e-12)
@@ -158,3 +165,39 @@ class TestFDivergence:
             FDivergenceSpec(FKind.CUSTOM)  # custom requires a callable
         with pytest.raises(ValueError):
             FDivergenceSpec(FKind.KL, custom_f=lambda t: 0.0)
+
+
+# Entries are exactly 0 or drawn from [1e-11, 1]; normalizing by a sum of at
+# most 6 keeps every nonzero probability at or above 1e-12.
+_WEIGHT = st.one_of(st.just(0.0), st.floats(1e-11, 1.0))
+
+
+def _weights(size):
+    return st.lists(_WEIGHT, min_size=size, max_size=size).filter(lambda r: sum(r) > 0.0)
+
+
+@st.composite
+def _pair_and_channel(draw):
+    k, m = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    p, q = (np.array(draw(_weights(k))) for _ in range(2))
+    rows = np.array([draw(_weights(m)) for _ in range(k)])
+    return (
+        dist(p / p.sum()),
+        dist(q / q.sum()),
+        validate_channel(rows / rows.sum(axis=1, keepdims=True)),
+    )
+
+
+class TestKernelProperties:
+    """Every built-in kind through the one (base, difference) kernel."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(_pair_and_channel())
+    def test_nonnegative_zero_on_equal_and_data_processing(self, case):
+        p, q, w = case
+        pw, qw = pushforward(w, p), pushforward(w, q)
+        for spec in (TOTAL_VARIATION, KL, CHI_SQUARED):
+            d_in = f_divergence(p, q, spec)
+            assert d_in >= 0.0
+            assert f_divergence(p, p, spec) == 0.0
+            assert f_divergence(pw, qw, spec) <= d_in * (1.0 + 1e-9) + 1e-12

@@ -69,6 +69,13 @@ class TestSampleOutputs:
         with pytest.raises(DimensionMismatch):
             sample_outputs(validate_channel(np.eye(2)), Distribution.uniform(3), 10, seed=0)
 
+    def test_sample_size_must_be_whole(self):
+        w, p = maxl_staircase(3, 1.0), Distribution.uniform(3)
+        for n in (0, 2.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                sample_outputs(w, p, n, seed=0)
+        assert len(sample_outputs(w, p, 5.0, seed=0)) == 5
+
 
 class TestStaircaseEstimator:
     def test_hand_example(self):
@@ -282,6 +289,15 @@ class TestLeCamLowerCheck:
         assert exc.value.condition == "large_sample"
         assert exc.value.min_n == 335
 
+    def test_large_sample_condition_accurate_at_large_n(self):
+        # the exact value is 1 + 1/(3n) + O(1/n^2); evaluating KL from p1 and
+        # p0 separately loses it to cancellation (1.000056 at n = 10**12)
+        res = lecam_lower_check(2, 1.0, 10**12, 10, 0)
+        assert "large-sample condition value 1.000000" in res.note
+        n = 10**14
+        value = minimax._taylor_value(2, 1.0, n, default_direction(2))
+        assert abs(value - (1.0 + 1.0 / (3.0 * n))) <= 1e-12
+
     def test_large_sample_unattainable_for_k_three(self):
         # the condition value approaches k/2 = 1.5 from above: no n qualifies
         with pytest.raises(PreconditionNotMet) as exc:
@@ -313,6 +329,12 @@ class TestScalingSweep:
         rows = scaling_sweep(3, 1.0, [400, 100, 200], replicates=50, seed=1)
         assert [r.n for r in rows] == [100, 200, 400]
 
+    def test_sample_sizes_must_be_whole(self):
+        # int() would run 100.7 as n = 100 and report it under that n
+        with pytest.raises(ValueError):
+            scaling_sweep(3, 1.0, [200, 100.7], replicates=10, seed=0)
+        assert [r.n for r in scaling_sweep(3, 1.0, [200.0], replicates=10, seed=0)] == [200]
+
     def test_normalized_risk_constant_at_closed_form_level(self):
         rows = scaling_sweep(3, 1.0, [100, 200, 400], replicates=2000, seed=7)
         for r in rows:
@@ -343,10 +365,12 @@ class TestSimulationConfig:
             )
 
     def test_positive_sizes(self):
-        with pytest.raises(ValueError):
-            SimulationConfig(
-                k=3, alpha_bits=1.0, n=0, replicates=1, seed=0, source=Distribution.uniform(3)
-            )
+        # numpy would draw Multinomial(floor(n), q) but the estimator divides by n
+        for n in (0, 2.5, float("nan")):
+            with pytest.raises(ValueError):
+                SimulationConfig(
+                    k=3, alpha_bits=1.0, n=n, replicates=1, seed=0, source=Distribution.uniform(3)
+                )
         with pytest.raises(ValueError):
             SimulationConfig(
                 k=3, alpha_bits=1.0, n=5, replicates=0, seed=0, source=Distribution.uniform(3)
