@@ -18,6 +18,7 @@ from .core import (
     Channel,
     Distribution,
     ToleranceConfig,
+    _check_count,
     json_float,
     validate_distribution,
 )
@@ -29,6 +30,11 @@ from .errors import BudgetTooSmall, DimensionMismatch
 # in the contraction coefficient's definition.
 DIV_FLOOR = 1e-12
 DIV_CEIL = 1e12
+
+# Cells per block of pairs in `estimate_eta_f` (rows times the larger
+# alphabet). Blocks keep the search's order, so the size bounds memory
+# without changing which pairs are evaluated or which one wins.
+_BLOCK_CELLS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -141,6 +147,13 @@ def privacy_report(w: Channel) -> PrivacyReport:
     )
 
 
+def _off_diagonal(n: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, column) of the t-th off-diagonal cell of an n x n grid in
+    row-major order."""
+    a, j = np.divmod(t, n - 1)
+    return a, j + (j >= a)
+
+
 def estimate_eta_f(
     w: Channel,
     spec: FDivergenceSpec,
@@ -163,6 +176,16 @@ def estimate_eta_f(
     matching the 0 < D_f < inf constraint in the coefficient's definition.
     The result is deterministic given (budget, seed).
 
+    Pairs are evaluated a block at a time, at most _BLOCK_CELLS cells per
+    block, with one channel product per block, so memory stays bounded at
+    any budget. The blocks keep the order of a pair-by-pair search: the
+    best pair is the first strict maximum in stage order, the Dirichlet
+    pairs come from one stream, and the refinement keeps its in-sweep
+    (Gauss-Seidel) updates exactly. It builds the sweep's remaining moves
+    from the current best pair, accepts the first improving one, and
+    rebuilds from the move after it; `evaluations` counts only the moves
+    up to each accepted one.
+
     Returns
     -------
     ContractionEstimate
@@ -175,9 +198,13 @@ def estimate_eta_f(
     BudgetTooSmall
         If budget < 1, or if the divergence is total variation and the
         budget cannot cover all ordered point-mass pairs.
+    ValueError
+        If budget is not a whole number (2.5, nan, inf).
     """
     if budget < 1:
         raise BudgetTooSmall("budget must be at least 1")
+    _check_count("budget", budget)
+    budget = int(budget)
     k = w.input_size
     n_vertex = k * (k - 1)
     if spec.kind is FKind.TOTAL_VARIATION and budget < n_vertex:
@@ -187,39 +214,46 @@ def estimate_eta_f(
         )
     pair_div = _pair_divergence(spec, tol)
     rows = w.rows
+    block = max(1, _BLOCK_CELLS // max(k, w.output_size))
 
     evals = 0
     best_val = -1.0
-    best: tuple[np.ndarray, np.ndarray] | None = None
+    best: np.ndarray | None = None  # rows p0, p1 of the best pair
 
-    def try_pair(p0: np.ndarray, p1: np.ndarray) -> bool:
-        nonlocal evals, best_val, best
-        if evals >= budget:
-            return False
-        evals += 1
-        diff = p0 - p1
-        support = (p0 > 0) | (p1 > 0)
+    def ratios(p0s: np.ndarray, p1s: np.ndarray) -> np.ndarray:
+        """Ratio of each row pair; -inf where the pair is not admitted."""
+        diff = p0s - p1s  # exactly 0 off the joint support
+        support = (p0s + p1s) > 0.0
         # project the difference back onto zero sum over the joint support;
         # kills the rounding drift that would otherwise leak into the ratio
-        diff[support] -= diff[support].mean()
-        din = pair_div(p1, diff)
-        if not DIV_FLOOR < din < DIV_CEIL:
-            return True
-        dout = pair_div(p1 @ rows, diff @ rows)
-        ratio = dout / din
-        if ratio > best_val:
-            best_val = ratio
-            best = (p0.copy(), p1.copy())
-        return True
+        shift = np.add.reduce(diff, axis=1) / np.add.reduce(support, axis=1)
+        diff = np.where(support, diff - shift[:, None], diff)
+        din = pair_div(p1s, diff)
+        pushed = np.concatenate((p1s, diff)) @ rows
+        dout = pair_div(pushed[: len(din)], pushed[len(din):])
+        out = np.full(len(din), -np.inf)
+        return np.divide(dout, din, out=out, where=(DIV_FLOOR < din) & (din < DIV_CEIL))
 
-    def vertex_stage():
-        eye = np.eye(k)
-        for i in range(k):
-            for j in range(k):
-                if i != j and not try_pair(eye[i].copy(), eye[j].copy()):
-                    return
+    def scan(total: int, make_block):
+        """Evaluate `total` pairs, block by block, keeping the first strict
+        maximum; make_block(start, stop) returns the pairs start..stop-1."""
+        nonlocal evals, best_val, best
+        for start in range(0, total, block):
+            p0s, p1s = make_block(start, min(total, start + block))
+            r = ratios(p0s, p1s)
+            evals += len(r)
+            j = int(np.argmax(np.where(r > best_val, r, -np.inf)))
+            if r[j] > best_val:
+                best_val = float(r[j])
+                best = np.array((p0s[j], p1s[j]))
 
-    vertex_stage()
+    eye = np.eye(k)
+
+    def vertex_block(start, stop):
+        a, b = _off_diagonal(k, np.arange(start, stop))
+        return eye[a], eye[b]
+
+    scan(min(n_vertex, budget), vertex_block)
 
     explore = (budget - evals) // 2
     grid_resolution = 0
@@ -232,40 +266,64 @@ def estimate_eta_f(
             grid_resolution = g
             pts = np.arange(1, g + 1) / (g + 1.0)
 
-            def grid_stage():
-                for a in pts:
-                    p0 = np.array([a, 1.0 - a])
-                    for b in pts:
-                        if a != b and not try_pair(p0.copy(), np.array([b, 1.0 - b])):
-                            return
+            def grid_block(start, stop):
+                a, b = _off_diagonal(g, np.arange(start, stop))
+                return (np.column_stack((pts[a], 1.0 - pts[a])),
+                        np.column_stack((pts[b], 1.0 - pts[b])))
 
-            grid_stage()
+            scan(g * (g - 1), grid_block)
     else:
         rng = np.random.default_rng(seed)
         alpha = np.ones(k)
-        for _ in range(explore):
-            if not try_pair(rng.dirichlet(alpha), rng.dirichlet(alpha)):
-                break
+
+        def dirichlet_block(start, stop):
+            # the same stream as stop - start interleaved pairs of draws
+            d = rng.dirichlet(alpha, size=(stop - start, 2))
+            return d[:, 0], d[:, 1]
+
+        scan(explore, dirichlet_block)
 
     def climb_stage():
+        # move t of a sweep shifts mass from a to b in best[t // n_vertex],
+        # with (a, b) the (t mod n_vertex)-th ordered pair of distinct inputs
+        nonlocal evals, best_val, best
+        n_moves = 2 * n_vertex
         step = 0.1
         while evals < budget and step >= 1e-9:
             before = best_val
-            for which in (0, 1):
-                for a in range(k):
-                    for b in range(k):
-                        if a == b:
-                            continue
-                        cand = [best[0].copy(), best[1].copy()]
-                        eps = min(step, cand[which][a])
-                        if eps <= 0.0:
-                            continue
-                        cand[which][a] -= eps
-                        cand[which][b] += eps
-                        moved = np.clip(cand[which], 0.0, None)
-                        cand[which] = moved / moved.sum()
-                        if not try_pair(cand[0], cand[1]):
-                            return
+            t = 0
+            while t < n_moves and evals < budget:
+                stop = min(n_moves, t + block)
+                idx = np.arange(t, stop)
+                t = stop  # unless a move below improves
+                which = idx // n_vertex
+                a, b = _off_diagonal(k, idx - which * n_vertex)
+                eps = np.minimum(step, best[which, a])
+                live = eps > 0.0  # a move from an empty input is skipped, not counted
+                if not live.all() or idx.size > budget - evals:
+                    keep = np.flatnonzero(live)[: budget - evals]
+                    if keep.size == 0:
+                        continue
+                    idx, which, a, b, eps = idx[keep], which[keep], a[keep], b[keep], eps[keep]
+                r = np.arange(idx.size)
+                # eps <= the mass at a, so no entry turns negative
+                moved = best[which]
+                moved[r, a] -= eps
+                moved[r, b] += eps
+                moved /= moved.sum(axis=1, keepdims=True)
+                first = (which == 0)[:, None]
+                p0s = np.where(first, moved, best[0])
+                p1s = np.where(first, best[1], moved)
+                found = ratios(p0s, p1s)
+                gains = found > best_val
+                j = int(np.argmax(gains))  # the first improving move, if any
+                if not gains[j]:
+                    evals += idx.size
+                    continue
+                evals += j + 1
+                best_val = float(found[j])
+                best = np.array((p0s[j], p1s[j]))
+                t = int(idx[j]) + 1
             if best_val <= before:
                 step *= 0.5
 

@@ -107,6 +107,14 @@ def _check_entries(arr: np.ndarray):
             raise error(at[-1], float(arr[at]), row=at[0] if arr.ndim == 2 else None)
 
 
+def _check_count(name: str, value) -> None:
+    """Raise ValueError unless `value` is a whole number >= 1. 100.0 passes;
+    2.5, nan and inf do not, since a count taken as floor(value) or used as
+    a loop bound would silently do other work than asked."""
+    if not (value >= 1 and float(value).is_integer()):
+        raise ValueError(f"{name} must be a whole number >= 1, got {value!r}")
+
+
 def validate_distribution(p, tol: ToleranceConfig = DEFAULT_TOL) -> Distribution:
     """Validate a raw real vector as a probability distribution.
 

@@ -10,7 +10,10 @@ from two separately rounded vectors: the public functions pass (q, p - q),
 and `estimate_eta_f` pushes the difference of a pair through the channel
 once. Each divergence is thus computed at full relative precision;
 otherwise the search's hill climb chases rounding noise near its admission
-floor and reports "lower bounds" above the true supremum.
+floor and reports "lower bounds" above the true supremum. A kernel takes
+arrays of shape (..., m) and reduces over the last axis, so the search
+evaluates a block of pairs in one call and the public functions pass one
+row.
 """
 from __future__ import annotations
 
@@ -25,6 +28,7 @@ from .core import DEFAULT_TOL, Distribution, ToleranceConfig
 from .errors import CustomFNotNormalized, DimensionMismatch
 
 _LN2 = math.log(2.0)
+_NEXT_ABOVE_MINUS_ONE = math.nextafter(-1.0, 0.0)
 
 
 class FKind(Enum):
@@ -90,37 +94,31 @@ def l2_distance_sq(p: Distribution, q: Distribution) -> float:
 
 def _bracket_g(x: np.ndarray) -> np.ndarray:
     # g(t) = (1+t)*log1p(t) - t, the nonnegative integrand of extended KL;
-    # series for small |t| to keep full relative precision
-    out = np.empty_like(x)
-    small = np.abs(x) <= 1e-4
-    xs = x[small]
-    out[small] = xs * xs * (0.5 - xs / 6.0 + xs * xs / 12.0)
-    xl = x[~small]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out[~small] = (1.0 + xl) * np.log1p(xl) - xl
-    out[x == -1.0] = 1.0
-    return out
+    # series for small |t| to keep full relative precision, and g(-1) = 1
+    # (x = -1 reads log1p at the next float up, where 0 * finite - x = 1)
+    xx = x * x
+    with np.errstate(over="ignore", invalid="ignore"):
+        series = xx * (0.5 - x / 6.0 + xx / 12.0)
+        direct = (1.0 + x) * np.log1p(np.maximum(x, _NEXT_ABOVE_MINUS_ONE)) - x
+    return np.where(np.abs(x) <= 1e-4, series, direct)
 
 
-def _kl_pair_bits(base: np.ndarray, diff: np.ndarray) -> float:
-    zero = base == 0.0
-    if np.any(zero & (diff != 0.0)):
-        return float("inf")
-    q = base[~zero]
-    x = np.maximum(diff[~zero] / q, -1.0)
-    return float(np.sum(q * _bracket_g(x)) / _LN2)
+def _kl_pair_bits(base: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    live = base > 0.0
+    x = np.maximum(diff / np.where(live, base, 1.0), -1.0)
+    # mass where the base has none makes the divergence infinite
+    terms = np.where(live | (diff == 0.0), base * _bracket_g(x), np.inf)
+    return np.add.reduce(terms, axis=-1) / _LN2
 
 
-def _tv_pair(base: np.ndarray, diff: np.ndarray) -> float:
-    return 0.5 * float(np.abs(diff).sum())
+def _tv_pair(base: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    return 0.5 * np.add.reduce(np.abs(diff), axis=-1)
 
 
-def _chi2_pair(base: np.ndarray, diff: np.ndarray) -> float:
-    zero = base == 0.0
-    if np.any(zero & (diff != 0.0)):
-        return float("inf")
-    d = diff[~zero]
-    return float(np.sum(d * d / base[~zero]))
+def _chi2_pair(base: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    live = base > 0.0
+    terms = np.where(live | (diff == 0.0), diff * diff / np.where(live, base, 1.0), np.inf)
+    return np.add.reduce(terms, axis=-1)
 
 
 def _custom_pair(spec: FDivergenceSpec, tol: ToleranceConfig):
@@ -141,22 +139,24 @@ def _custom_pair(spec: FDivergenceSpec, tol: ToleranceConfig):
     else:
         f_inf = float(hi)
 
-    def pair(base: np.ndarray, diff: np.ndarray) -> float:
+    def pair(base: np.ndarray, diff: np.ndarray) -> np.ndarray:
         pp = np.clip(base + diff, 0.0, None)
         qpos = base > 0
-        ratios = pp[qpos] / base[qpos]
-        total = float(np.sum(base[qpos] * np.array([float(f(t)) for t in ratios])))
-        escaped = float(pp[~qpos].sum())  # mass where q vanishes; 0/0 pairs add 0
-        if escaped > 0.0:
-            total += escaped * f_inf
-        return total
+        terms = np.zeros_like(pp)
+        terms[qpos] = base[qpos] * np.array([float(f(t)) for t in pp[qpos] / base[qpos]])
+        total = terms.sum(axis=-1)
+        # mass where q vanishes; 0/0 pairs add 0
+        escaped = np.where(qpos, 0.0, pp).sum(axis=-1)
+        with np.errstate(invalid="ignore"):
+            return np.where(escaped > 0.0, total + escaped * f_inf, total)
 
     return pair
 
 
 def _pair_divergence(spec: FDivergenceSpec, tol: ToleranceConfig):
     """The kernel D(base + diff || base) of `spec`, as a function of two
-    arrays. Support violations (base = 0 < diff) give +inf for KL and chi^2
+    arrays of shape (..., m): one divergence per row, reduced over the last
+    axis. Support violations (base = 0 < diff) give +inf for KL and chi^2
     and contribute |diff|/2 for total variation."""
     if spec.kind is FKind.TOTAL_VARIATION:
         return _tv_pair
@@ -183,4 +183,4 @@ def f_divergence(
     (sum p - sum q)/ln 2 and never negative.
     """
     _check_sizes(p, q)
-    return _pair_divergence(spec, tol)(q.probs, p.probs - q.probs)
+    return float(_pair_divergence(spec, tol)(q.probs, p.probs - q.probs))

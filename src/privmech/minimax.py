@@ -19,7 +19,15 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .bounds import BoundCheckResult, _verdict
-from .core import DEFAULT_TOL, Channel, Distribution, ToleranceConfig, pushforward, validate_distribution
+from .core import (
+    DEFAULT_TOL,
+    Channel,
+    Distribution,
+    ToleranceConfig,
+    _check_count,
+    pushforward,
+    validate_distribution,
+)
 from .divergences import _LN2, _kl_pair_bits
 from .errors import BadDirectionVector, DimensionMismatch, PreconditionNotMet, SymbolOutOfRange
 from .mechanisms import _check_k, _check_k_alpha, maxl_staircase, staircase_rate
@@ -27,13 +35,6 @@ from .mechanisms import _check_k, _check_k_alpha, maxl_staircase, staircase_rate
 # Count cells per multinomial block. Rows are drawn in order from one
 # generator, so the block size bounds memory without changing any result.
 _BLOCK_CELLS = 1 << 16
-
-
-def _check_count(name: str, value) -> None:
-    """Raise ValueError unless `value` is a whole number >= 1 (100.0 passes;
-    2.5, nan and inf do not, since numpy would draw floor(value) samples)."""
-    if not (value >= 1 and float(value).is_integer()):
-        raise ValueError(f"{name} must be a whole number >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -236,7 +237,7 @@ def _taylor_value(k, alpha_bits, n, u) -> float:
     and the exact difference p1 - p0, so no cancellation at large n."""
     r1 = 2.0 ** alpha_bits - 1.0
     diff = np.asarray(u, float) / math.sqrt(n * r1)
-    return n * r1 * _LN2 * _kl_pair_bits(np.full(k, 1.0 / k), diff)
+    return float(n * r1 * _LN2 * _kl_pair_bits(np.full(k, 1.0 / k), diff))
 
 
 def lecam_lower_check(

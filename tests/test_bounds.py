@@ -156,6 +156,28 @@ class TestLemma1:
             res = check_lemma1(random_channel(4, 4, 1.0, seed))
             assert res.applicable and res.passed
 
+    def test_column_extremes_equal_the_pairwise_reference(self):
+        # reference: every row pair and column, zero-zero triples skipped
+        rng = np.random.default_rng(1133)
+        for trial in range(300):
+            k, m = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+            rows = rng.dirichlet(np.full(m, (0.1, 1.0, 10.0)[trial % 3]), size=k)
+            if trial % 4 == 0:
+                rows[rng.random((k, m)) < 0.4] = 0.0
+                rows[rows.sum(axis=1) == 0.0, 0] = 1.0
+                rows /= rows.sum(axis=1, keepdims=True)
+            lhs, skipped = 0.0, 0
+            for i in range(k):
+                for j in range(i + 1, k):
+                    for a, b in zip(rows[i], rows[j]):
+                        if a + b == 0.0:
+                            skipped += 1
+                        else:
+                            lhs = max(lhs, abs(a - b) / (a + b))
+            res = check_lemma1(validate_channel(rows))
+            assert res.lhs == lhs
+            assert (f"skipped {skipped} zero-zero triples" in res.note) == (skipped > 0)
+
 
 class TestRunAllChecks:
     def test_equals_the_public_checks(self):

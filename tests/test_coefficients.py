@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from privmech import (
     validate_distribution,
     z_channel,
 )
+from privmech.core import DEFAULT_TOL
+from privmech.divergences import _pair_divergence
 from privmech.errors import BudgetTooSmall, CustomFNotNormalized, DimensionMismatch
 
 CONSTANT = validate_channel([[0.3, 0.7], [0.3, 0.7]])
@@ -215,6 +218,30 @@ class TestEstimateEtaF:
         with pytest.raises(BudgetTooSmall):
             estimate_eta_f(w, TOTAL_VARIATION, budget=5, seed=0)  # needs 3*2 = 6
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_budget_must_be_a_whole_number(self, k):
+        w = random_channel(k, 3, 1.0, 0)
+        for bad in (2.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="whole number"):
+                estimate_eta_f(w, KL, budget=bad, seed=0)
+        with pytest.raises(BudgetTooSmall):
+            estimate_eta_f(w, KL, budget=0.5, seed=0)
+        whole = estimate_eta_f(w, KL, budget=300.0, seed=0)
+        exact = estimate_eta_f(w, KL, budget=300, seed=0)
+        assert (whole.value, whole.evaluations) == (exact.value, exact.evaluations)
+
+    def test_peak_memory_is_bounded_at_large_budget(self):
+        # pairs are evaluated in blocks of bounded size, never all at once
+        w = random_channel(8, 8, 1.0, 3)
+        tracemalloc.start()
+        try:
+            est = estimate_eta_f(w, KL, budget=100_000, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert est.evaluations == 100_000
+        assert peak < 1e6, peak
+
     def test_single_input_alphabet_degenerates_to_zero(self):
         w = validate_channel([[0.2, 0.8]])
         est = estimate_eta_f(w, KL, budget=10, seed=0)
@@ -227,6 +254,67 @@ class TestEstimateEtaF:
         chi2 = FDivergenceSpec(FKind.CUSTOM, custom_f=lambda t: (t - 1.0) ** 2)
         est = estimate_eta_f(w, chi2, budget=300, seed=0)
         assert 0.0 < est.value <= dobrushin_coefficient(w) + 1e-10
+
+
+def _binary_input_eta(rows) -> float:
+    """Exact eta_KL = eta_chi2 of a binary-input channel:
+    sup_{p in (0, 1)} p(1-p) sum_y (W0y - W1y)^2 / (p W0y + (1-p) W1y).
+
+    Searched over the logit s of p: a grid uniform in s (log-spaced in p
+    near 0 and 1, where the peak sits for channels with tiny entries), then
+    golden section between the best grid point's neighbours."""
+    w0, w1 = np.asarray(rows, float)
+    live = (w0 + w1) > 0.0
+    w0, w1 = w0[live], w1[live]
+    d2 = (w0 - w1) ** 2
+
+    def h(s):
+        s = np.atleast_1d(np.asarray(s, float))[:, None]
+        p, q = 1.0 / (1.0 + np.exp(-s)), 1.0 / (1.0 + np.exp(s))  # q = 1 - p
+        return (p * q)[:, 0] * (d2 / (p * w0 + q * w1)).sum(axis=1)
+
+    grid = np.linspace(-60.0, 60.0, 12_001)
+    i = int(np.argmax(h(grid)))
+    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    while hi - lo > 1e-12:
+        a, b = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+        if h(a)[0] < h(b)[0]:
+            lo = a
+        else:
+            hi = b
+    return float(max(h(0.5 * (lo + hi))[0], h(grid[i])[0]))
+
+
+class TestBinaryInputOracle:
+    """The search against the exact binary-input contraction coefficient."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_reference_recovers_randomized_response(self, alpha):
+        r = 2.0 ** alpha
+        expected = ((r - 1.0) / (r + 1.0)) ** 2
+        ref = _binary_input_eta(randomized_response(2, alpha).rows)
+        assert ref == pytest.approx(expected, rel=1e-12)
+
+    def test_search_meets_the_exact_value(self):
+        for m in (2, 3, 4, 5):
+            for conc in (0.1, 1.0, 10.0):
+                for draw in range(3):
+                    seed = 9000 + 100 * m + 10 * draw + int(conc * 10)
+                    w = random_channel(2, m, conc, seed)
+                    ref = _binary_input_eta(w.rows)
+                    for spec in (KL, CHI_SQUARED):
+                        est = estimate_eta_f(w, spec, budget=10_000, seed=seed)
+                        where = f"m={m} conc={conc} seed={seed} {spec.kind.value}"
+                        assert ref - 1e-9 <= est.value <= ref + 1e-10, (where, est.value, ref)
+                        # the value is the ratio at its own witnesses; the output
+                        # side pushes the witnesses' difference forward, since
+                        # pushing each witness separately rounds the output pair
+                        # by ~1e-17, which at D ~ 1e-12 is ~1e-8 relative
+                        p0, p1 = est.witness_p0.probs, est.witness_p1.probs
+                        din = f_divergence(est.witness_p0, est.witness_p1, spec)
+                        dout = _pair_divergence(spec, DEFAULT_TOL)(p1 @ w.rows, (p0 - p1) @ w.rows)
+                        assert dout / din == pytest.approx(est.value, rel=1e-9), where
 
 
 class TestContractionProperties:

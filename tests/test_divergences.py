@@ -19,6 +19,8 @@ from privmech import (
     validate_channel,
     validate_distribution,
 )
+from privmech.core import DEFAULT_TOL
+from privmech.divergences import _pair_divergence
 from privmech.errors import CustomFNotNormalized, DimensionMismatch
 
 LN2 = math.log(2.0)
@@ -201,3 +203,26 @@ class TestKernelProperties:
             assert d_in >= 0.0
             assert f_divergence(p, p, spec) == 0.0
             assert f_divergence(pw, qw, spec) <= d_in * (1.0 + 1e-9) + 1e-12
+
+    def test_batched_rows_equal_one_row_calls(self):
+        # exact zeros on either side, including mass where the base has none
+        rng = np.random.default_rng(2024)
+        for m in (1, 2, 5, 7, 8, 13):
+            base = rng.dirichlet(np.full(m, 0.5), size=40)
+            other = rng.dirichlet(np.full(m, 0.5), size=40)
+            base[rng.random(base.shape) < 0.2] = 0.0
+            other[rng.random(other.shape) < 0.2] = 0.0
+            diff = other - base
+            for spec in (
+                TOTAL_VARIATION,
+                KL,
+                CHI_SQUARED,
+                FDivergenceSpec(FKind.CUSTOM, custom_f=lambda t: (t - 1.0) ** 2),
+            ):
+                kernel = _pair_divergence(spec, DEFAULT_TOL)
+                batched = kernel(base, diff)
+                assert batched.shape == (40,)
+                for i in range(40):
+                    one = kernel(base[i], diff[i])
+                    assert np.ndim(one) == 0
+                    assert batched[i] == one
