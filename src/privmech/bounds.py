@@ -2,7 +2,8 @@
 
 Every verdict is a closed-form function of the channel's exact certificates
 (eta_tv, LDP level, maximal leakage and minimum entry, bundled in a
-`PrivacyReport`); lemma 1 also needs the largest row-pair entry contrast.
+`PrivacyReport`); lemma 1 also needs the largest row-pair entry contrast,
+which it reads from the column extremes the report was computed from.
 `run_all_checks` computes the report once and derives all nine verdicts from
 it; each public `check_*` picks its verdicts from the same derivation. An
 inequality stated twice (thm2 and the upper LDP sandwich, thm4 and the upper
@@ -14,12 +15,13 @@ from exit-code aggregation).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import DEFAULT_TOL, Channel, ToleranceConfig, json_float
-from .coefficients import PrivacyReport, ldp_level, privacy_report
+from .coefficients import PrivacyReport, _certificates, _ldp_bits, privacy_report
 
 
 @dataclass(frozen=True)
@@ -54,10 +56,9 @@ class BoundCheckResult:
 def _verdict(name, lhs, rhs, slack, applicable=True, note="") -> BoundCheckResult:
     lhs = float(lhs)
     rhs = float(rhs)
-    with np.errstate(invalid="ignore"):
-        margin = rhs - lhs
+    # Python floats: inf - inf is nan without a warning
     passed = bool(lhs <= rhs + slack) if applicable else True
-    return BoundCheckResult(name, lhs, rhs, float(margin), passed, applicable, note)
+    return BoundCheckResult(name, lhs, rhs, rhs - lhs, passed, applicable, note)
 
 
 # The likelihood-ratio bounds compare quantities as large as 1/min_entry,
@@ -70,7 +71,7 @@ _PRODUCT_FORM_NOTE = "decided in the product form at unit scale"
 
 def _ldp_cap(alpha: float) -> float:
     """(2**a - 1)/(2**a + 1), the right side of thm1 and lemma1; 1 at a = inf."""
-    if np.isinf(alpha):
+    if math.isinf(alpha):
         return 1.0
     r = 2.0 ** alpha
     return (r - 1.0) / (r + 1.0)
@@ -106,7 +107,10 @@ def _report_verdicts(rep: PrivacyReport, slack: float) -> dict[str, BoundCheckRe
             _verdict("thm3", eta, min(1.0, leak - 1.0), slack),
             thm4,
             _verdict("maxl_sandwich_lower", 1.0 + eta, leak, slack),
-            replace(thm4, name="maxl_sandwich_upper"),
+            BoundCheckResult(
+                "maxl_sandwich_upper",
+                thm4.lhs, thm4.rhs, thm4.margin, thm4.passed, thm4.applicable, thm4.note,
+            ),
             _product_form(
                 "ldp_sandwich_lower",
                 2.0 * eta / (1.0 - eta) if below_one else inf,
@@ -120,18 +124,21 @@ def _report_verdicts(rep: PrivacyReport, slack: float) -> dict[str, BoundCheckRe
     }
 
 
-def _lemma1(w: Channel, alpha: float, slack: float) -> BoundCheckResult:
+def _lemma1(
+    w: Channel, alpha: float, hi: np.ndarray, lo: np.ndarray, slack: float
+) -> BoundCheckResult:
     # within a column, the largest contrast |a - b|/(a + b) over row pairs is
-    # that of its largest and smallest entries; a column with z zeros has
-    # z(z-1)/2 zero-zero pairs, whose contrast 0 never raises the maximum
-    hi = w.rows.max(axis=0)
-    lo = w.rows.min(axis=0)
+    # that of its largest (hi) and smallest (lo) entries; a column with z
+    # zeros has z(z-1)/2 zero-zero pairs, whose contrast 0 never raises the
+    # maximum
     den = hi + lo
     contrast = np.divide(hi - lo, den, out=np.zeros_like(den), where=den > 0.0)
     lhs = float(contrast.max())
-    zeros = np.count_nonzero(w.rows == 0.0, axis=0)
-    skipped = int((zeros * (zeros - 1) // 2).sum())
-    applicable = not np.isinf(alpha)
+    skipped = 0
+    if not lo.all():  # zeros are counted only in a channel that has one
+        zeros = np.count_nonzero(w.rows == 0.0, axis=0)
+        skipped = int((zeros * (zeros - 1) // 2).sum())
+    applicable = not math.isinf(alpha)
     notes = [f"skipped {skipped} zero-zero triples"] if skipped else []
     if not applicable:
         notes.append("ldp level infinite")
@@ -187,13 +194,21 @@ def check_lemma1(w: Channel, tol: ToleranceConfig = DEFAULT_TOL) -> BoundCheckRe
     indeterminate 0/0); the count of skipped triples is recorded in the
     note. Not applicable when the LDP level is infinite.
     """
-    return _lemma1(w, ldp_level(w), tol.ineq_slack)
+    # lemma 1 needs the column extremes and the LDP level, not eta_tv
+    hi, lo = w.rows.max(axis=0), w.rows.min(axis=0)
+    return _lemma1(w, _ldp_bits(hi, lo), hi, lo, tol.ineq_slack)
+
+
+def _certify(
+    w: Channel, tol: ToleranceConfig = DEFAULT_TOL
+) -> tuple[PrivacyReport, list[BoundCheckResult]]:
+    """The channel's PrivacyReport and every verdict, from one pass."""
+    rep, hi, lo = _certificates(w)
+    checks = list(_report_verdicts(rep, tol.ineq_slack).values())
+    checks.append(_lemma1(w, rep.ldp_level_bits, hi, lo, tol.ineq_slack))
+    return rep, checks
 
 
 def run_all_checks(w: Channel, tol: ToleranceConfig = DEFAULT_TOL) -> list[BoundCheckResult]:
     """Every verdict for one channel, in a fixed order, from one report."""
-    rep = privacy_report(w)
-    return [
-        *_report_verdicts(rep, tol.ineq_slack).values(),
-        _lemma1(w, rep.ldp_level_bits, tol.ineq_slack),
-    ]
+    return _certify(w, tol)[1]

@@ -12,8 +12,7 @@ import json
 import sys
 
 from . import __version__
-from .bounds import run_all_checks
-from .coefficients import privacy_report
+from .bounds import _certify, run_all_checks
 from .core import (
     Distribution,
     channel_from_dict,
@@ -65,12 +64,11 @@ def _fmt(value) -> str:
 
 
 def cmd_analyze(args) -> int:
-    w = _load_channel(args.channel)
-    checks = run_all_checks(w)
+    report, checks = _certify(_load_channel(args.channel))
     payload = {
         "version": __version__,
         "seed": args.seed,
-        "report": privacy_report(w).to_dict(),
+        "report": report.to_dict(),
         "checks": [c.to_dict() for c in checks],
     }
     _emit(json.dumps(payload, indent=2), args.output)

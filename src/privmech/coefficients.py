@@ -32,8 +32,9 @@ DIV_FLOOR = 1e-12
 DIV_CEIL = 1e12
 
 # Cells per block of pairs in `estimate_eta_f` (rows times the larger
-# alphabet). Blocks keep the search's order, so the size bounds memory
-# without changing which pairs are evaluated or which one wins.
+# alphabet) and per block of row differences in `dobrushin_coefficient`.
+# Blocks keep the order of the unblocked computation, so the size bounds
+# memory without changing which pairs are evaluated or which one wins.
 _BLOCK_CELLS = 1 << 12
 
 
@@ -81,14 +82,30 @@ def dobrushin_coefficient(w: Channel) -> float:
     """Maximum total-variation distance between any two rows of the channel.
 
     Equals the channel's total-variation contraction factor. A single-row
-    channel has coefficient 0 (empty maximum). Each row is compared with
-    all later rows at once, so memory is O(k*m), never O(k*k*m).
+    channel has coefficient 0 (empty maximum). A block of n rows is compared
+    with all rows after the block's first in one broadcast, n chosen so the
+    block has at most _BLOCK_CELLS cells (at least one row), so memory is
+    O(k*m), never O(k*k*m). Pairs inside a block are compared twice or
+    with themselves (distance 0), and each pair is summed in the same
+    order, so the maximum is that of the row-by-row loop.
     """
     rows = w.rows
+    k, m = rows.shape
     gap = 0.0
-    for i in range(w.input_size - 1):
-        gap = max(gap, float(np.abs(rows[i + 1:] - rows[i]).sum(axis=1).max()))
+    i = 0
+    while i < k - 1:
+        n = max(1, _BLOCK_CELLS // ((k - i) * m))
+        gap = max(gap, float(np.abs(rows[i + 1:, None] - rows[i:i + n]).sum(axis=2).max()))
+        i += n
     return 0.5 * gap
+
+
+def _ldp_bits(col_max: np.ndarray, col_min: np.ndarray) -> float:
+    """`ldp_level` from the column maxima and minima."""
+    live = col_max > 0.0
+    if (col_min[live] == 0.0).any():
+        return float("inf")
+    return float(np.log2(np.max(col_max[live] / col_min[live], initial=1.0)))
 
 
 def ldp_level(w: Channel) -> float:
@@ -98,12 +115,7 @@ def ldp_level(w: Channel) -> float:
     convention); a column mixing zero and nonzero entries forces +inf.
     Constant channels report 0.
     """
-    col_max = w.rows.max(axis=0)
-    col_min = w.rows.min(axis=0)
-    live = col_max > 0.0
-    if (col_min[live] == 0.0).any():
-        return float("inf")
-    return float(np.log2(np.max(col_max[live] / col_min[live], initial=1.0)))
+    return _ldp_bits(w.rows.max(axis=0), w.rows.min(axis=0))
 
 
 def max_leakage(w: Channel) -> float:
@@ -135,16 +147,29 @@ def map_adversary_gain(w: Channel, px: Distribution) -> float:
     return float(np.log2(hit / px.probs.max()))
 
 
-def privacy_report(w: Channel) -> PrivacyReport:
-    """Compute all exact certificates for one channel."""
-    return PrivacyReport(
+def _certificates(w: Channel) -> tuple[PrivacyReport, np.ndarray, np.ndarray]:
+    """The channel's PrivacyReport, with the column maxima and minima it
+    was computed from; each is taken once."""
+    col_max = w.rows.max(axis=0)
+    col_min = w.rows.min(axis=0)
+    report = PrivacyReport(
         eta_tv=dobrushin_coefficient(w),
-        ldp_level_bits=ldp_level(w),
-        maxl_bits=max_leakage(w),
-        min_entry=min_entry(w),
+        ldp_level_bits=_ldp_bits(col_max, col_min),
+        maxl_bits=float(np.log2(col_max.sum())),
+        # not col_min.min(): the two can differ in the sign of a zero
+        min_entry=float(w.rows.min()),
         input_size=w.input_size,
         output_size=w.output_size,
     )
+    return report, col_max, col_min
+
+
+def privacy_report(w: Channel) -> PrivacyReport:
+    """Compute all exact certificates for one channel in one pass: eta_tv
+    from one blocked row comparison, the LDP level and maximal leakage from
+    one column maximum and minimum. Equal, bit for bit, to calling
+    `dobrushin_coefficient`, `ldp_level`, `max_leakage` and `min_entry`."""
+    return _certificates(w)[0]
 
 
 def _off_diagonal(n: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -166,7 +191,9 @@ def estimate_eta_f(
     The search spends `budget` ratio evaluations in three stages:
 
     1. every ordered pair of point masses (exact for total variation, whose
-       supremum is attained there);
+       supremum is attained there), when such a pair is admissible: their
+       input divergence f(0) + f'(inf) is infinite for KL and chi^2, which
+       skip the stage;
     2. deterministic exploration: a two-parameter grid for binary input
        alphabets, symmetric-Dirichlet random pairs otherwise;
     3. greedy coordinate-wise refinement of the best pair with shrinking
@@ -253,7 +280,11 @@ def estimate_eta_f(
         a, b = _off_diagonal(k, np.arange(start, stop))
         return eye[a], eye[b]
 
-    scan(min(n_vertex, budget), vertex_block)
+    # every point-mass pair has the same input divergence, f(0) + f'(inf),
+    # so one pair decides whether the stage can admit any (KL and chi^2
+    # cannot: theirs is infinite)
+    if k > 1 and DIV_FLOOR < pair_div(eye[1:2], eye[:1] - eye[1:2])[0] < DIV_CEIL:
+        scan(min(n_vertex, budget), vertex_block)
 
     explore = (budget - evals) // 2
     grid_resolution = 0

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from privmech import (
     check_thm2,
     check_thm3,
     check_thm4,
+    privacy_report,
     random_channel,
     randomized_response,
     run_all_checks,
@@ -203,6 +205,22 @@ class TestRunAllChecks:
             ]
             expected = [c.to_dict() for c in public]
             assert [c.to_dict() for c in run_all_checks(w)] == expected, w.rows
+
+    @pytest.mark.parametrize(
+        "rows",
+        [np.eye(3), [[0.3, 0.7], [0.3, 0.7]], [[0.5, 0.5, 0.0], [0.2, 0.8, 0.0]], [[0.2, 0.3, 0.5]]],
+        ids=["identity", "constant", "zero-column", "single-row"],
+    )
+    def test_certificates_and_verdicts_emit_no_runtime_warning(self, rows):
+        # inf - inf margins and 0/0 contrasts must be handled, not warned about
+        w = validate_channel(rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            privacy_report(w)
+            run_all_checks(w)
+            for check in (check_thm1, check_thm2, check_thm3, check_thm4,
+                          check_maxl_sandwich, check_ldp_sandwich, check_lemma1):
+                check(w)
 
     def test_peak_memory_is_linear_in_channel_size(self):
         # an all-pairs broadcast over rows needs k*k*m doubles: 216 MB here

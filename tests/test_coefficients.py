@@ -29,6 +29,7 @@ from privmech import (
     validate_distribution,
     z_channel,
 )
+from privmech import coefficients
 from privmech.core import DEFAULT_TOL
 from privmech.divergences import _pair_divergence
 from privmech.errors import BudgetTooSmall, CustomFNotNormalized, DimensionMismatch
@@ -63,6 +64,29 @@ class TestDobrushinCoefficient:
         for seed in range(50):
             w = random_channel(4, 3, 1.0, seed)
             assert 0.0 <= dobrushin_coefficient(w) <= 1.0
+
+    @pytest.mark.parametrize("cells", [None, 64])
+    def test_blocks_equal_the_pairwise_reference(self, monkeypatch, cells):
+        # at 64 cells a block holds several rows for all but the first rows
+        if cells is not None:
+            monkeypatch.setattr(coefficients, "_BLOCK_CELLS", cells)
+        rng = np.random.default_rng(4077)
+        channels = [np.eye(k) for k in (1, 2, 5, 17)]
+        channels += [np.full((k, 3), 1.0 / 3.0) for k in (1, 4, 23)]
+        for k in range(1, 41):
+            m = int(rng.integers(1, 9))
+            rows = rng.dirichlet(np.full(m, (0.1, 1.0, 10.0)[k % 3]), size=k)
+            if k % 2 == 0:
+                rows[rng.random((k, m)) < 0.4] = 0.0
+                rows[rows.sum(axis=1) == 0.0, 0] = 1.0
+                rows /= rows.sum(axis=1, keepdims=True)
+            channels.append(rows)
+        for rows in channels:
+            gap = 0.0
+            for i in range(len(rows)):
+                for j in range(i + 1, len(rows)):
+                    gap = max(gap, float(np.abs(rows[j] - rows[i]).sum()))
+            assert dobrushin_coefficient(validate_channel(rows)) == 0.5 * gap, rows
 
 
 class TestLdpLevel:
@@ -241,6 +265,21 @@ class TestEstimateEtaF:
             tracemalloc.stop()
         assert est.evaluations == 100_000
         assert peak < 1e6, peak
+
+    def test_point_mass_stage_runs_only_where_pairs_are_admissible(self):
+        # KL admits no pair of point masses, so at k = 300 the budget goes
+        # to exploration and refinement, not to 89 700 skipped pairs
+        w = random_channel(300, 3, 1.0, 1)
+        est = estimate_eta_f(w, KL, budget=20_000, seed=0)
+        assert est.evaluations == 20_000
+        assert 0.0 < est.value <= dobrushin_coefficient(w) + 1e-10
+        # total variation and a custom f of finite slope at infinity run it
+        w = random_channel(3, 4, 0.5, 2)
+        est = estimate_eta_f(w, TOTAL_VARIATION, budget=6, seed=0)
+        assert est.value == pytest.approx(dobrushin_coefficient(w), abs=1e-12)
+        half_tv = FDivergenceSpec(FKind.CUSTOM, custom_f=lambda t: 0.5 * abs(t - 1.0))
+        est = estimate_eta_f(w, half_tv, budget=6, seed=0)
+        assert est.value == pytest.approx(dobrushin_coefficient(w), abs=1e-12)
 
     def test_single_input_alphabet_degenerates_to_zero(self):
         w = validate_channel([[0.2, 0.8]])
