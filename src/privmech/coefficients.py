@@ -65,12 +65,17 @@ class ContractionEstimate:
     """Best ratio found by `estimate_eta_f`, with the witnessing pair.
 
     `value` is a lower bound on the contraction coefficient for the given
-    divergence; `grid_resolution` is the per-axis resolution of the
-    deterministic exploration grid (0 when no grid stage ran).
+    divergence: `output_divergence / input_divergence`, the divergences of
+    the witnesses and of their images as the search evaluated them, clamped
+    to [0, 1] (both divergences are 0 when no pair was admitted).
+    `grid_resolution` is the per-axis resolution of the deterministic
+    exploration grid (0 when no grid stage ran).
     """
 
     spec: FDivergenceSpec
     value: float
+    input_divergence: float
+    output_divergence: float
     witness_p0: Distribution
     witness_p1: Distribution
     evaluations: int
@@ -208,10 +213,16 @@ def estimate_eta_f(
     any budget. The blocks keep the order of a pair-by-pair search: the
     best pair is the first strict maximum in stage order, the Dirichlet
     pairs come from one stream, and the refinement keeps its in-sweep
-    (Gauss-Seidel) updates exactly. It builds the sweep's remaining moves
-    from the current best pair, accepts the first improving one, and
-    rebuilds from the move after it; `evaluations` counts only the moves
-    up to each accepted one.
+    (Gauss-Seidel) updates exactly. Its block is a window of the moves the
+    pair-by-pair climb would try next if none of them improved: the rest of
+    the current sweep, then the start of the next one, whose step is the
+    current one if the sweep has improved and half of it if not (and which
+    is left out once that step falls below 1e-9). The climb accepts the
+    first improving move of the window, applies the sweep's end first if
+    that move lies in the next sweep, and opens the next window at the move
+    after it; `evaluations` counts only the moves up to each accepted one,
+    and skips moves from an empty input without counting them. Each block
+    takes its input and output divergences from one kernel call.
 
     Returns
     -------
@@ -246,33 +257,42 @@ def estimate_eta_f(
     evals = 0
     best_val = -1.0
     best: np.ndarray | None = None  # rows p0, p1 of the best pair
+    best_div = (0.0, 0.0)  # its input and output divergence
 
-    def ratios(p0s: np.ndarray, p1s: np.ndarray) -> np.ndarray:
-        """Ratio of each row pair; -inf where the pair is not admitted."""
+    def ratios(p0s: np.ndarray, p1s: np.ndarray):
+        """Ratio of each row pair (-inf where the pair is not admitted),
+        with its input and output divergences."""
         diff = p0s - p1s  # exactly 0 off the joint support
         support = (p0s + p1s) > 0.0
         # project the difference back onto zero sum over the joint support;
         # kills the rounding drift that would otherwise leak into the ratio
         shift = np.add.reduce(diff, axis=1) / np.add.reduce(support, axis=1)
         diff = np.where(support, diff - shift[:, None], diff)
-        din = pair_div(p1s, diff)
-        pushed = np.concatenate((p1s, diff)) @ rows
-        dout = pair_div(pushed[: len(din)], pushed[len(din):])
-        out = np.full(len(din), -np.inf)
-        return np.divide(dout, din, out=out, where=(DIV_FLOOR < din) & (din < DIV_CEIL))
+        n = len(p1s)
+        # rows: the n bases, then the n differences, each beside its image
+        stacked = np.concatenate((p1s, diff))
+        joined = np.concatenate((stacked, stacked @ rows), axis=1)
+        din, dout = pair_div(joined[:n], joined[n:], k)
+        out = np.full(n, -np.inf)
+        return np.divide(dout, din, out=out, where=(DIV_FLOOR < din) & (din < DIV_CEIL)), din, dout
+
+    def accept(r, din, dout, p0s, p1s, j):
+        nonlocal best_val, best, best_div
+        best_val = float(r[j])
+        best = np.array((p0s[j], p1s[j]))
+        best_div = (float(din[j]), float(dout[j]))
 
     def scan(total: int, make_block):
         """Evaluate `total` pairs, block by block, keeping the first strict
         maximum; make_block(start, stop) returns the pairs start..stop-1."""
-        nonlocal evals, best_val, best
+        nonlocal evals
         for start in range(0, total, block):
             p0s, p1s = make_block(start, min(total, start + block))
-            r = ratios(p0s, p1s)
+            r, din, dout = ratios(p0s, p1s)
             evals += len(r)
             j = int(np.argmax(np.where(r > best_val, r, -np.inf)))
             if r[j] > best_val:
-                best_val = float(r[j])
-                best = np.array((p0s[j], p1s[j]))
+                accept(r, din, dout, p0s, p1s, j)
 
     eye = np.eye(k)
 
@@ -316,27 +336,31 @@ def estimate_eta_f(
 
     def climb_stage():
         # move t of a sweep shifts mass from a to b in best[t // n_vertex],
-        # with (a, b) the (t mod n_vertex)-th ordered pair of distinct inputs
-        nonlocal evals, best_val, best
+        # with (a, b) the (t mod n_vertex)-th ordered pair of distinct inputs;
+        # window position g is move g of the current sweep, or move
+        # g - n_moves of the next one
+        nonlocal evals
         n_moves = 2 * n_vertex
-        step = 0.1
-        while evals < budget and step >= 1e-9:
-            before = best_val
-            t = 0
-            while t < n_moves and evals < budget:
-                stop = min(n_moves, t + block)
-                idx = np.arange(t, stop)
-                t = stop  # unless a move below improves
-                which = idx // n_vertex
-                a, b = _off_diagonal(k, idx - which * n_vertex)
-                eps = np.minimum(step, best[which, a])
-                live = eps > 0.0  # a move from an empty input is skipped, not counted
-                if not live.all() or idx.size > budget - evals:
-                    keep = np.flatnonzero(live)[: budget - evals]
-                    if keep.size == 0:
-                        continue
-                    idx, which, a, b, eps = idx[keep], which[keep], a[keep], b[keep], eps[keep]
-                r = np.arange(idx.size)
+        window = min(block, n_moves)
+        step, before, t = 0.1, best_val, 0
+        while evals < budget:
+            step_next = step if best_val > before else 0.5 * step
+            stop = t + window if step_next >= 1e-9 else min(t + window, n_moves)
+            if stop <= t:
+                break
+            g = np.arange(t, stop)
+            in_next = g >= n_moves
+            idx = np.where(in_next, g - n_moves, g)
+            which = idx // n_vertex
+            a, b = _off_diagonal(k, idx - which * n_vertex)
+            eps = np.minimum(np.where(in_next, step_next, step), best[which, a])
+            live = eps > 0.0  # a move from an empty input is skipped, not counted
+            if not live.all() or g.size > budget - evals:
+                keep = np.flatnonzero(live)[: budget - evals]
+                g, which, a, b, eps = g[keep], which[keep], a[keep], b[keep], eps[keep]
+            sweep_best, end, counted = best_val, stop, g.size
+            if g.size:
+                r = np.arange(g.size)
                 # eps <= the mass at a, so no entry turns negative
                 moved = best[which]
                 moved[r, a] -= eps
@@ -345,31 +369,34 @@ def estimate_eta_f(
                 first = (which == 0)[:, None]
                 p0s = np.where(first, moved, best[0])
                 p1s = np.where(first, best[1], moved)
-                found = ratios(p0s, p1s)
+                found, din, dout = ratios(p0s, p1s)
                 gains = found > best_val
                 j = int(np.argmax(gains))  # the first improving move, if any
-                if not gains[j]:
-                    evals += idx.size
-                    continue
-                evals += j + 1
-                best_val = float(found[j])
-                best = np.array((p0s[j], p1s[j]))
-                t = int(idx[j]) + 1
-            if best_val <= before:
-                step *= 0.5
+                if gains[j]:
+                    end, counted = int(g[j]) + 1, j + 1
+                    accept(found, din, dout, p0s, p1s, j)
+            evals += counted
+            if end > n_moves:
+                # the window crossed into the next sweep: end the current one
+                step, before, t = step_next, sweep_best, end - n_moves
+            else:
+                t = end
 
     if best is not None:
         climb_stage()
         value = min(max(best_val, 0.0), 1.0)
+        din, dout = best_div
         w0 = validate_distribution(best[0], tol)
         w1 = validate_distribution(best[1], tol)
     else:
         # no admissible pair (e.g. |X| = 1): report 0 with degenerate witnesses
-        value = 0.0
+        value = din = dout = 0.0
         w0 = w1 = Distribution.uniform(k)
     return ContractionEstimate(
         spec=spec,
         value=value,
+        input_divergence=din,
+        output_divergence=dout,
         witness_p0=w0,
         witness_p1=w1,
         evaluations=evals,

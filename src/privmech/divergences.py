@@ -13,7 +13,11 @@ otherwise the search's hill climb chases rounding noise near its admission
 floor and reports "lower bounds" above the true supremum. A kernel takes
 arrays of shape (..., m) and reduces over the last axis, so the search
 evaluates a block of pairs in one call and the public functions pass one
-row.
+row. The last axis is reduced whole, or, given `split`, as the two column
+groups [:split] and [split:]: the search places each pair's input
+distributions and their images side by side, shape (..., k + m), and gets
+the input and the output divergence from one elementwise pass. Each
+group's sum is the one a separate call on that group would give.
 """
 from __future__ import annotations
 
@@ -103,22 +107,33 @@ def _bracket_g(x: np.ndarray) -> np.ndarray:
     return np.where(np.abs(x) <= 1e-4, series, direct)
 
 
-def _kl_pair_bits(base: np.ndarray, diff: np.ndarray) -> np.ndarray:
+def _column_sums(terms: np.ndarray, split: int | None) -> np.ndarray:
+    """Sums of `terms` over the last axis: whole when split is None, else
+    the column groups [:split] and [split:], stacked on a new first axis."""
+    if split is None:
+        return np.add.reduce(terms, axis=-1)
+    sums = np.empty((2,) + terms.shape[:-1])
+    np.add.reduce(terms[..., :split], axis=-1, out=sums[0, ...])
+    np.add.reduce(terms[..., split:], axis=-1, out=sums[1, ...])
+    return sums
+
+
+def _kl_pair_bits(base: np.ndarray, diff: np.ndarray, split: int | None = None) -> np.ndarray:
     live = base > 0.0
     x = np.maximum(diff / np.where(live, base, 1.0), -1.0)
     # mass where the base has none makes the divergence infinite
     terms = np.where(live | (diff == 0.0), base * _bracket_g(x), np.inf)
-    return np.add.reduce(terms, axis=-1) / _LN2
+    return _column_sums(terms, split) / _LN2
 
 
-def _tv_pair(base: np.ndarray, diff: np.ndarray) -> np.ndarray:
-    return 0.5 * np.add.reduce(np.abs(diff), axis=-1)
+def _tv_pair(base: np.ndarray, diff: np.ndarray, split: int | None = None) -> np.ndarray:
+    return 0.5 * _column_sums(np.abs(diff), split)
 
 
-def _chi2_pair(base: np.ndarray, diff: np.ndarray) -> np.ndarray:
+def _chi2_pair(base: np.ndarray, diff: np.ndarray, split: int | None = None) -> np.ndarray:
     live = base > 0.0
     terms = np.where(live | (diff == 0.0), diff * diff / np.where(live, base, 1.0), np.inf)
-    return np.add.reduce(terms, axis=-1)
+    return _column_sums(terms, split)
 
 
 def _custom_pair(spec: FDivergenceSpec, tol: ToleranceConfig):
@@ -139,14 +154,14 @@ def _custom_pair(spec: FDivergenceSpec, tol: ToleranceConfig):
     else:
         f_inf = float(hi)
 
-    def pair(base: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    def pair(base: np.ndarray, diff: np.ndarray, split: int | None = None) -> np.ndarray:
         pp = np.clip(base + diff, 0.0, None)
         qpos = base > 0
         terms = np.zeros_like(pp)
         terms[qpos] = base[qpos] * np.array([float(f(t)) for t in pp[qpos] / base[qpos]])
-        total = terms.sum(axis=-1)
+        total = _column_sums(terms, split)
         # mass where q vanishes; 0/0 pairs add 0
-        escaped = np.where(qpos, 0.0, pp).sum(axis=-1)
+        escaped = _column_sums(np.where(qpos, 0.0, pp), split)
         with np.errstate(invalid="ignore"):
             return np.where(escaped > 0.0, total + escaped * f_inf, total)
 
@@ -156,8 +171,10 @@ def _custom_pair(spec: FDivergenceSpec, tol: ToleranceConfig):
 def _pair_divergence(spec: FDivergenceSpec, tol: ToleranceConfig):
     """The kernel D(base + diff || base) of `spec`, as a function of two
     arrays of shape (..., m): one divergence per row, reduced over the last
-    axis. Support violations (base = 0 < diff) give +inf for KL and chi^2
-    and contribute |diff|/2 for total variation."""
+    axis, and an optional column `split`, which gives an array of shape
+    (2, ...): the divergences of the groups [:split] and [split:]. Support
+    violations (base = 0 < diff) give +inf for KL and chi^2 and contribute
+    |diff|/2 for total variation."""
     if spec.kind is FKind.TOTAL_VARIATION:
         return _tv_pair
     if spec.kind is FKind.KL:

@@ -1,8 +1,11 @@
+import hashlib
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from privmech import (
     CHI_SQUARED,
@@ -281,10 +284,81 @@ class TestEstimateEtaF:
         est = estimate_eta_f(w, half_tv, budget=6, seed=0)
         assert est.value == pytest.approx(dobrushin_coefficient(w), abs=1e-12)
 
+    def test_peak_memory_is_bounded_at_three_hundred_inputs(self):
+        # a climb window holds at most a block of moves, built from its
+        # positions: no table over whole sweeps, which would be O(k^2)
+        w = random_channel(300, 3, 1.0, 1)
+        tracemalloc.start()
+        try:
+            est = estimate_eta_f(w, KL, budget=20_000, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert est.evaluations == 20_000
+        assert peak < 2e6, peak
+
+    # (channel, spec, budget, seed) -> value.hex(), evaluations, and the first
+    # 16 hex digits of sha256(witness_p0 bytes + witness_p1 bytes), recorded
+    # from the search that built a fresh block at every sweep start; the
+    # windowed climb must reproduce them bit for bit. Cases cover k = 2, 3,
+    # 5, 8, 12 and a 6 x 30 channel, moves from emptied inputs (skipped, not
+    # counted), budgets that end inside a window reaching into the next
+    # sweep (3 x 3 at 1237), and a channel with exact zeros.
+    PINNED = [
+        ("rr", (2, 1.0), KL, 2000, 3, "0x1.c71c71c71c45cp-4", 1164, "e860d76217de3f85"),
+        ("rand", (2, 5, 0.5, 21), CHI_SQUARED, 1000, 1, "0x1.4c36c07dce1c7p-1", 658, "d653483df3041f03"),
+        ("rand", (3, 3, 1.0, 11), KL, 3000, 5, "0x1.13e5fc84a9159p-2", 3000, "9ac36d80ecaf35a8"),
+        ("rand", (3, 4, 0.5, 12), CHI_SQUARED, 2500, 6, "0x1.5bebf609414dfp-1", 1577, "3dad03147eab507e"),
+        ("rand", (3, 3, 1.0, 19), KL, 1237, 4, "0x1.22c1b4dae756cp-1", 1237, "cc71c836ad4eb84c"),
+        ("rand", (3, 5, 1.0, 20), TOTAL_VARIATION, 800, 2, "0x1.10afb61252bfap-1", 525, "67befbdbdaa53f87"),
+        ("rand", (5, 4, 1.0, 13), KL, 4000, 7, "0x1.05f858836b3ccp-1", 4000, "5637f5fcae48cb68"),
+        ("rand", (5, 3, 0.5, 14), TOTAL_VARIATION, 1500, 8, "0x1.06f234a42e09bp-1", 1092, "a8c223ef79696b72"),
+        ("rand", (8, 8, 1.0, 15), CHI_SQUARED, 5000, 9, "0x1.45d6721758282p-1", 5000, "e9ea6d76806ec54d"),
+        ("rand", (8, 5, 0.1, 16), KL, 3000, 10, "0x1.dc6d16cba1b2ep-1", 3000, "ca4dc9c317bc2751"),
+        ("rand", (12, 4, 1.0, 17), KL, 4000, 11, "0x1.1771173b7c43fp-1", 4000, "2b7a6b67b5ba9f8b"),
+        ("rand", (6, 30, 0.5, 18), CHI_SQUARED, 3000, 12, "0x1.34c651de8c38dp-1", 3000, "ebf37ebe7f2ebf62"),
+        ("zeros", None, KL, 3000, 7, "0x1.8a825e2bbbbcep-1", 3000, "f970cabfb2e4947d"),
+        ("zeros", None, CHI_SQUARED, 2000, 8, "0x1.801afff059af4p-1", 2000, "a624056500ab3704"),
+    ]
+    ZEROS = [[0.5, 0.5, 0.0], [0.0, 0.3, 0.7], [0.2, 0.0, 0.8], [0.1, 0.2, 0.7]]
+
+    @pytest.mark.parametrize("cells", [None, 64])
+    def test_results_are_pinned(self, monkeypatch, cells):
+        if cells is not None:
+            monkeypatch.setattr(coefficients, "_BLOCK_CELLS", cells)
+        for kind, args, spec, budget, seed, value, evals, digest in self.PINNED:
+            if kind == "rr":
+                w = randomized_response(*args)
+            elif kind == "rand":
+                w = random_channel(*args)
+            else:
+                w = validate_channel(self.ZEROS)
+            est = estimate_eta_f(w, spec, budget, seed)
+            witnesses = est.witness_p0.probs.tobytes() + est.witness_p1.probs.tobytes()
+            got = (est.value.hex(), est.evaluations, hashlib.sha256(witnesses).hexdigest()[:16])
+            assert got == (value, evals, digest), (kind, args, spec.kind.value, budget, seed)
+            ratio = est.output_divergence / est.input_divergence
+            assert est.value == min(ratio, 1.0), (kind, args, spec.kind.value, budget, seed)
+
+    @pytest.mark.parametrize("w", [BSC_THIRD, random_channel(2, 2, 10.0, 9310)], ids=["rr", "dirichlet"])
+    def test_value_is_the_ratio_of_its_recorded_divergences(self, w):
+        est = estimate_eta_f(w, KL, budget=10_000, seed=9310)
+        assert 0.0 < est.value < 1.0
+        assert est.value == est.output_divergence / est.input_divergence
+        # the public API recomputes both near the search's values; its output
+        # side rounds the two images separately, so it is not exact there
+        din = f_divergence(est.witness_p0, est.witness_p1, KL)
+        dout = f_divergence(
+            pushforward(w, est.witness_p0), pushforward(w, est.witness_p1), KL
+        )
+        assert din == pytest.approx(est.input_divergence, rel=1e-12)
+        assert dout == pytest.approx(est.output_divergence, rel=1e-7)
+
     def test_single_input_alphabet_degenerates_to_zero(self):
         w = validate_channel([[0.2, 0.8]])
         est = estimate_eta_f(w, KL, budget=10, seed=0)
         assert est.value == 0.0
+        assert est.input_divergence == est.output_divergence == 0.0
 
     def test_custom_f(self):
         w = random_channel(3, 4, 0.5, 2)
@@ -293,6 +367,38 @@ class TestEstimateEtaF:
         chi2 = FDivergenceSpec(FKind.CUSTOM, custom_f=lambda t: (t - 1.0) ** 2)
         est = estimate_eta_f(w, chi2, budget=300, seed=0)
         assert 0.0 < est.value <= dobrushin_coefficient(w) + 1e-10
+
+
+# Entries are exactly 0 or drawn from [1e-11, 1]; normalizing by a sum of at
+# most 6 keeps every nonzero probability at or above 1e-12.
+_WEIGHT = st.one_of(st.just(0.0), st.floats(1e-11, 1.0))
+
+
+@st.composite
+def _channels(draw):
+    k, m = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    row = st.lists(_WEIGHT, min_size=m, max_size=m).filter(lambda r: sum(r) > 0.0)
+    rows = np.array([draw(row) for _ in range(k)])
+    return validate_channel(rows / rows.sum(axis=1, keepdims=True))
+
+
+class TestSearchProperties:
+    """The search on arbitrary small channels, zeros and tiny entries included."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(_channels(), st.sampled_from([KL, CHI_SQUARED]))
+    def test_certified_within_budget_and_reproducible(self, w, spec):
+        est = estimate_eta_f(w, spec, budget=600, seed=5)
+        assert 0.0 <= est.value <= dobrushin_coefficient(w) + 1e-10
+        assert est.evaluations <= 600
+        if est.input_divergence > 0.0:
+            assert est.value == min(est.output_divergence / est.input_divergence, 1.0)
+        again = estimate_eta_f(w, spec, budget=600, seed=5)
+        assert (again.value, again.evaluations, again.input_divergence, again.output_divergence) == (
+            est.value, est.evaluations, est.input_divergence, est.output_divergence
+        )
+        assert np.array_equal(again.witness_p0.probs, est.witness_p0.probs)
+        assert np.array_equal(again.witness_p1.probs, est.witness_p1.probs)
 
 
 def _binary_input_eta(rows) -> float:

@@ -226,3 +226,9 @@ class TestKernelProperties:
                     one = kernel(base[i], diff[i])
                     assert np.ndim(one) == 0
                     assert batched[i] == one
+                # two column groups from one call, each as its own call gives
+                split = m // 2
+                if split:
+                    left, right = kernel(base, diff, split)
+                    assert np.array_equal(left, kernel(base[:, :split], diff[:, :split]))
+                    assert np.array_equal(right, kernel(base[:, split:], diff[:, split:]))
