@@ -4,8 +4,9 @@ Every verdict is a closed-form function of the channel's exact certificates
 (eta_tv, LDP level, maximal leakage and minimum entry, bundled in a
 `PrivacyReport`); lemma 1 also needs the largest row-pair entry contrast,
 which it reads from the column extremes the report was computed from.
-`run_all_checks` computes the report once and derives all nine verdicts from
-it; each public `check_*` picks its verdicts from the same derivation. An
+`run_all_checks` derives all nine verdicts from the report, which is computed
+once per channel object and shared with `privacy_report`; each public
+`check_*` picks its verdicts from the same derivation. An
 inequality stated twice (thm2 and the upper LDP sandwich, thm4 and the upper
 leakage sandwich) is decided once.
 
@@ -199,16 +200,14 @@ def check_lemma1(w: Channel, tol: ToleranceConfig = DEFAULT_TOL) -> BoundCheckRe
     return _lemma1(w, _ldp_bits(hi, lo), hi, lo, tol.ineq_slack)
 
 
-def _certify(
-    w: Channel, tol: ToleranceConfig = DEFAULT_TOL
-) -> tuple[PrivacyReport, list[BoundCheckResult]]:
-    """The channel's PrivacyReport and every verdict, from one pass."""
+def run_all_checks(w: Channel, tol: ToleranceConfig = DEFAULT_TOL) -> list[BoundCheckResult]:
+    """Every verdict for one channel, in a fixed order, from one report.
+
+    The report and the column extremes lemma 1 reads are the channel's
+    certificates, computed once per channel object (see `privacy_report`),
+    so asking for the report and then for the verdicts makes one pass.
+    """
     rep, hi, lo = _certificates(w)
     checks = list(_report_verdicts(rep, tol.ineq_slack).values())
     checks.append(_lemma1(w, rep.ldp_level_bits, hi, lo, tol.ineq_slack))
-    return rep, checks
-
-
-def run_all_checks(w: Channel, tol: ToleranceConfig = DEFAULT_TOL) -> list[BoundCheckResult]:
-    """Every verdict for one channel, in a fixed order, from one report."""
-    return _certify(w, tol)[1]
+    return checks

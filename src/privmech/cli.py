@@ -12,7 +12,8 @@ import json
 import sys
 
 from . import __version__
-from .bounds import _certify, run_all_checks
+from .bounds import run_all_checks
+from .coefficients import privacy_report
 from .core import (
     Distribution,
     channel_from_dict,
@@ -64,7 +65,9 @@ def _fmt(value) -> str:
 
 
 def cmd_analyze(args) -> int:
-    report, checks = _certify(_load_channel(args.channel))
+    w = _load_channel(args.channel)
+    report = privacy_report(w)
+    checks = run_all_checks(w)
     payload = {
         "version": __version__,
         "seed": args.seed,

@@ -33,8 +33,13 @@ DIV_CEIL = 1e12
 
 # Cells per block of pairs in `estimate_eta_f` (rows times the larger
 # alphabet) and per block of row differences in `dobrushin_coefficient`.
-# Blocks keep the order of the unblocked computation, so the size bounds
-# memory without changing which pairs are evaluated or which one wins.
+# The size bounds memory. `dobrushin_coefficient` does not depend on it,
+# since each pair is summed in the same order in any block. The search's
+# blocks keep the order of a pair-by-pair search, but a row of the block
+# product `X @ rows` can round differently with the number of rows in `X`
+# (OpenBLAS gemm), so from about 8 inputs on a search's path and value can
+# depend on the size: `random_channel(20, 3, 0.5, 20003)` under chi^2 at
+# budget 20 000, seed 23 gives 0.8233486 here and 0.8238941 at 64 cells.
 _BLOCK_CELLS = 1 << 12
 
 
@@ -154,26 +159,44 @@ def map_adversary_gain(w: Channel, px: Distribution) -> float:
 
 def _certificates(w: Channel) -> tuple[PrivacyReport, np.ndarray, np.ndarray]:
     """The channel's PrivacyReport, with the column maxima and minima it
-    was computed from; each is taken once."""
-    col_max = w.rows.max(axis=0)
-    col_min = w.rows.min(axis=0)
+    was computed from (read-only); each is taken once per channel object.
+
+    The result is kept on `w` when its rows can no longer change: read-only
+    and owning their memory (a read-only view could change through a
+    writable base). Other channels are recomputed on every call.
+    """
+    rows = w.rows
+    fixed = not rows.flags.writeable and rows.flags.owndata
+    if fixed and w._certificates is not None:
+        return w._certificates
+    col_max = rows.max(axis=0)
+    col_min = rows.min(axis=0)
+    col_max.setflags(write=False)
+    col_min.setflags(write=False)
     report = PrivacyReport(
         eta_tv=dobrushin_coefficient(w),
         ldp_level_bits=_ldp_bits(col_max, col_min),
         maxl_bits=float(np.log2(col_max.sum())),
         # not col_min.min(): the two can differ in the sign of a zero
-        min_entry=float(w.rows.min()),
+        min_entry=float(rows.min()),
         input_size=w.input_size,
         output_size=w.output_size,
     )
-    return report, col_max, col_min
+    result = (report, col_max, col_min)
+    if fixed:
+        object.__setattr__(w, "_certificates", result)
+    return result
 
 
 def privacy_report(w: Channel) -> PrivacyReport:
     """Compute all exact certificates for one channel in one pass: eta_tv
     from one blocked row comparison, the LDP level and maximal leakage from
     one column maximum and minimum. Equal, bit for bit, to calling
-    `dobrushin_coefficient`, `ldp_level`, `max_leakage` and `min_entry`."""
+    `dobrushin_coefficient`, `ldp_level`, `max_leakage` and `min_entry`.
+
+    The pass is made once per channel object: later calls, and
+    `run_all_checks` and the `check_*` that read the report, reuse it. A
+    channel on writable rows is recomputed on every call."""
     return _certificates(w)[0]
 
 

@@ -5,12 +5,13 @@ matrices acting on them by pushforward. Validation is strict: nothing is ever
 renormalized, because downstream certificate checks assume exact
 stochasticity up to the configured slack. All objects are immutable after
 construction (frozen dataclasses over read-only arrays) and safe to share
-across threads.
+across threads. A channel fills in its certificates on first use (see
+`Channel`); threads that race to do so compute and set equal values.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -88,11 +89,19 @@ class Distribution:
 @dataclass(frozen=True, eq=False)
 class Channel:
     """Row-stochastic |X| x |Y| matrix; rows[x, y] is the probability of
-    emitting output y on input x. Construct through `validate_channel`."""
+    emitting output y on input x. Construct through `validate_channel`.
+
+    The exact certificates are computed on a channel's first request and
+    kept on the object (`_certificates`), so its report and its verdicts
+    share one pass. They are kept only when the rows are read-only and own
+    their memory, as every library constructor makes them; a channel built
+    directly on a writable array is recomputed on every call.
+    """
 
     rows: np.ndarray
     input_size: int
     output_size: int
+    _certificates: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def _check_entries(arr: np.ndarray):

@@ -1,10 +1,17 @@
+import gc
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from privmech import (
+    DEFAULT_TOL,
+    Channel,
+    channel_from_dict,
     check_ldp_sandwich,
     check_lemma1,
     check_maxl_sandwich,
@@ -12,13 +19,19 @@ from privmech import (
     check_thm2,
     check_thm3,
     check_thm4,
+    compose,
+    map_adversary_gain,
+    max_leakage,
+    maxl_staircase,
     privacy_report,
     random_channel,
     randomized_response,
     run_all_checks,
     validate_channel,
+    validate_distribution,
     z_channel,
 )
+from privmech import coefficients
 
 CONSTANT = validate_channel([[0.3, 0.7], [0.3, 0.7]])
 ALPHAS = [0.25, 0.5, 1.0, 2.0, 4.0]
@@ -262,3 +275,136 @@ class TestRunAllChecks:
             parsed = json.loads(json.dumps(res.to_dict()))
             assert parsed["name"] == res.name
             assert parsed["passed"] == res.passed
+
+
+ALL_CHECKS = (check_thm1, check_thm2, check_thm3, check_thm4,
+              check_maxl_sandwich, check_ldp_sandwich, check_lemma1)
+
+
+def _count_eta_passes(monkeypatch) -> list:
+    calls = []
+    real = coefficients.dobrushin_coefficient
+
+    def counted(w):
+        calls.append(w)
+        return real(w)
+
+    monkeypatch.setattr(coefficients, "dobrushin_coefficient", counted)
+    return calls
+
+
+class TestCertificatesOncePerChannel:
+    def test_one_eta_pass_for_the_report_the_verdicts_and_every_check(self, monkeypatch):
+        calls = _count_eta_passes(monkeypatch)
+        w = random_channel(4, 5, 1.0, 3)
+        privacy_report(w)
+        run_all_checks(w)
+        for check in ALL_CHECKS:
+            check(w)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: validate_channel([[0.6, 0.4], [0.1, 0.9]]),
+            lambda: compose(random_channel(3, 4, 1.0, 1), random_channel(4, 2, 1.0, 2)),
+            lambda: randomized_response(3, 1.0),
+            lambda: z_channel(0.5),
+            lambda: maxl_staircase(3, 1.0),
+            lambda: random_channel(3, 3, 0.5, 7),
+            lambda: channel_from_dict({"rows": [[0.5, 0.5], [0.25, 0.75]]}),
+        ],
+        ids=["validate", "compose", "rr", "z", "staircase", "random", "from-dict"],
+    )
+    def test_library_constructors_make_read_only_rows(self, monkeypatch, make):
+        w = make()
+        assert not w.rows.flags.writeable
+        calls = _count_eta_passes(monkeypatch)
+        privacy_report(w)
+        run_all_checks(w)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("view", [False, True], ids=["writable", "read-only-view"])
+    def test_channel_on_rows_that_can_change_is_recomputed(self, view):
+        rows = np.full((2, 2), 0.5)
+        shown = rows
+        if view:
+            # read-only itself, but writable through its base
+            shown = rows.view()
+            shown.setflags(write=False)
+        w = Channel(shown, 2, 2)
+        assert privacy_report(w).eta_tv == 0.0
+        run_all_checks(w)
+        rows[:] = np.eye(2)
+        assert privacy_report(w).eta_tv == 1.0
+        fresh = validate_channel(np.eye(2))
+        assert [c.to_dict() for c in run_all_checks(w)] == [c.to_dict() for c in run_all_checks(fresh)]
+
+    def test_checked_channel_is_not_kept_alive(self):
+        w = random_channel(3, 3, 1.0, 0)
+        privacy_report(w)
+        run_all_checks(w)
+        ref = weakref.ref(w)
+        del w
+        gc.collect()
+        assert ref() is None
+
+
+# Entries are exactly 0 or drawn from [1e-11, 1]; normalizing by a sum of at
+# most 6 keeps every nonzero probability at or above 1e-12.
+_POSITIVE = st.floats(1e-11, 1.0)
+_WEIGHT = st.one_of(st.just(0.0), _POSITIVE)
+
+
+def _rows(m: int, weight=_WEIGHT):
+    return st.lists(weight, min_size=m, max_size=m).filter(lambda r: sum(r) > 0.0)
+
+
+@st.composite
+def _channels(draw, k=None):
+    k = draw(st.integers(1, 6)) if k is None else k
+    m = draw(st.integers(1, 6))
+    # half the channels have full support, where thm2 and ldp_sandwich_upper apply
+    weight = _WEIGHT if draw(st.booleans()) else _POSITIVE
+    rows = np.array([draw(_rows(m, weight)) for _ in range(k)])
+    return validate_channel(rows / rows.sum(axis=1, keepdims=True))
+
+
+@st.composite
+def _composable(draw):
+    """(w1, w2, px): w2 reads w1's output, px is a prior on w1's input."""
+    w1 = draw(_channels())
+    w2 = draw(_channels(k=w1.output_size))
+    weights = np.array(draw(_rows(w1.input_size)))
+    return w1, w2, validate_distribution(weights / weights.sum())
+
+
+# On a single-input channel thm4 and its restatement maxl_sandwich_upper fail:
+# the column-max sum is 1 against (|X|/2)(1 + eta_tv) = 1/2, a bound that
+# needs |X| >= 2 but is not flagged inapplicable below it. Pinned here so
+# the day it is mended this test says so.
+_SINGLE_INPUT_FAILURES = {"thm4", "maxl_sandwich_upper"}
+
+
+class TestBoundProperties:
+    """The certified relations on arbitrary small channels, zeros included."""
+
+    @settings(derandomize=True, max_examples=120, deadline=None, database=None)
+    @given(_composable())
+    def test_verdicts_leakage_and_composition(self, case):
+        w1, w2, px = case
+        slack = DEFAULT_TOL.ineq_slack
+        reports = [privacy_report(w) for w in (w1, w2)]
+        for w in (w1, w2):
+            checks = run_all_checks(w)
+            failed = {c.name for c in checks if c.applicable and not c.passed}
+            assert failed == (_SINGLE_INPUT_FAILURES if w.input_size == 1 else set()), w.rows
+            # the same verdicts as on a channel never asked before
+            fresh = run_all_checks(validate_channel(w.rows))
+            assert [c.to_dict() for c in checks] == [c.to_dict() for c in fresh]
+        assert map_adversary_gain(w1, px) <= max_leakage(w1) + slack
+        # post-processing and pre-processing never raise a certificate
+        both = privacy_report(compose(w1, w2))
+        for name in ("eta_tv", "ldp_level_bits", "maxl_bits"):
+            bound = min(getattr(r, name) for r in reports)
+            assert getattr(both, name) <= bound + slack, (name, w1.rows, w2.rows)
