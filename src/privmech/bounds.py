@@ -2,11 +2,11 @@
 
 Every verdict is a closed-form function of the channel's exact certificates
 (eta_tv, LDP level, maximal leakage and minimum entry, bundled in a
-`PrivacyReport`); lemma 1 also needs the largest row-pair entry contrast,
-which it reads from the column extremes the report was computed from.
-`run_all_checks` derives all nine verdicts from the report, which is computed
-once per channel object and shared with `privacy_report`; each public
-`check_*` picks its verdicts from the same derivation. An
+`PrivacyReport`); lemma 1 also needs the largest row-pair entry contrast and
+its count of zero-zero pairs, which are kept with the report.
+`run_all_checks` derives all nine verdicts from these numbers, which are
+computed once per channel object and shared with `privacy_report`; each
+public `check_*` picks its verdicts from the same derivation. An
 inequality stated twice (thm2 and the upper LDP sandwich, thm4 and the upper
 leakage sandwich) is decided once.
 
@@ -19,10 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import DEFAULT_TOL, Channel, ToleranceConfig, json_float
-from .coefficients import PrivacyReport, _certificates, _ldp_bits, privacy_report
+from .coefficients import PrivacyReport, _certificates, _column_certificates, privacy_report
 
 
 @dataclass(frozen=True)
@@ -70,12 +68,19 @@ def _verdict(name, lhs, rhs, slack, applicable=True, note="") -> BoundCheckResul
 _PRODUCT_FORM_NOTE = "decided in the product form at unit scale"
 
 
+def _pow2(bits: float) -> float:
+    """2**bits, inf where that overflows (where Python's ** raises)."""
+    try:
+        return 2.0 ** bits
+    except OverflowError:
+        return math.inf
+
+
 def _ldp_cap(alpha: float) -> float:
-    """(2**a - 1)/(2**a + 1), the right side of thm1 and lemma1; 1 at a = inf."""
-    if math.isinf(alpha):
-        return 1.0
-    r = 2.0 ** alpha
-    return (r - 1.0) / (r + 1.0)
+    """(2**a - 1)/(2**a + 1), the right side of thm1 and lemma1; 1 where
+    2**a overflows, as it rounds to 1 from a = 54 on."""
+    r = _pow2(alpha)
+    return 1.0 if math.isinf(r) else (r - 1.0) / (r + 1.0)
 
 
 def _product_form(name, lhs, rhs, holds, applicable, why_not) -> BoundCheckResult:
@@ -90,15 +95,22 @@ def _product_form(name, lhs, rhs, holds, applicable, why_not) -> BoundCheckResul
 def _report_verdicts(rep: PrivacyReport, slack: float) -> dict[str, BoundCheckResult]:
     """The eight verdicts that depend on the report alone, by name, in output order."""
     eta, wstar, inf = rep.eta_tv, rep.min_entry, float("inf")
-    ratio = 2.0 ** rep.ldp_level_bits  # worst likelihood ratio R
+    ratio = _pow2(rep.ldp_level_bits)  # worst likelihood ratio R
     leak = 2.0 ** rep.maxl_bits  # column-max sum
-    # thm4 and maxl_sandwich_upper are one inequality
-    thm4 = _verdict("thm4", leak, 0.5 * rep.input_size * (1.0 + eta), slack)
+    # thm4 and maxl_sandwich_upper are one inequality, which needs |X| >= 2
+    many = rep.input_size >= 2
+    thm4 = _verdict(
+        "thm4", leak, 0.5 * rep.input_size * (1.0 + eta), slack, many, "" if many else "single input"
+    )
     # so are thm2 (R <= 1 + eta/w*) and ldp_sandwich_upper (R - 1 <= eta/w*),
     # whose right sides are infinite when the channel has a zero entry
     full = wstar > 0.0
     q = eta / wstar if full else inf
-    upper_holds = (ratio - 1.0) * wstar <= eta + slack
+    if full and math.isinf(ratio):
+        # a finite level whose R overflows: R - 1 rounds to R, and R * w* <= 1
+        upper_holds = 2.0 ** (rep.ldp_level_bits + math.log2(wstar)) <= eta + slack
+    else:
+        upper_holds = (ratio - 1.0) * wstar <= eta + slack
     below_one = eta < 1.0
     return {
         v.name: v
@@ -125,26 +137,15 @@ def _report_verdicts(rep: PrivacyReport, slack: float) -> dict[str, BoundCheckRe
     }
 
 
-def _lemma1(
-    w: Channel, alpha: float, hi: np.ndarray, lo: np.ndarray, slack: float
-) -> BoundCheckResult:
-    # within a column, the largest contrast |a - b|/(a + b) over row pairs is
-    # that of its largest (hi) and smallest (lo) entries; a column with z
-    # zeros has z(z-1)/2 zero-zero pairs, whose contrast 0 never raises the
-    # maximum
-    den = hi + lo
-    contrast = np.divide(hi - lo, den, out=np.zeros_like(den), where=den > 0.0)
-    lhs = float(contrast.max())
-    skipped = 0
-    if not lo.all():  # zeros are counted only in a channel that has one
-        zeros = np.count_nonzero(w.rows == 0.0, axis=0)
-        skipped = int((zeros * (zeros - 1) // 2).sum())
+def _lemma1(alpha: float, contrast: float, skipped: int, slack: float) -> BoundCheckResult:
+    """Lemma 1 from the LDP level, the largest contrast and the count of
+    skipped zero-zero pairs (see `coefficients._column_certificates`)."""
     applicable = not math.isinf(alpha)
     notes = [f"skipped {skipped} zero-zero triples"] if skipped else []
     if not applicable:
         notes.append("ldp level infinite")
     return _verdict(
-        "lemma1", lhs, _ldp_cap(alpha), slack, applicable=applicable, note="; ".join(notes)
+        "lemma1", contrast, _ldp_cap(alpha), slack, applicable=applicable, note="; ".join(notes)
     )
 
 
@@ -171,7 +172,7 @@ def check_thm3(w: Channel, tol: ToleranceConfig = DEFAULT_TOL) -> BoundCheckResu
 
 
 def check_thm4(w: Channel, tol: ToleranceConfig = DEFAULT_TOL) -> BoundCheckResult:
-    """Column-max sum <= (|X|/2) * (1 + eta_tv); equality when |X| = 2."""
+    """Column-max sum <= (|X|/2)(1 + eta_tv); equality at |X| = 2, not applicable at |X| = 1."""
     return _report_verdicts(privacy_report(w), tol.ineq_slack)["thm4"]
 
 
@@ -196,18 +197,18 @@ def check_lemma1(w: Channel, tol: ToleranceConfig = DEFAULT_TOL) -> BoundCheckRe
     note. Not applicable when the LDP level is infinite.
     """
     # lemma 1 needs the column extremes and the LDP level, not eta_tv
-    hi, lo = w.rows.max(axis=0), w.rows.min(axis=0)
-    return _lemma1(w, _ldp_bits(hi, lo), hi, lo, tol.ineq_slack)
+    alpha, _, contrast, skipped = _column_certificates(w.rows)
+    return _lemma1(alpha, contrast, skipped, tol.ineq_slack)
 
 
 def run_all_checks(w: Channel, tol: ToleranceConfig = DEFAULT_TOL) -> list[BoundCheckResult]:
     """Every verdict for one channel, in a fixed order, from one report.
 
-    The report and the column extremes lemma 1 reads are the channel's
+    The report and the numbers lemma 1 reads are the channel's
     certificates, computed once per channel object (see `privacy_report`),
     so asking for the report and then for the verdicts makes one pass.
     """
-    rep, hi, lo = _certificates(w)
+    rep, contrast, skipped = _certificates(w)
     checks = list(_report_verdicts(rep, tol.ineq_slack).values())
-    checks.append(_lemma1(w, rep.ldp_level_bits, hi, lo, tol.ineq_slack))
+    checks.append(_lemma1(rep.ldp_level_bits, contrast, skipped, tol.ineq_slack))
     return checks

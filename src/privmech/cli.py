@@ -28,6 +28,8 @@ SWEEP_COLUMNS = (
     "k,alpha_bits,n,replicates,seed,mean_risk,std_error,"
     "closed_form,upper_bound,lecam_lower,normalized_risk"
 )
+# the SweepRow fields written per row, in column order
+_SWEEP_ROW = ("n", *SWEEP_COLUMNS.split(",")[-6:])
 
 
 def _read_json(text: str) -> dict:
@@ -154,40 +156,14 @@ def cmd_sweep(args) -> int:
             "k": args.k,
             "alpha_bits": args.alpha,
             "replicates": args.replicates,
-            "rows": [
-                {
-                    "n": r.n,
-                    "mean_risk": r.mean_risk,
-                    "std_error": r.std_error,
-                    "closed_form": r.closed_form,
-                    "upper_bound": r.upper_bound,
-                    "lecam_lower": r.lecam_lower,
-                    "normalized_risk": r.normalized_risk,
-                }
-                for r in rows
-            ],
+            "rows": [{name: getattr(r, name) for name in _SWEEP_ROW} for r in rows],
         }
         _emit(json.dumps(payload, indent=2), args.output)
         return 0
     lines = [f"# privmech {__version__}", SWEEP_COLUMNS]
     for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    str(args.k),
-                    _fmt(args.alpha),
-                    str(r.n),
-                    str(args.replicates),
-                    str(args.seed),
-                    _fmt(r.mean_risk),
-                    _fmt(r.std_error),
-                    _fmt(r.closed_form),
-                    _fmt(r.upper_bound),
-                    _fmt(r.lecam_lower),
-                    _fmt(r.normalized_risk),
-                ]
-            )
-        )
+        head = [str(args.k), _fmt(args.alpha), str(r.n), str(args.replicates), str(args.seed)]
+        lines.append(",".join(head + [_fmt(getattr(r, name)) for name in _SWEEP_ROW[1:]]))
     _emit("\n".join(lines), args.output)
     return 0
 

@@ -110,12 +110,15 @@ def dobrushin_coefficient(w: Channel) -> float:
     return 0.5 * gap
 
 
-def _ldp_bits(col_max: np.ndarray, col_min: np.ndarray) -> float:
-    """`ldp_level` from the column maxima and minima."""
-    live = col_max > 0.0
-    if (col_min[live] == 0.0).any():
+def _ldp_bits(hi: np.ndarray, lo: np.ndarray) -> float:
+    """`ldp_level` from the maxima and minima of the columns that are not all
+    zero; a ratio that overflows (a minimum near 1e-310) is taken as a
+    difference of logs, so the level stays finite."""
+    if (lo == 0.0).any():
         return float("inf")
-    return float(np.log2(np.max(col_max[live] / col_min[live], initial=1.0)))
+    with np.errstate(over="ignore"):
+        worst = np.max(hi / lo, initial=1.0)
+    return float(np.log2(worst) if worst < np.inf else np.max(np.log2(hi) - np.log2(lo)))
 
 
 def ldp_level(w: Channel) -> float:
@@ -125,7 +128,9 @@ def ldp_level(w: Channel) -> float:
     convention); a column mixing zero and nonzero entries forces +inf.
     Constant channels report 0.
     """
-    return _ldp_bits(w.rows.max(axis=0), w.rows.min(axis=0))
+    col_max = w.rows.max(axis=0)
+    live = col_max > 0.0
+    return _ldp_bits(col_max[live], w.rows.min(axis=0)[live])
 
 
 def max_leakage(w: Channel) -> float:
@@ -157,35 +162,38 @@ def map_adversary_gain(w: Channel, px: Distribution) -> float:
     return float(np.log2(hit / px.probs.max()))
 
 
-def _certificates(w: Channel) -> tuple[PrivacyReport, np.ndarray, np.ndarray]:
-    """The channel's PrivacyReport, with the column maxima and minima it
-    was computed from (read-only); each is taken once per channel object.
+def _column_certificates(rows: np.ndarray) -> tuple[float, float, float, int]:
+    """The LDP level and maximal leakage, in bits, and lemma 1's largest
+    row-pair contrast |a - b|/(a + b) with its count of zero-zero pairs, from
+    one column max (hi) and min (lo): a column's largest contrast is that of
+    hi and lo, and its z zeros make z(z-1)/2 pairs of contrast 0/0, skipped."""
+    col_max, col_min = rows.max(axis=0), rows.min(axis=0)
+    live = col_max > 0.0  # an all-zero column has no ratio and no contrast
+    hi, lo = col_max[live], col_min[live]
+    skipped = 0
+    if not col_min.all():  # zeros are counted only in a channel that has one
+        zeros = np.count_nonzero(rows == 0.0, axis=0)
+        skipped = int((zeros * (zeros - 1) // 2).sum())
+    contrast = float(np.max((hi - lo) / (hi + lo), initial=0.0))
+    return _ldp_bits(hi, lo), float(np.log2(col_max.sum())), contrast, skipped
 
-    The result is kept on `w` when its rows can no longer change: read-only
-    and owning their memory (a read-only view could change through a
-    writable base). Other channels are recomputed on every call.
-    """
-    rows = w.rows
-    fixed = not rows.flags.writeable and rows.flags.owndata
-    if fixed and w._certificates is not None:
-        return w._certificates
-    col_max = rows.max(axis=0)
-    col_min = rows.min(axis=0)
-    col_max.setflags(write=False)
-    col_min.setflags(write=False)
-    report = PrivacyReport(
-        eta_tv=dobrushin_coefficient(w),
-        ldp_level_bits=_ldp_bits(col_max, col_min),
-        maxl_bits=float(np.log2(col_max.sum())),
-        # not col_min.min(): the two can differ in the sign of a zero
-        min_entry=float(rows.min()),
-        input_size=w.input_size,
-        output_size=w.output_size,
-    )
-    result = (report, col_max, col_min)
-    if fixed:
-        object.__setattr__(w, "_certificates", result)
-    return result
+
+def _certificates(w: Channel) -> tuple[PrivacyReport, float, int]:
+    """The channel's PrivacyReport, lemma 1's largest contrast and its count
+    of zero-zero pairs, computed on first use and kept on `w`."""
+    if w._certificates is None:
+        ldp_bits, maxl_bits, contrast, skipped = _column_certificates(w.rows)
+        report = PrivacyReport(
+            eta_tv=dobrushin_coefficient(w),
+            ldp_level_bits=ldp_bits,
+            maxl_bits=maxl_bits,
+            # not the least column minimum: the two can differ in the sign of a zero
+            min_entry=float(w.rows.min()),
+            input_size=w.input_size,
+            output_size=w.output_size,
+        )
+        object.__setattr__(w, "_certificates", (report, contrast, skipped))
+    return w._certificates
 
 
 def privacy_report(w: Channel) -> PrivacyReport:
@@ -195,8 +203,7 @@ def privacy_report(w: Channel) -> PrivacyReport:
     `dobrushin_coefficient`, `ldp_level`, `max_leakage` and `min_entry`.
 
     The pass is made once per channel object: later calls, and
-    `run_all_checks` and the `check_*` that read the report, reuse it. A
-    channel on writable rows is recomputed on every call."""
+    `run_all_checks` and the `check_*` that read the report, reuse it."""
     return _certificates(w)[0]
 
 

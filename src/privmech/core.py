@@ -4,9 +4,10 @@ Distributions are validated probability vectors; channels are row-stochastic
 matrices acting on them by pushforward. Validation is strict: nothing is ever
 renormalized, because downstream certificate checks assume exact
 stochasticity up to the configured slack. All objects are immutable after
-construction (frozen dataclasses over read-only arrays) and safe to share
-across threads. A channel fills in its certificates on first use (see
-`Channel`); threads that race to do so compute and set equal values.
+construction (frozen dataclasses over read-only copies of the arrays given)
+and safe to share across threads. A channel fills in its certificates on
+first use (see `Channel`); threads that race to do so compute and set equal
+values.
 """
 from __future__ import annotations
 
@@ -69,11 +70,14 @@ class Distribution:
     probs: np.ndarray
     alphabet_size: int
 
+    def __post_init__(self):
+        object.__setattr__(self, "probs", _readonly(self.probs))
+
     @classmethod
     def uniform(cls, k: int) -> "Distribution":
         if k < 1:
             raise EmptyVector("alphabet size must be at least 1")
-        return cls(_readonly(np.full(k, 1.0 / k)), k)
+        return cls(np.full(k, 1.0 / k), k)
 
     @classmethod
     def point_mass(cls, k: int, x: int) -> "Distribution":
@@ -83,7 +87,7 @@ class Distribution:
             raise DimensionMismatch(f"point-mass location {x} outside [0, {k})")
         probs = np.zeros(k)
         probs[x] = 1.0
-        return cls(_readonly(probs), k)
+        return cls(probs, k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,17 +95,17 @@ class Channel:
     """Row-stochastic |X| x |Y| matrix; rows[x, y] is the probability of
     emitting output y on input x. Construct through `validate_channel`.
 
-    The exact certificates are computed on a channel's first request and
-    kept on the object (`_certificates`), so its report and its verdicts
-    share one pass. They are kept only when the rows are read-only and own
-    their memory, as every library constructor makes them; a channel built
-    directly on a writable array is recomputed on every call.
+    `rows` is a read-only copy of the array given, so the exact certificates
+    are kept on the object (`_certificates`) from the first request on.
     """
 
     rows: np.ndarray
     input_size: int
     output_size: int
     _certificates: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "rows", _readonly(self.rows))
 
 
 def _check_entries(arr: np.ndarray):
@@ -143,7 +147,7 @@ def validate_distribution(p, tol: ToleranceConfig = DEFAULT_TOL) -> Distribution
     total = float(arr.sum())
     if not abs(total - 1.0) <= tol.sum_tol:
         raise SumOutOfTolerance(total, tol.sum_tol)
-    return Distribution(_readonly(arr), arr.size)
+    return Distribution(arr, arr.size)
 
 
 def validate_channel(m, tol: ToleranceConfig = DEFAULT_TOL) -> Channel:
@@ -169,7 +173,7 @@ def validate_channel(m, tol: ToleranceConfig = DEFAULT_TOL) -> Channel:
     if off.any():
         r = int(np.where(off)[0][0])
         raise RowSumOutOfTolerance(r, float(sums[r]), tol.sum_tol)
-    return Channel(_readonly(arr), arr.shape[0], arr.shape[1])
+    return Channel(arr, arr.shape[0], arr.shape[1])
 
 
 def pushforward(w: Channel, p: Distribution) -> Distribution:
@@ -178,7 +182,7 @@ def pushforward(w: Channel, p: Distribution) -> Distribution:
         raise DimensionMismatch(
             f"distribution size {p.alphabet_size} != channel input size {w.input_size}"
         )
-    return Distribution(_readonly(p.probs @ w.rows), w.output_size)
+    return Distribution(p.probs @ w.rows, w.output_size)
 
 
 def compose(w1: Channel, w2: Channel) -> Channel:
@@ -187,7 +191,7 @@ def compose(w1: Channel, w2: Channel) -> Channel:
         raise DimensionMismatch(
             f"first output size {w1.output_size} != second input size {w2.input_size}"
         )
-    return Channel(_readonly(w1.rows @ w2.rows), w1.input_size, w2.output_size)
+    return Channel(w1.rows @ w2.rows, w1.input_size, w2.output_size)
 
 
 def json_float(x: float):

@@ -30,7 +30,7 @@ from .core import (
 )
 from .divergences import _LN2, _kl_pair_bits
 from .errors import BadDirectionVector, DimensionMismatch, PreconditionNotMet, SymbolOutOfRange
-from .mechanisms import _check_k, _check_k_alpha, maxl_staircase, staircase_rate
+from .mechanisms import _check_k, _check_k_alpha, staircase_rate
 
 # Count cells per multinomial block. Rows are drawn in order from one
 # generator, so the block size bounds memory without changing any result.
@@ -143,12 +143,15 @@ def closed_form_risk(p: Distribution, k: int, alpha_bits: float, n: int) -> floa
     return float(np.sum(pp * (1.0 - lam * pp)) / (n * lam))
 
 
-def _mc_risks(w: Channel, source: Distribution, alpha_bits, n, replicates, rng) -> np.ndarray:
-    """Squared-l2 risk of the plug-in estimate on each of `replicates`
-    count rows, drawn in order from `rng` in blocks of _BLOCK_CELLS cells."""
+def _mc_risks(source: Distribution, lam: float, n, replicates, rng) -> np.ndarray:
+    """Squared-l2 risk of the plug-in estimate on each of `replicates` count
+    rows of the staircase at rate `lam`, drawn in order from `rng` in blocks
+    of _BLOCK_CELLS cells. q = (lam p, 1 - lam) is pW exactly: each of the
+    first k columns has one nonzero entry, and the multinomial never reads
+    the last probability."""
     k = source.alphabet_size
-    q = pushforward(w, source).probs
-    inv_lam_n = 1.0 / (n * staircase_rate(k, alpha_bits))
+    q = np.append(lam * source.probs, 1.0 - lam)
+    inv_lam_n = 1.0 / (n * lam)
     rows = max(1, _BLOCK_CELLS // q.size)
     risks = np.empty(replicates)
     for start in range(0, replicates, rows):
@@ -170,9 +173,9 @@ def empirical_risk(cfg: SimulationConfig) -> RiskEstimate:
     AlphaOutOfRange
         When 2**alpha_bits > k, where the staircase mechanism is undefined.
     """
-    w = maxl_staircase(cfg.k, cfg.alpha_bits)
+    lam = staircase_rate(cfg.k, cfg.alpha_bits)
     rng = np.random.default_rng(cfg.seed)
-    risks = _mc_risks(w, cfg.source, cfg.alpha_bits, cfg.n, cfg.replicates, rng)
+    risks = _mc_risks(cfg.source, lam, cfg.n, cfg.replicates, rng)
     mean = float(risks.mean())
     std_error = (
         float(risks.std(ddof=1) / math.sqrt(cfg.replicates)) if cfg.replicates > 1 else 0.0
@@ -267,7 +270,7 @@ def lecam_lower_check(
     at p0, then `replicates` at p1, all from one default_rng(seed).
     """
     _check_count("replicates", replicates)
-    w = maxl_staircase(k, alpha_bits)  # validates k, alpha and 2**a <= k
+    lam = staircase_rate(k, alpha_bits)  # validates k, alpha and 2**a <= k
     r1 = 2.0 ** alpha_bits - 1.0
     n_min = math.ceil(k * k / r1)
     if n < n_min:
@@ -293,8 +296,8 @@ def lecam_lower_check(
     pair = lecam_pair(k, alpha_bits, n, u, tol)
     assert pair.valid and pair.p1 is not None
     rng = np.random.default_rng(seed)
-    risks0 = _mc_risks(w, pair.p0, alpha_bits, n, replicates, rng)
-    risks1 = _mc_risks(w, pair.p1, alpha_bits, n, replicates, rng)
+    risks0 = _mc_risks(pair.p0, lam, n, replicates, rng)
+    risks1 = _mc_risks(pair.p1, lam, n, replicates, rng)
     s_value = 0.5 * float(risks0.mean() + risks1.mean())
     if replicates > 1:
         se = 0.5 * math.sqrt(

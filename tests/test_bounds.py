@@ -1,4 +1,5 @@
 import gc
+import math
 import tracemalloc
 import warnings
 import weakref
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from privmech import (
     DEFAULT_TOL,
     Channel,
+    Distribution,
     channel_from_dict,
     check_ldp_sandwich,
     check_lemma1,
@@ -103,6 +105,13 @@ class TestThm4:
         for seed in range(200):
             assert check_thm4(random_channel(5, 3, 1.0, seed)).passed
 
+    def test_single_input_not_applicable(self):
+        # the column-max sum is 1 against (|X|/2)(1 + eta_tv) = 1/2
+        w = validate_channel([[0.3, 0.7]])
+        for res in (check_thm4(w), check_maxl_sandwich(w)[1]):
+            assert not res.applicable and res.passed and res.note == "single input"
+            assert (res.lhs, res.rhs) == (1.0, 0.5)
+
 
 class TestMaxlSandwich:
     def test_equality_both_sides_at_z(self):
@@ -165,6 +174,11 @@ class TestLemma1:
     def test_infinite_level_not_applicable(self):
         res = check_lemma1(validate_channel(np.eye(2)))
         assert not res.applicable and res.passed
+
+    def test_computes_no_eta_tv(self, monkeypatch):
+        calls = _count_eta_passes(monkeypatch)
+        check_lemma1(random_channel(4, 5, 1.0, 3))
+        assert calls == []
 
     def test_random_sweep(self):
         for seed in range(200):
@@ -268,6 +282,17 @@ class TestRunAllChecks:
                 if res.applicable and res.name not in product_form:
                     assert res.passed == (res.margin >= -slack), res
 
+    def test_overflowing_column_ratio_keeps_the_level_finite(self):
+        # column 1's ratio 0.5/1e-310 overflows a double; its log does not
+        w = validate_channel([[1 - 1e-310, 1e-310], [0.5, 0.5]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            level = privacy_report(w).ldp_level_bits
+            checks = {c.name: c for c in run_all_checks(w)}
+        assert abs(level - (math.log2(0.5) - math.log2(1e-310))) <= 1e-9
+        assert checks["lemma1"].applicable
+        assert all(c.passed for c in checks.values() if c.applicable)
+
     def test_to_dict_round_trips_through_json(self):
         import json
 
@@ -313,32 +338,42 @@ class TestCertificatesOncePerChannel:
             lambda: maxl_staircase(3, 1.0),
             lambda: random_channel(3, 3, 0.5, 7),
             lambda: channel_from_dict({"rows": [[0.5, 0.5], [0.25, 0.75]]}),
+            lambda: Channel(np.array([[0.6, 0.4], [0.1, 0.9]]), 2, 2),
         ],
-        ids=["validate", "compose", "rr", "z", "staircase", "random", "from-dict"],
+        ids=["validate", "compose", "rr", "z", "staircase", "random", "from-dict", "direct"],
     )
     def test_library_constructors_make_read_only_rows(self, monkeypatch, make):
         w = make()
-        assert not w.rows.flags.writeable
+        assert not w.rows.flags.writeable and w.rows.flags.owndata
         calls = _count_eta_passes(monkeypatch)
         privacy_report(w)
         run_all_checks(w)
         assert len(calls) == 1
 
     @pytest.mark.parametrize("view", [False, True], ids=["writable", "read-only-view"])
-    def test_channel_on_rows_that_can_change_is_recomputed(self, view):
+    def test_direct_rows_are_copied(self, view):
+        # a Channel or Distribution built directly is unaffected by later writes
         rows = np.full((2, 2), 0.5)
-        shown = rows
+        probs = np.full(2, 0.5)
+        shown, shown_probs = rows, probs
         if view:
-            # read-only itself, but writable through its base
-            shown = rows.view()
+            # read-only themselves, but writable through their bases
+            shown, shown_probs = rows.view(), probs.view()
             shown.setflags(write=False)
+            shown_probs.setflags(write=False)
         w = Channel(shown, 2, 2)
-        assert privacy_report(w).eta_tv == 0.0
-        run_all_checks(w)
+        p = Distribution(shown_probs, 2)
+        report = privacy_report(w)
+        checks = [c.to_dict() for c in run_all_checks(w)]
         rows[:] = np.eye(2)
-        assert privacy_report(w).eta_tv == 1.0
-        fresh = validate_channel(np.eye(2))
-        assert [c.to_dict() for c in run_all_checks(w)] == [c.to_dict() for c in run_all_checks(fresh)]
+        probs[:] = (1.0, 0.0)
+        for arr in (w.rows, p.probs):
+            assert not arr.flags.writeable and arr.flags.owndata
+        assert (w.rows == 0.5).all() and (p.probs == 0.5).all()
+        assert privacy_report(w) == report and report.eta_tv == 0.0
+        fresh = validate_channel(np.full((2, 2), 0.5))
+        assert [c.to_dict() for c in run_all_checks(w)] == checks
+        assert checks == [c.to_dict() for c in run_all_checks(fresh)]
 
     def test_checked_channel_is_not_kept_alive(self):
         w = random_channel(3, 3, 1.0, 0)
@@ -379,11 +414,10 @@ def _composable(draw):
     return w1, w2, validate_distribution(weights / weights.sum())
 
 
-# On a single-input channel thm4 and its restatement maxl_sandwich_upper fail:
-# the column-max sum is 1 against (|X|/2)(1 + eta_tv) = 1/2, a bound that
-# needs |X| >= 2 but is not flagged inapplicable below it. Pinned here so
-# the day it is mended this test says so.
-_SINGLE_INPUT_FAILURES = {"thm4", "maxl_sandwich_upper"}
+# On a single-input channel thm4 and its restatement maxl_sandwich_upper
+# compare a column-max sum of 1 against (|X|/2)(1 + eta_tv) = 1/2, a bound
+# that needs |X| >= 2; both are flagged inapplicable there, so none fails.
+_SINGLE_INPUT_FAILURES = set()
 
 
 class TestBoundProperties:

@@ -39,6 +39,18 @@ class TestAnalyze:
         assert payload["report"]["eta_tv"] == 1.0
         assert abs(payload["report"]["maxl_bits"] - math.log2(3)) <= 1e-12
 
+    def test_single_input_channel_exits_zero(self):
+        res = run_cli("analyze", '{"rows": [[0.3, 0.7]]}')
+        assert res.returncode == 0, res.stderr
+        checks = {c["name"]: c for c in json.loads(res.stdout)["checks"]}
+        assert not checks["thm4"]["applicable"] and not checks["maxl_sandwich_upper"]["applicable"]
+
+    def test_overflowing_column_ratio_exits_zero(self):
+        res = run_cli("analyze", '{"rows": [[1e-310, 1.0], [0.5, 0.5]]}')
+        assert res.returncode == 0, res.stderr
+        payload = json.loads(res.stdout)
+        assert math.isfinite(payload["report"]["ldp_level_bits"])
+
     def test_malformed_json_exits_two(self):
         res = run_cli("analyze", "{not json")
         assert res.returncode == 2

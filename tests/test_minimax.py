@@ -211,13 +211,43 @@ class TestCountsEngine:
         assert empirical_risk(self.CFG) == default
 
     def test_growing_replicates_keeps_earlier_risks(self):
-        w = maxl_staircase(5, 1.0)
+        lam = staircase_rate(5, 1.0)
 
         def risks(r):
             rng = np.random.default_rng(self.CFG.seed)
-            return minimax._mc_risks(w, self.CFG.source, 1.0, self.CFG.n, r, rng)
+            return minimax._mc_risks(self.CFG.source, lam, self.CFG.n, r, rng)
 
         assert np.array_equal(risks(2000)[:1000], risks(1000))
+
+    # (k, alpha, n, replicates, seed, source) -> (mean_risk, std_error) by hex,
+    # equal to those of sampling from the staircase channel's pushforward pW
+    PINNED_RISKS = [
+        ((2, 0.5, 1, 500, 1, (0.5, 0.5)), ("0x1.f297a752fcd8fp+0", "0x1.3561b2bdd1da2p-4")),
+        ((5, 1.0, 300, 1000, 42, (0.4, 0.3, 0.2, 0.05, 0.05)),
+         ("0x1.9980fe508bc21p-7", "0x1.4df056377fe20p-12")),
+        ((17, 3.0, 10_000, 200, 7, tuple(np.arange(1, 18) / 153)),
+         ("0x1.d786d4fbefa91p-13", "0x1.b0a07968c2596p-18")),
+    ]
+
+    @pytest.mark.parametrize("case, expected", PINNED_RISKS, ids=["k2-n1", "k5-n300", "k17-n10000"])
+    def test_risks_are_pinned(self, case, expected):
+        k, alpha, n, replicates, seed, source = case
+        est = empirical_risk(SimulationConfig(
+            k=k, alpha_bits=alpha, n=n, replicates=replicates, seed=seed,
+            source=validate_distribution(source),
+        ))
+        assert (est.mean_risk.hex(), est.std_error.hex()) == expected
+
+    def test_sweep_and_lecam_are_pinned(self):
+        rows = scaling_sweep(3, 1.0, [100, 1000], 300, 5)
+        assert [(r.n, r.mean_risk.hex(), r.std_error.hex()) for r in rows] == [
+            (100, "0x1.221b249049d66p-6", "0x1.cc3179f356b59p-11"),
+            (1000, "0x1.ca4a6680928c9p-10", "0x1.857a00db9aa06p-14"),
+        ]
+        verdict = lecam_lower_check(2, 1.0, 2000, 500, 3)
+        assert (verdict.lhs.hex(), verdict.rhs.hex()) == (
+            "-0x1.3c4a0ac131288p-18", "0x1.076d690176e31p-12"
+        )
 
     def test_peak_memory_is_bounded_by_the_block(self):
         cfg = SimulationConfig(
