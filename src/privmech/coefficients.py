@@ -223,12 +223,13 @@ def estimate_eta_f(
 ) -> ContractionEstimate:
     """Search for a high ratio D_f(w(p0) || w(p1)) / D_f(p0 || p1).
 
-    The search spends `budget` ratio evaluations in three stages:
+    The search spends up to `budget` ratio evaluations in three stages:
 
-    1. every ordered pair of point masses (exact for total variation, whose
-       supremum is attained there), when such a pair is admissible: their
-       input divergence f(0) + f'(inf) is infinite for KL and chi^2, which
-       skip the stage;
+    1. every ordered pair of point masses, when such a pair is admissible:
+       their input divergence f(0) + f'(inf) is infinite for KL and chi^2,
+       which skip the stage. Total variation attains its supremum there, so
+       its search ends after this stage with the exact value, eta_TV, in
+       k(k - 1) evaluations;
     2. deterministic exploration: a two-parameter grid for binary input
        alphabets, symmetric-Dirichlet random pairs otherwise;
     3. greedy coordinate-wise refinement of the best pair with shrinking
@@ -252,7 +253,12 @@ def estimate_eta_f(
     that move lies in the next sweep, and opens the next window at the move
     after it; `evaluations` counts only the moves up to each accepted one,
     and skips moves from an empty input without counting them. Each block
-    takes its input and output divergences from one kernel call.
+    takes its input and output divergences from one kernel call. A window's
+    moves are slices of tables built per climb over at most two windows of
+    positions (which half of the pair moves, whether the move lies in the
+    next sweep, where its mass comes from, and a row of -1 at the source and
+    +1 at the target), rebuilt when a window leaves them: for small k they
+    cover both sweeps and are built once, and memory stays O(block) at any k.
 
     Returns
     -------
@@ -336,15 +342,17 @@ def estimate_eta_f(
     if k > 1 and DIV_FLOOR < pair_div(eye[1:2], eye[:1] - eye[1:2])[0] < DIV_CEIL:
         scan(min(n_vertex, budget), vertex_block)
 
-    explore = (budget - evals) // 2
-    grid_resolution = 0
-    if k == 2:
-        g = 0
-        while (g + 1) * g <= explore:
-            g += 1
-        # at exit g*(g-1) <= explore: the grid fits the exploration budget
-        if g >= 2:
-            grid_resolution = g
+    def explore_stage() -> int:
+        """Spend half the remaining budget on the grid or the Dirichlet
+        pairs; returns the grid resolution (0 when no grid ran)."""
+        explore = (budget - evals) // 2
+        if k == 2:
+            g = 0
+            while (g + 1) * g <= explore:
+                g += 1
+            # at exit g*(g-1) <= explore: the grid fits the exploration budget
+            if g < 2:
+                return 0
             pts = np.arange(1, g + 1) / (g + 1.0)
 
             def grid_block(start, stop):
@@ -353,7 +361,7 @@ def estimate_eta_f(
                         np.column_stack((pts[b], 1.0 - pts[b])))
 
             scan(g * (g - 1), grid_block)
-    else:
+            return g
         rng = np.random.default_rng(seed)
         alpha = np.ones(k)
 
@@ -363,6 +371,7 @@ def estimate_eta_f(
             return d[:, 0], d[:, 1]
 
         scan(explore, dirichlet_block)
+        return 0
 
     def climb_stage():
         # move t of a sweep shifts mass from a to b in best[t // n_vertex],
@@ -372,29 +381,47 @@ def estimate_eta_f(
         nonlocal evals
         n_moves = 2 * n_vertex
         window = min(block, n_moves)
+
+        def tables(lo):
+            """For positions lo.. (at most 2 * window of them): the half of
+            the pair each moves, whether it lies in the next sweep, the flat
+            index of its source entry in `best`, and its move row (-1 at
+            the source, +1 at the target)."""
+            g = np.arange(lo, min(lo + 2 * window, 2 * n_moves))
+            in_next = g >= n_moves
+            idx = g - n_moves * in_next
+            which = idx // n_vertex
+            a, b = _off_diagonal(k, idx - which * n_vertex)
+            delta = np.zeros((g.size, k))
+            r = np.arange(g.size)
+            delta[r, a] = -1.0
+            delta[r, b] = 1.0
+            return which, in_next, which * k + a, delta
+
+        lo = 0
+        which_at, next_at, source_at, delta_at = tables(lo)
         step, before, t = 0.1, best_val, 0
         while evals < budget:
             step_next = step if best_val > before else 0.5 * step
             stop = t + window if step_next >= 1e-9 else min(t + window, n_moves)
             if stop <= t:
                 break
-            g = np.arange(t, stop)
-            in_next = g >= n_moves
-            idx = np.where(in_next, g - n_moves, g)
-            which = idx // n_vertex
-            a, b = _off_diagonal(k, idx - which * n_vertex)
-            eps = np.minimum(np.where(in_next, step_next, step), best[which, a])
+            if t < lo or stop > lo + len(which_at):
+                lo = t
+                which_at, next_at, source_at, delta_at = tables(lo)
+            s = slice(t - lo, stop - lo)
+            which, delta = which_at[s], delta_at[s]
+            eps = np.minimum(np.where(next_at[s], step_next, step), best.take(source_at[s]))
             live = eps > 0.0  # a move from an empty input is skipped, not counted
-            if not live.all() or g.size > budget - evals:
+            keep = None
+            if not live.all() or eps.size > budget - evals:
                 keep = np.flatnonzero(live)[: budget - evals]
-                g, which, a, b, eps = g[keep], which[keep], a[keep], b[keep], eps[keep]
-            sweep_best, end, counted = best_val, stop, g.size
-            if g.size:
-                r = np.arange(g.size)
-                # eps <= the mass at a, so no entry turns negative
-                moved = best[which]
-                moved[r, a] -= eps
-                moved[r, b] += eps
+                which, delta, eps = which[keep], delta[keep], eps[keep]
+            sweep_best, end, counted = best_val, stop, eps.size
+            if eps.size:
+                # eps <= the mass at the source, so no entry turns negative;
+                # x + eps * (-1) is x - eps and x + eps * 0 is x, bit for bit
+                moved = best.take(which, axis=0) + eps[:, None] * delta
                 moved /= moved.sum(axis=1, keepdims=True)
                 first = (which == 0)[:, None]
                 p0s = np.where(first, moved, best[0])
@@ -403,7 +430,8 @@ def estimate_eta_f(
                 gains = found > best_val
                 j = int(np.argmax(gains))  # the first improving move, if any
                 if gains[j]:
-                    end, counted = int(g[j]) + 1, j + 1
+                    end = t + 1 + (j if keep is None else int(keep[j]))
+                    counted = j + 1
                     accept(found, din, dout, p0s, p1s, j)
             evals += counted
             if end > n_moves:
@@ -412,8 +440,13 @@ def estimate_eta_f(
             else:
                 t = end
 
+    grid_resolution = 0
+    # eta_TV is attained at a pair of point masses, so the first stage is exact
+    if spec.kind is not FKind.TOTAL_VARIATION:
+        grid_resolution = explore_stage()
+        if best is not None:
+            climb_stage()
     if best is not None:
-        climb_stage()
         value = min(max(best_val, 0.0), 1.0)
         din, dout = best_div
         w0 = validate_distribution(best[0], tol)

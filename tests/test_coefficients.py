@@ -41,6 +41,14 @@ CONSTANT = validate_channel([[0.3, 0.7], [0.3, 0.7]])
 BSC_THIRD = randomized_response(2, 1.0)  # [[2/3,1/3],[1/3,2/3]]
 
 
+def _pushed_divergence(w, est, spec) -> float:
+    """Output divergence of a search's witnesses, with their difference
+    pushed through the channel: pushing each witness separately rounds the
+    output pair by ~1e-17, which at D ~ 1e-12 is ~1e-8 relative."""
+    p0, p1 = est.witness_p0.probs, est.witness_p1.probs
+    return float(_pair_divergence(spec, DEFAULT_TOL)(p1 @ w.rows, (p0 - p1) @ w.rows))
+
+
 class TestDobrushinCoefficient:
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_identity_is_one(self, k):
@@ -198,7 +206,9 @@ class TestEstimateEtaF:
         for seed in range(30):
             w = random_channel(2 + seed % 4, 2 + seed % 3, 1.0, seed)
             est = estimate_eta_f(w, TOTAL_VARIATION, budget=2000, seed=seed)
-            assert est.value == pytest.approx(dobrushin_coefficient(w), abs=1e-12)
+            # eta_TV is attained at a pair of point masses: the search stops there
+            assert est.value == dobrushin_coefficient(w)
+            assert est.evaluations == w.input_size * (w.input_size - 1)
 
     def test_kl_constant_channel_is_zero(self):
         est = estimate_eta_f(CONSTANT, KL, budget=500, seed=1)
@@ -215,10 +225,9 @@ class TestEstimateEtaF:
         est = estimate_eta_f(BSC_THIRD, KL, budget=5000, seed=3)
         din = f_divergence(est.witness_p0, est.witness_p1, KL)
         assert 0.0 < din < float("inf")
-        dout = kl_divergence(
-            pushforward(BSC_THIRD, est.witness_p0), pushforward(BSC_THIRD, est.witness_p1)
-        )
+        dout = _pushed_divergence(BSC_THIRD, est, KL)
         assert dout <= din  # data processing on the witness itself
+        assert dout / din == pytest.approx(est.value, rel=1e-12)
 
     def test_deterministic_given_budget_and_seed(self):
         w = random_channel(4, 4, 1.0, 8)
@@ -285,8 +294,8 @@ class TestEstimateEtaF:
         assert est.value == pytest.approx(dobrushin_coefficient(w), abs=1e-12)
 
     def test_peak_memory_is_bounded_at_three_hundred_inputs(self):
-        # a climb window holds at most a block of moves, built from its
-        # positions: no table over whole sweeps, which would be O(k^2)
+        # the climb's move tables hold at most two windows of positions, each
+        # at most a block: a table over whole sweeps would be O(k^2)
         w = random_channel(300, 3, 1.0, 1)
         tracemalloc.start()
         try:
@@ -303,16 +312,17 @@ class TestEstimateEtaF:
     # windowed climb must reproduce them bit for bit. Cases cover k = 2, 3,
     # 5, 8, 12 and a 6 x 30 channel, moves from emptied inputs (skipped, not
     # counted), budgets that end inside a window reaching into the next
-    # sweep (3 x 3 at 1237), and a channel with exact zeros.
+    # sweep (3 x 3 at 1237), and a channel with exact zeros. The two total
+    # variation rows stop after the point masses, where eta_TV is attained.
     PINNED = [
         ("rr", (2, 1.0), KL, 2000, 3, "0x1.c71c71c71c45cp-4", 1164, "e860d76217de3f85"),
         ("rand", (2, 5, 0.5, 21), CHI_SQUARED, 1000, 1, "0x1.4c36c07dce1c7p-1", 658, "d653483df3041f03"),
         ("rand", (3, 3, 1.0, 11), KL, 3000, 5, "0x1.13e5fc84a9159p-2", 3000, "9ac36d80ecaf35a8"),
         ("rand", (3, 4, 0.5, 12), CHI_SQUARED, 2500, 6, "0x1.5bebf609414dfp-1", 1577, "3dad03147eab507e"),
         ("rand", (3, 3, 1.0, 19), KL, 1237, 4, "0x1.22c1b4dae756cp-1", 1237, "cc71c836ad4eb84c"),
-        ("rand", (3, 5, 1.0, 20), TOTAL_VARIATION, 800, 2, "0x1.10afb61252bfap-1", 525, "67befbdbdaa53f87"),
+        ("rand", (3, 5, 1.0, 20), TOTAL_VARIATION, 800, 2, "0x1.10afb61252bf9p-1", 6, "6cdc628fb753ec8c"),
         ("rand", (5, 4, 1.0, 13), KL, 4000, 7, "0x1.05f858836b3ccp-1", 4000, "5637f5fcae48cb68"),
-        ("rand", (5, 3, 0.5, 14), TOTAL_VARIATION, 1500, 8, "0x1.06f234a42e09bp-1", 1092, "a8c223ef79696b72"),
+        ("rand", (5, 3, 0.5, 14), TOTAL_VARIATION, 1500, 8, "0x1.06f234a42e09ap-1", 20, "ad76d9ce4c3e5652"),
         ("rand", (8, 8, 1.0, 15), CHI_SQUARED, 5000, 9, "0x1.45d6721758282p-1", 5000, "e9ea6d76806ec54d"),
         ("rand", (8, 5, 0.1, 16), KL, 3000, 10, "0x1.dc6d16cba1b2ep-1", 3000, "ca4dc9c317bc2751"),
         ("rand", (12, 4, 1.0, 17), KL, 4000, 11, "0x1.1771173b7c43fp-1", 4000, "2b7a6b67b5ba9f8b"),
@@ -340,19 +350,36 @@ class TestEstimateEtaF:
             ratio = est.output_divergence / est.input_divergence
             assert est.value == min(ratio, 1.0), (kind, args, spec.kind.value, budget, seed)
 
+    # As PINNED, at the default block size only, for searches whose climb
+    # tables cover less than two sweeps and are rebuilt as the climb moves on:
+    # 30 x 30 holds 272 of 3480 positions, 300 x 3 holds 26 of 358 800.
+    ROLLING = [
+        ((30, 30, 1.0, 5), KL, 10_000, 2, "0x1.86c93fac3f45bp-2", 10_000, "44f031794950d812"),
+        ((30, 30, 1.0, 5), CHI_SQUARED, 10_000, 3, "0x1.11a99aad44b00p-2", 10_000, "6fa90cc386a5c6ea"),
+        ((300, 3, 1.0, 1), KL, 20_000, 0, "0x1.d319e9490bbd9p-4", 20_000, "e7440d5cf6a735e6"),
+        ((300, 3, 1.0, 1), CHI_SQUARED, 20_000, 4, "0x1.a3b6bea12c902p-5", 20_000, "338215da49d13031"),
+    ]
+
+    @pytest.mark.parametrize("case", ROLLING, ids=lambda c: f"{c[0][0]}x{c[0][1]}-{c[1].kind.value}")
+    def test_results_with_rolling_climb_tables_are_pinned(self, case):
+        args, spec, budget, seed, value, evals, digest = case
+        est = estimate_eta_f(random_channel(*args), spec, budget, seed)
+        witnesses = est.witness_p0.probs.tobytes() + est.witness_p1.probs.tobytes()
+        got = (est.value.hex(), est.evaluations, hashlib.sha256(witnesses).hexdigest()[:16])
+        assert got == (value, evals, digest)
+        assert est.value == est.output_divergence / est.input_divergence
+
     @pytest.mark.parametrize("w", [BSC_THIRD, random_channel(2, 2, 10.0, 9310)], ids=["rr", "dirichlet"])
     def test_value_is_the_ratio_of_its_recorded_divergences(self, w):
         est = estimate_eta_f(w, KL, budget=10_000, seed=9310)
         assert 0.0 < est.value < 1.0
         assert est.value == est.output_divergence / est.input_divergence
-        # the public API recomputes both near the search's values; its output
-        # side rounds the two images separately, so it is not exact there
+        # recomputed from the witnesses, both sides land near the search's
+        # values; the output side pushes their difference, as the search does
         din = f_divergence(est.witness_p0, est.witness_p1, KL)
-        dout = f_divergence(
-            pushforward(w, est.witness_p0), pushforward(w, est.witness_p1), KL
-        )
+        dout = _pushed_divergence(w, est, KL)
         assert din == pytest.approx(est.input_divergence, rel=1e-12)
-        assert dout == pytest.approx(est.output_divergence, rel=1e-7)
+        assert dout == pytest.approx(est.output_divergence, rel=1e-12)
 
     def test_single_input_alphabet_degenerates_to_zero(self):
         w = validate_channel([[0.2, 0.8]])
@@ -452,13 +479,9 @@ class TestBinaryInputOracle:
                         est = estimate_eta_f(w, spec, budget=10_000, seed=seed)
                         where = f"m={m} conc={conc} seed={seed} {spec.kind.value}"
                         assert ref - 1e-9 <= est.value <= ref + 1e-10, (where, est.value, ref)
-                        # the value is the ratio at its own witnesses; the output
-                        # side pushes the witnesses' difference forward, since
-                        # pushing each witness separately rounds the output pair
-                        # by ~1e-17, which at D ~ 1e-12 is ~1e-8 relative
-                        p0, p1 = est.witness_p0.probs, est.witness_p1.probs
+                        # the value is the ratio at its own witnesses
                         din = f_divergence(est.witness_p0, est.witness_p1, spec)
-                        dout = _pair_divergence(spec, DEFAULT_TOL)(p1 @ w.rows, (p0 - p1) @ w.rows)
+                        dout = _pushed_divergence(w, est, spec)
                         assert dout / din == pytest.approx(est.value, rel=1e-9), where
 
 
