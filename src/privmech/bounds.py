@@ -196,12 +196,8 @@ def check_lemma1(w: Channel, tol: ToleranceConfig = DEFAULT_TOL) -> BoundCheckRe
     indeterminate 0/0); the count of skipped triples is recorded in the
     note. Not applicable when the LDP level is infinite.
     """
-    if w._certificates is not None:
-        rep, contrast, skipped = w._certificates
-        alpha = rep.ldp_level_bits
-    else:
-        # lemma 1 needs the column extremes and the LDP level, not eta_tv
-        alpha, _, contrast, skipped = _column_certificates(w.rows)
+    # lemma 1 needs the column extremes and the LDP level, not eta_tv
+    alpha, _, contrast, skipped = _column_certificates(w.rows)
     return _lemma1(alpha, contrast, skipped, tol.ineq_slack)
 
 

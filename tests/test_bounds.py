@@ -33,7 +33,7 @@ from privmech import (
     validate_distribution,
     z_channel,
 )
-from privmech import bounds, coefficients
+from privmech import coefficients
 
 CONSTANT = validate_channel([[0.3, 0.7], [0.3, 0.7]])
 ALPHAS = [0.25, 0.5, 1.0, 2.0, 4.0]
@@ -181,22 +181,6 @@ class TestLemma1:
         check_lemma1(w)
         assert calls == []
         assert w._certificates is None  # no partial memo is left behind
-
-    @pytest.mark.parametrize(
-        "rows", [[[0.7, 0.3], [0.2, 0.8]], [[0.5, 0.5, 0.0], [0.25, 0.75, 0.0]]],
-        ids=["full", "zeros"],
-    )
-    def test_reads_the_certificates_once_they_are_kept(self, monkeypatch, rows):
-        fresh = check_lemma1(validate_channel(rows))
-        w = validate_channel(rows)
-        privacy_report(w)  # fills the channel's certificates
-
-        def recomputed(rows):
-            raise AssertionError("column pass repeated")
-
-        monkeypatch.setattr(bounds, "_column_certificates", recomputed)
-        assert check_lemma1(w) == fresh
-        assert fresh.applicable and ("skipped 1" in fresh.note) == (0.0 in rows[0])
 
     def test_random_sweep(self):
         for seed in range(200):

@@ -228,6 +228,11 @@ class TestEstimateEtaF:
         dout = _pushed_divergence(BSC_THIRD, est, KL)
         assert dout <= din  # data processing on the witness itself
         assert dout / din == pytest.approx(est.value, rel=1e-12)
+        # and through the public API, which pushes each witness separately
+        public = kl_divergence(
+            pushforward(BSC_THIRD, est.witness_p0), pushforward(BSC_THIRD, est.witness_p1)
+        )
+        assert public <= din
 
     def test_deterministic_given_budget_and_seed(self):
         w = random_channel(4, 4, 1.0, 8)
@@ -380,6 +385,9 @@ class TestEstimateEtaF:
         dout = _pushed_divergence(w, est, KL)
         assert din == pytest.approx(est.input_divergence, rel=1e-12)
         assert dout == pytest.approx(est.output_divergence, rel=1e-12)
+        # the public API rounds the two images separately, so it is not exact
+        public = f_divergence(pushforward(w, est.witness_p0), pushforward(w, est.witness_p1), KL)
+        assert public == pytest.approx(est.output_divergence, rel=1e-7)
 
     def test_single_input_alphabet_degenerates_to_zero(self):
         w = validate_channel([[0.2, 0.8]])
