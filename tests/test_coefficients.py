@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import tracemalloc
 
@@ -14,6 +15,7 @@ from privmech import (
     Distribution,
     FDivergenceSpec,
     FKind,
+    PrivacyReport,
     compose,
     dobrushin_coefficient,
     estimate_eta_f,
@@ -185,14 +187,21 @@ class TestMapAdversaryGain:
 
 
 class TestPrivacyReport:
-    def test_fields_match_componentwise(self):
-        w = random_channel(4, 5, 1.0, 17)
-        rep = privacy_report(w)
-        assert rep.eta_tv == dobrushin_coefficient(w)
-        assert rep.ldp_level_bits == ldp_level(w)
-        assert rep.maxl_bits == max_leakage(w)
-        assert rep.min_entry == min_entry(w)
-        assert (rep.input_size, rep.output_size) == (4, 5)
+    def test_fields_match_componentwise(self, certify_corpus):
+        # zeros, all-zero columns, -0.0 entries, entries near 1e-300, single
+        # rows and constant channels included; compared as JSON, so the sign
+        # of a zero minimum counts
+        for w in [random_channel(4, 5, 1.0, 17), *certify_corpus]:
+            rep = privacy_report(w)
+            parts = dict(
+                eta_tv=dobrushin_coefficient(w),
+                ldp_level_bits=ldp_level(w),
+                maxl_bits=max_leakage(w),
+                min_entry=min_entry(w),
+                input_size=w.input_size,
+                output_size=w.output_size,
+            )
+            assert json.dumps(rep.to_dict()) == json.dumps(PrivacyReport(**parts).to_dict()), w.rows
 
     def test_to_dict_serializes_infinity_as_string(self):
         rep = privacy_report(validate_channel(np.eye(3)))
