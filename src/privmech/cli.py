@@ -1,7 +1,8 @@
 """Command-line interface: analyze / construct / bounds-check / simulate / sweep.
 
 Data goes to stdout (or --output), diagnostics to stderr. Exit codes:
-0 success, 1 an applicable bound check failed, 2 usage/validation errors.
+0 success, 1 an applicable bound check failed, 2 usage/validation errors
+and inputs too large to allocate.
 Every output record embeds the tool version and the seed, so identical
 invocations are byte-identical.
 """
@@ -228,6 +229,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (PrivmechError, json.JSONDecodeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's names the size it could not allocate
+        print(f"error: not enough memory for this input. {exc}".rstrip(), file=sys.stderr)
         return 2
 
 

@@ -110,15 +110,19 @@ def dobrushin_coefficient(w: Channel) -> float:
     return 0.5 * gap
 
 
+def _ratio_bits(hi: np.ndarray, lo: np.ndarray) -> float:
+    """log2 of the largest hi/lo, from the maxima and minima of columns whose
+    minimum is positive; a ratio that overflows (a minimum near 1e-310) is
+    taken as a difference of logs, so the level stays finite."""
+    with np.errstate(over="ignore"):
+        worst = (hi / lo).max()  # >= 1, since hi >= lo
+    return float(np.log2(worst) if worst < np.inf else np.max(np.log2(hi) - np.log2(lo)))
+
+
 def _ldp_bits(hi: np.ndarray, lo: np.ndarray) -> float:
     """`ldp_level` from the maxima and minima of the columns that are not all
-    zero; a ratio that overflows (a minimum near 1e-310) is taken as a
-    difference of logs, so the level stays finite."""
-    if (lo == 0.0).any():
-        return float("inf")
-    with np.errstate(over="ignore"):
-        worst = np.max(hi / lo, initial=1.0)
-    return float(np.log2(worst) if worst < np.inf else np.max(np.log2(hi) - np.log2(lo)))
+    zero: infinite if one of them mixes zero and nonzero entries."""
+    return float("inf") if (lo == 0.0).any() else _ratio_bits(hi, lo)
 
 
 def ldp_level(w: Channel) -> float:
@@ -168,14 +172,16 @@ def _column_certificates(rows: np.ndarray) -> tuple[float, float, float, int]:
     one column max (hi) and min (lo): a column's largest contrast is that of
     hi and lo, and its z zeros make z(z-1)/2 pairs of contrast 0/0, skipped."""
     col_max, col_min = rows.max(axis=0), rows.min(axis=0)
-    live = col_max > 0.0  # an all-zero column has no ratio and no contrast
-    hi, lo = col_max[live], col_min[live]
-    skipped = 0
-    if not col_min.all():  # zeros are counted only in a channel that has one
+    if col_min.all():  # full support: every column is live and no minimum is 0
+        hi, lo, skipped = col_max, col_min, 0
+        bits = _ratio_bits(hi, lo)
+    else:
+        live = col_max > 0.0  # an all-zero column has no ratio and no contrast
+        hi, lo = col_max[live], col_min[live]
         zeros = np.count_nonzero(rows == 0.0, axis=0)
-        skipped = int((zeros * (zeros - 1) // 2).sum())
-    contrast = float(np.max((hi - lo) / (hi + lo), initial=0.0))
-    return _ldp_bits(hi, lo), float(np.log2(col_max.sum())), contrast, skipped
+        bits, skipped = _ldp_bits(hi, lo), int((zeros * (zeros - 1) // 2).sum())
+    contrast = float(((hi - lo) / (hi + lo)).max())  # >= 0, since hi >= lo
+    return bits, float(np.log2(col_max.sum())), contrast, skipped
 
 
 def _certificates(w: Channel) -> tuple[PrivacyReport, float, int]:

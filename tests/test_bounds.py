@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from privmech import (
     DEFAULT_TOL,
+    BoundCheckResult,
     Channel,
     Distribution,
     channel_from_dict,
@@ -24,6 +25,7 @@ from privmech import (
     check_thm3,
     check_thm4,
     compose,
+    lecam_lower_check,
     map_adversary_gain,
     max_leakage,
     maxl_staircase,
@@ -296,6 +298,25 @@ class TestRunAllChecks:
         assert abs(level - (math.log2(0.5) - math.log2(1e-310))) <= 1e-9
         assert checks["lemma1"].applicable
         assert all(c.passed for c in checks.values() if c.applicable)
+        # R overflows, so the likelihood-ratio verdicts report log2 of each side
+        for c in checks.values():
+            assert all(math.isfinite(v) for v in (c.lhs, c.rhs, c.margin)), c
+        for name in ("thm2", "ldp_sandwich_upper"):
+            assert checks[name].lhs == level and "in bits" in checks[name].note
+            # log2(1 + eta/w*), with eta = 0.5 and w* = 1e-310
+            assert checks[name].rhs == pytest.approx(math.log2(0.5) - math.log2(1e-310), rel=1e-15)
+        assert checks["ldp_sandwich_lower"].lhs == pytest.approx(1.0)  # log2(2 eta/(1 - eta))
+        assert checks["ldp_sandwich_lower"].rhs == level
+
+    def test_record_is_an_immutable_value(self):
+        res = run_all_checks(randomized_response(3, 1.0))[0]
+        with pytest.raises(AttributeError):
+            res.lhs = 0.0
+        twin = BoundCheckResult(res.name, res.lhs, res.rhs, res.margin, res.passed, res.applicable)
+        assert twin == res and hash(twin) == hash(res) and twin.note == ""
+        assert list(res.to_dict()) == ["name", "lhs", "rhs", "margin", "passed", "applicable", "note"]
+        lecam = lecam_lower_check(2, 1.0, 400, 50, 0)
+        assert type(lecam) is BoundCheckResult
 
     def test_to_dict_round_trips_through_json(self):
         for res in run_all_checks(validate_channel(np.eye(2))):

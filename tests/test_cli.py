@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+from privmech import cli
+
 RR21 = {"rows": [[2 / 3, 1 / 3], [1 / 3, 2 / 3]], "tol": {"sum_tol": 1e-9}}
 
 
@@ -50,6 +52,8 @@ class TestAnalyze:
         assert res.returncode == 0, res.stderr
         payload = json.loads(res.stdout)
         assert math.isfinite(payload["report"]["ldp_level_bits"])
+        for c in payload["checks"]:  # no "inf" or "nan" strings: every side is a number
+            assert all(isinstance(c[key], float) and math.isfinite(c[key]) for key in ("lhs", "rhs", "margin")), c
 
     def test_malformed_json_exits_two(self):
         res = run_cli("analyze", "{not json")
@@ -183,6 +187,29 @@ class TestSweep:
         )
         payload = json.loads(res.stdout)
         assert len(payload["rows"]) == 1 and payload["rows"][0]["n"] == 50
+
+
+class TestOutOfMemory:
+    # the real sizes would ask numpy for 7 EiB, 74.5 GiB and 745 GiB: the
+    # called function is replaced by one that raises as numpy would
+    @pytest.mark.parametrize(
+        "target, argv",
+        [
+            ("randomized_response", ["construct", "rr", "--k", "1000000000", "--alpha", "1"]),
+            ("maxl_staircase", ["construct", "staircase", "--k", "100000", "--alpha", "1"]),
+            ("empirical_risk", ["simulate", "--k", "3", "--alpha", "1", "--n", "10",
+                                "--replicates", "100000000000"]),
+        ],
+    )
+    def test_exits_two_with_one_error_line(self, monkeypatch, capsys, target, argv):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+        monkeypatch.setattr(cli, target, exhausted)
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "74.5 GiB" in err
 
 
 class TestDeterminismAndEnvironment:
