@@ -28,9 +28,8 @@ class BoundCheckResult(NamedTuple):
 
     Likelihood-ratio verdicts (see the product-form note) report the
     ratio-form numbers but decide `passed` on the equivalent unit-scale
-    rearrangement, where the slack is meaningful. An immutable record: a
-    named tuple, which a certify op builds nine of at a fraction of a
-    frozen dataclass's cost.
+    rearrangement, where the slack is meaningful. An immutable record, kept
+    a named tuple because every certified channel builds nine of them.
     """
 
     name: str

@@ -230,7 +230,7 @@ def main(argv=None) -> int:
     except (PrivmechError, json.JSONDecodeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MemoryError as exc:  # numpy's names the size it could not allocate
+    except MemoryError as exc:  # numpy's error names the size it could not allocate
         print(f"error: not enough memory for this input. {exc}".rstrip(), file=sys.stderr)
         return 2
 
