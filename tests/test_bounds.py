@@ -326,9 +326,8 @@ class TestRunAllChecks:
 
 
 class TestCertifyBytesArePinned:
-    # sha256 of the corpus's reports and verdicts, as the certificates and
-    # verdicts printed them before the column pass dropped its mask for
-    # full-support channels
+    # sha256 of the corpus's reports and verdicts as JSON: it moves only
+    # when a printed number, flag or note does
     DIGEST = "2f8d11e1ea80f5a9d1fdfe8dd5272c8427033cdc1349befb4cddaacec46bbab2"
 
     def test_reports_and_verdicts_are_byte_identical(self, certify_corpus):

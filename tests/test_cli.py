@@ -53,7 +53,8 @@ class TestAnalyze:
         payload = json.loads(res.stdout)
         assert math.isfinite(payload["report"]["ldp_level_bits"])
         for c in payload["checks"]:  # no "inf" or "nan" strings: every side is a number
-            assert all(isinstance(c[key], float) and math.isfinite(c[key]) for key in ("lhs", "rhs", "margin")), c
+            for key in ("lhs", "rhs", "margin"):
+                assert isinstance(c[key], float) and math.isfinite(c[key]), c
 
     def test_malformed_json_exits_two(self):
         res = run_cli("analyze", "{not json")
