@@ -10,7 +10,7 @@ public `check_*` picks its verdicts from the same derivation. An
 inequality stated twice (thm2 and the upper LDP sandwich, thm4 and the upper
 leakage sandwich) is decided once.
 
-A verdict passes when lhs <= rhs + ineq_slack; checks whose preconditions
+A verdict passes when lhs <= rhs + INEQ_SLACK; checks whose preconditions
 fail are flagged `applicable=False` and pass vacuously (they are excluded
 from exit-code aggregation).
 """
@@ -19,12 +19,12 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .core import DEFAULT_TOL, Channel, ToleranceConfig, json_float
+from .core import INEQ_SLACK, Channel, json_float
 from .coefficients import PrivacyReport, _certificates, _column_certificates, privacy_report
 
 
 class BoundCheckResult(NamedTuple):
-    """One inequality verdict: passed iff lhs <= rhs + ineq_slack.
+    """One inequality verdict: passed iff lhs <= rhs + INEQ_SLACK.
 
     Likelihood-ratio verdicts (see the product-form note) report the
     ratio-form numbers but decide `passed` on the equivalent unit-scale
@@ -52,11 +52,11 @@ class BoundCheckResult(NamedTuple):
         }
 
 
-def _verdict(name, lhs, rhs, slack, applicable=True, note="") -> BoundCheckResult:
+def _verdict(name, lhs, rhs, applicable=True, note="") -> BoundCheckResult:
     lhs = float(lhs)
     rhs = float(rhs)
     # Python floats: inf - inf is nan without a warning
-    passed = bool(lhs <= rhs + slack) if applicable else True
+    passed = bool(lhs <= rhs + INEQ_SLACK) if applicable else True
     return BoundCheckResult(name, lhs, rhs, rhs - lhs, passed, applicable, note)
 
 
@@ -97,7 +97,7 @@ def _product_form(name, sides, holds, applicable, why_not, note) -> BoundCheckRe
     )
 
 
-def _report_verdicts(rep: PrivacyReport, slack: float) -> dict[str, BoundCheckResult]:
+def _report_verdicts(rep: PrivacyReport) -> dict[str, BoundCheckResult]:
     """The eight verdicts that depend on the report alone, by name, in output order."""
     eta, wstar, inf = rep.eta_tv, rep.min_entry, float("inf")
     ratio = _pow2(rep.ldp_level_bits)  # worst likelihood ratio R
@@ -105,7 +105,7 @@ def _report_verdicts(rep: PrivacyReport, slack: float) -> dict[str, BoundCheckRe
     # thm4 and maxl_sandwich_upper are one inequality, which needs |X| >= 2
     many = rep.input_size >= 2
     thm4 = _verdict(
-        "thm4", leak, 0.5 * rep.input_size * (1.0 + eta), slack, many, "" if many else "single input"
+        "thm4", leak, 0.5 * rep.input_size * (1.0 + eta), many, "" if many else "single input"
     )
     # so are thm2 (R <= 1 + eta/w*) and ldp_sandwich_upper (R - 1 <= eta/w*),
     # whose right sides are infinite when the channel has a zero entry
@@ -116,37 +116,47 @@ def _report_verdicts(rep: PrivacyReport, slack: float) -> dict[str, BoundCheckRe
         # a finite level whose R overflows: R - 1 rounds to R, and R * w* <= 1;
         # the sides are log2 R and log2(1 + eta/w*), with eta/w* never formed
         bits, log_wstar = rep.ldp_level_bits, math.log2(wstar)
-        upper_holds = 2.0 ** (bits + log_wstar) <= eta + slack
+        upper_holds = 2.0 ** (bits + log_wstar) <= eta + INEQ_SLACK
         thm2 = ldp_upper = (bits, math.log2(eta + wstar) - log_wstar)
         ldp_lower, note = (math.log2(lower), bits), _IN_BITS_NOTE
+        upper_note = note
     else:
         q = eta / wstar if full else inf
-        upper_holds = (ratio - 1.0) * wstar <= eta + slack
+        upper_holds = (ratio - 1.0) * wstar <= eta + INEQ_SLACK
         thm2, ldp_upper, ldp_lower = (ratio, 1.0 + q), (ratio - 1.0, q), (lower, ratio - 1.0)
-        note = _PRODUCT_FORM_NOTE
+        note = upper_note = _PRODUCT_FORM_NOTE
+        if full and math.isinf(q):
+            # R is finite but eta/w* overflows (w* is tiny): log2 of each side,
+            # where R - 1 >= 2 eta > 0 by the lower LDP sandwich
+            log_wstar = math.log2(wstar)
+            thm2 = (rep.ldp_level_bits, math.log2(eta + wstar) - log_wstar)
+            ldp_upper = (math.log2(ratio - 1.0), math.log2(eta) - log_wstar)
+            upper_note += "; lhs and rhs in bits, since eta/w* overflows"
     return {
         v.name: v
         for v in (
-            _verdict("thm1", eta, _ldp_cap(rep.ldp_level_bits), slack),
-            _product_form("thm2", thm2, upper_holds, full, "zero entry", note),
-            _verdict("thm3", eta, min(1.0, leak - 1.0), slack),
+            _verdict("thm1", eta, _ldp_cap(rep.ldp_level_bits)),
+            _product_form("thm2", thm2, upper_holds, full, "zero entry", upper_note),
+            _verdict("thm3", eta, min(1.0, leak - 1.0)),
             thm4,
-            _verdict("maxl_sandwich_lower", 1.0 + eta, leak, slack),
+            _verdict("maxl_sandwich_lower", 1.0 + eta, leak),
             BoundCheckResult("maxl_sandwich_upper", *thm4[1:]),
             _product_form(
                 "ldp_sandwich_lower",
                 ldp_lower,
-                2.0 * eta <= (ratio - 1.0) * (1.0 - eta) + slack,
+                2.0 * eta <= (ratio - 1.0) * (1.0 - eta) + INEQ_SLACK,
                 below_one,
                 "eta_tv = 1",
                 note,
             ),
-            _product_form("ldp_sandwich_upper", ldp_upper, upper_holds, full, "zero entry", note),
+            _product_form(
+                "ldp_sandwich_upper", ldp_upper, upper_holds, full, "zero entry", upper_note
+            ),
         )
     }
 
 
-def _lemma1(alpha: float, contrast: float, skipped: int, slack: float) -> BoundCheckResult:
+def _lemma1(alpha: float, contrast: float, skipped: int) -> BoundCheckResult:
     """Lemma 1 from the LDP level, the largest contrast and the count of
     skipped zero-zero pairs (see `coefficients._column_certificates`)."""
     applicable = not math.isinf(alpha)
@@ -154,51 +164,51 @@ def _lemma1(alpha: float, contrast: float, skipped: int, slack: float) -> BoundC
     if not applicable:
         notes.append("ldp level infinite")
     return _verdict(
-        "lemma1", contrast, _ldp_cap(alpha), slack, applicable=applicable, note="; ".join(notes)
+        "lemma1", contrast, _ldp_cap(alpha), applicable=applicable, note="; ".join(notes)
     )
 
 
-def check_thm1(w: Channel, tol: ToleranceConfig = DEFAULT_TOL) -> BoundCheckResult:
+def check_thm1(w: Channel) -> BoundCheckResult:
     """Dobrushin coefficient <= (2**a - 1)/(2**a + 1) at the channel's LDP level.
 
     An infinite level gives the vacuous right side 1.
     """
-    return _report_verdicts(privacy_report(w), tol.ineq_slack)["thm1"]
+    return _report_verdicts(privacy_report(w))["thm1"]
 
 
-def check_thm2(w: Channel, tol: ToleranceConfig = DEFAULT_TOL) -> BoundCheckResult:
+def check_thm2(w: Channel) -> BoundCheckResult:
     """Worst likelihood ratio <= 1 + eta_tv / (minimum entry).
 
     Only applicable to full-support channels; with a zero entry the right
     side is infinite.
     """
-    return _report_verdicts(privacy_report(w), tol.ineq_slack)["thm2"]
+    return _report_verdicts(privacy_report(w))["thm2"]
 
 
-def check_thm3(w: Channel, tol: ToleranceConfig = DEFAULT_TOL) -> BoundCheckResult:
+def check_thm3(w: Channel) -> BoundCheckResult:
     """Dobrushin coefficient <= min(1, 2**a - 1) at the channel's leakage level."""
-    return _report_verdicts(privacy_report(w), tol.ineq_slack)["thm3"]
+    return _report_verdicts(privacy_report(w))["thm3"]
 
 
-def check_thm4(w: Channel, tol: ToleranceConfig = DEFAULT_TOL) -> BoundCheckResult:
+def check_thm4(w: Channel) -> BoundCheckResult:
     """Column-max sum <= (|X|/2)(1 + eta_tv); equality at |X| = 2, not applicable at |X| = 1."""
-    return _report_verdicts(privacy_report(w), tol.ineq_slack)["thm4"]
+    return _report_verdicts(privacy_report(w))["thm4"]
 
 
-def check_maxl_sandwich(w: Channel, tol: ToleranceConfig = DEFAULT_TOL):
+def check_maxl_sandwich(w: Channel):
     """1 + eta_tv <= column-max sum <= (|X|/2)(1 + eta_tv), as two verdicts."""
-    v = _report_verdicts(privacy_report(w), tol.ineq_slack)
+    v = _report_verdicts(privacy_report(w))
     return v["maxl_sandwich_lower"], v["maxl_sandwich_upper"]
 
 
-def check_ldp_sandwich(w: Channel, tol: ToleranceConfig = DEFAULT_TOL):
+def check_ldp_sandwich(w: Channel):
     """2*eta/(1 - eta) <= R - 1 <= eta / (minimum entry), where R is the
     worst likelihood ratio. Each side carries its own applicability flag."""
-    v = _report_verdicts(privacy_report(w), tol.ineq_slack)
+    v = _report_verdicts(privacy_report(w))
     return v["ldp_sandwich_lower"], v["ldp_sandwich_upper"]
 
 
-def check_lemma1(w: Channel, tol: ToleranceConfig = DEFAULT_TOL) -> BoundCheckResult:
+def check_lemma1(w: Channel) -> BoundCheckResult:
     """Row-pair entry contrast |w1 - w2|/(w1 + w2) <= (2**a - 1)/(2**a + 1).
 
     Triples where both entries vanish are skipped (their contrast is the
@@ -207,10 +217,10 @@ def check_lemma1(w: Channel, tol: ToleranceConfig = DEFAULT_TOL) -> BoundCheckRe
     """
     # lemma 1 needs the column extremes and the LDP level, not eta_tv
     alpha, _, contrast, skipped = _column_certificates(w.rows)
-    return _lemma1(alpha, contrast, skipped, tol.ineq_slack)
+    return _lemma1(alpha, contrast, skipped)
 
 
-def run_all_checks(w: Channel, tol: ToleranceConfig = DEFAULT_TOL) -> list[BoundCheckResult]:
+def run_all_checks(w: Channel) -> list[BoundCheckResult]:
     """Every verdict for one channel, in a fixed order, from one report.
 
     The report and the numbers lemma 1 reads are the channel's
@@ -218,6 +228,6 @@ def run_all_checks(w: Channel, tol: ToleranceConfig = DEFAULT_TOL) -> list[Bound
     so asking for the report and then for the verdicts makes one pass.
     """
     rep, contrast, skipped = _certificates(w)
-    checks = list(_report_verdicts(rep, tol.ineq_slack).values())
-    checks.append(_lemma1(rep.ldp_level_bits, contrast, skipped, tol.ineq_slack))
+    checks = list(_report_verdicts(rep).values())
+    checks.append(_lemma1(rep.ldp_level_bits, contrast, skipped))
     return checks

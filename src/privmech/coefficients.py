@@ -13,15 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    DEFAULT_TOL,
-    Channel,
-    Distribution,
-    ToleranceConfig,
-    _check_count,
-    json_float,
-    validate_distribution,
-)
+from .core import Channel, Distribution, _check_count, json_float, validate_distribution
 from .divergences import FDivergenceSpec, FKind, _pair_divergence
 from .errors import BudgetTooSmall, DimensionMismatch
 
@@ -221,11 +213,7 @@ def _off_diagonal(n: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def estimate_eta_f(
-    w: Channel,
-    spec: FDivergenceSpec,
-    budget: int,
-    seed: int,
-    tol: ToleranceConfig = DEFAULT_TOL,
+    w: Channel, spec: FDivergenceSpec, budget: int, seed: int
 ) -> ContractionEstimate:
     """Search for a high ratio D_f(w(p0) || w(p1)) / D_f(p0 || p1).
 
@@ -292,7 +280,7 @@ def estimate_eta_f(
             f"total-variation search needs at least {n_vertex} evaluations "
             f"to cover all point-mass pairs, got {budget}"
         )
-    pair_div = _pair_divergence(spec, tol)
+    pair_div = _pair_divergence(spec)
     rows = w.rows
     block = max(1, _BLOCK_CELLS // max(k, w.output_size))
 
@@ -455,8 +443,8 @@ def estimate_eta_f(
     if best is not None:
         value = min(max(best_val, 0.0), 1.0)
         din, dout = best_div
-        w0 = validate_distribution(best[0], tol)
-        w1 = validate_distribution(best[1], tol)
+        w0 = validate_distribution(best[0])
+        w1 = validate_distribution(best[1])
     else:
         # no admissible pair (e.g. |X| = 1): report 0 with degenerate witnesses
         value = din = dout = 0.0

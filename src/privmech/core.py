@@ -3,7 +3,7 @@
 Distributions are validated probability vectors; channels are row-stochastic
 matrices acting on them by pushforward. Validation is strict: nothing is ever
 renormalized, because downstream certificate checks assume exact
-stochasticity up to the configured slack. All objects are immutable after
+stochasticity up to the sum slack (`SUM_TOL`). All objects are immutable after
 construction (frozen dataclasses over read-only copies of the arrays given)
 and safe to share across threads. A channel fills in its certificates on
 first use (see `Channel`); threads that race to do so compute and set equal
@@ -29,28 +29,11 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Single numerics policy shared by every module.
-
-    sum_tol: slack on vector/row sums at validation time.
-    eq_tol: slack for equality assertions between computed reals.
-    ineq_slack: slack added to the right side of inequality checks to absorb
-        accumulated rounding.
-    """
-
-    sum_tol: float = 1e-9
-    eq_tol: float = 1e-12
-    ineq_slack: float = 1e-10
-
-    def __post_init__(self):
-        for name in ("sum_tol", "eq_tol", "ineq_slack"):
-            value = getattr(self, name)
-            if not 0.0 < value <= 1e-3:
-                raise ValueError(f"{name} must lie in (0, 1e-3], got {value!r}")
-
-
-DEFAULT_TOL = ToleranceConfig()
+# The one numerics policy, shared by every module. Only the slack on row
+# sums can be set, and only through a channel JSON's "tol": {"sum_tol": x}.
+SUM_TOL = 1e-9  # slack on vector and row sums at validation
+EQ_TOL = 1e-12  # slack for equality between computed reals
+INEQ_SLACK = 1e-10  # added to the right side of inequality checks, for rounding
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -128,39 +111,46 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be a whole number >= 1, got {value!r}")
 
 
-def validate_distribution(p, tol: ToleranceConfig = DEFAULT_TOL) -> Distribution:
+def validate_distribution(p) -> Distribution:
     """Validate a raw real vector as a probability distribution.
 
-    Entries must be nonnegative and sum to 1 within `tol.sum_tol`. The
-    vector is never renormalized; out-of-tolerance input is an error.
+    Entries must be nonnegative and sum to 1 within `SUM_TOL`. The vector
+    is never renormalized; out-of-tolerance input is an error.
 
     Raises
     ------
-    EmptyVector, NonFiniteEntry, NegativeEntry, SumOutOfTolerance
+    ValidationError, EmptyVector, NonFiniteEntry, NegativeEntry, SumOutOfTolerance
     """
-    arr = np.asarray(p, dtype=float)
+    try:
+        arr = np.asarray(p, dtype=float)
+    except TypeError as exc:  # an entry that is no number: an object, null
+        raise ValidationError(f"entries must be numbers ({exc})") from exc
     if arr.ndim != 1:
         raise ValidationError(f"expected a 1-d vector, got shape {arr.shape}")
     if arr.size == 0:
         raise EmptyVector("probability vector is empty")
     _check_entries(arr)
     total = float(arr.sum())
-    if not abs(total - 1.0) <= tol.sum_tol:
-        raise SumOutOfTolerance(total, tol.sum_tol)
+    if not abs(total - 1.0) <= SUM_TOL:
+        raise SumOutOfTolerance(total, SUM_TOL)
     return Distribution(arr, arr.size)
 
 
-def validate_channel(m, tol: ToleranceConfig = DEFAULT_TOL) -> Channel:
+def validate_channel(m, sum_tol: float = SUM_TOL) -> Channel:
     """Validate a raw real matrix as a row-stochastic channel.
 
-    Every row must pass the same checks as `validate_distribution`.
+    Every row must pass the same checks as `validate_distribution`, with
+    row sums within `sum_tol` of 1 (a channel JSON's "tol" sets it).
 
     Raises
     ------
-    EmptyMatrix, RaggedRows, NonFiniteEntry, NegativeEntry, RowSumOutOfTolerance
+    EmptyMatrix, RaggedRows, NonFiniteEntry, NegativeEntry, RowSumOutOfTolerance,
+    ValidationError (an entry that is no number)
     """
     try:
         arr = np.asarray(m, dtype=float)
+    except TypeError as exc:
+        raise ValidationError(f"entries must be numbers ({exc})") from exc
     except ValueError as exc:
         raise RaggedRows(f"rows have unequal lengths: {exc}") from exc
     if arr.size == 0:
@@ -169,10 +159,10 @@ def validate_channel(m, tol: ToleranceConfig = DEFAULT_TOL) -> Channel:
         raise ValidationError(f"expected a 2-d matrix, got shape {arr.shape}")
     _check_entries(arr)
     sums = arr.sum(axis=1)
-    off = ~(np.abs(sums - 1.0) <= tol.sum_tol)
+    off = ~(np.abs(sums - 1.0) <= sum_tol)
     if off.any():
         r = int(np.where(off)[0][0])
-        raise RowSumOutOfTolerance(r, float(sums[r]), tol.sum_tol)
+        raise RowSumOutOfTolerance(r, float(sums[r]), sum_tol)
     return Channel(arr, arr.shape[0], arr.shape[1])
 
 
@@ -204,29 +194,40 @@ def json_float(x: float):
     return x
 
 
-def channel_to_dict(w: Channel, tol: ToleranceConfig = DEFAULT_TOL) -> dict:
-    """Interchange form: {"rows": [[...], ...], "tol": {"sum_tol": ...}}."""
+def channel_to_dict(w: Channel) -> dict:
+    """Interchange form: {"rows": [[...], ...], "tol": {"sum_tol": SUM_TOL}}."""
     return {
         "rows": [[float(v) for v in row] for row in w.rows],
-        "tol": {"sum_tol": tol.sum_tol},
+        "tol": {"sum_tol": SUM_TOL},
     }
 
 
-def channel_from_dict(d: dict, tol: ToleranceConfig | None = None) -> Channel:
-    """Parse the interchange form; unknown keys are ignored."""
+def channel_from_dict(d: dict) -> Channel:
+    """Parse the interchange form; unknown keys are ignored. An optional
+    "tol" object may set "sum_tol", the row-sum slack, in (0, 1e-3]: the
+    only tolerance a caller can set."""
     if not isinstance(d, dict) or "rows" not in d:
         raise ValidationError("channel JSON must be an object with a 'rows' key")
-    if tol is None:
-        raw_tol = d.get("tol") or {}
-        tol = ToleranceConfig(sum_tol=float(raw_tol.get("sum_tol", DEFAULT_TOL.sum_tol)))
-    return validate_channel(d["rows"], tol)
+    tol = d.get("tol", {})
+    if not isinstance(tol, dict):
+        raise ValidationError(f"channel JSON 'tol' must be an object, got {tol!r}")
+    sum_tol = tol.get("sum_tol", SUM_TOL)
+    if not isinstance(sum_tol, (int, float)):
+        raise ValidationError(f"sum_tol must be a number, got {sum_tol!r}")
+    try:
+        sum_tol = float(sum_tol)
+    except OverflowError:  # a JSON integer past the double range
+        sum_tol = math.inf if sum_tol > 0 else -math.inf
+    if not 0.0 < sum_tol <= 1e-3:
+        raise ValidationError(f"sum_tol must lie in (0, 1e-3], got {sum_tol!r}")
+    return validate_channel(d["rows"], sum_tol)
 
 
 def distribution_to_dict(p: Distribution) -> dict:
     return {"probs": [float(v) for v in p.probs]}
 
 
-def distribution_from_dict(d: dict, tol: ToleranceConfig = DEFAULT_TOL) -> Distribution:
+def distribution_from_dict(d: dict) -> Distribution:
     if not isinstance(d, dict) or "probs" not in d:
         raise ValidationError("distribution JSON must be an object with a 'probs' key")
-    return validate_distribution(d["probs"], tol)
+    return validate_distribution(d["probs"])

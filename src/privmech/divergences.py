@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Distribution, ToleranceConfig
+from .core import EQ_TOL, Distribution
 from .errors import CustomFNotNormalized, DimensionMismatch
 
 _LN2 = math.log(2.0)
@@ -136,13 +136,13 @@ def _chi2_pair(base: np.ndarray, diff: np.ndarray, split: int | None = None) -> 
     return _column_sums(terms, split)
 
 
-def _custom_pair(spec: FDivergenceSpec, tol: ToleranceConfig):
+def _custom_pair(spec: FDivergenceSpec):
     """Pair kernel of a custom f, evaluated on the reconstructed pair, so
     its precision near zero divergence depends on the caller's f. Raises
-    CustomFNotNormalized unless f(1) = 0 within tol.eq_tol."""
+    CustomFNotNormalized unless f(1) = 0 within EQ_TOL."""
     f = spec.custom_f
     at_one = float(f(1.0))
-    if not abs(at_one) <= tol.eq_tol:
+    if not abs(at_one) <= EQ_TOL:
         raise CustomFNotNormalized(f"f(1) = {at_one!r}, expected 0")
     # probe f(t)/t growth; a convex f has a (possibly infinite) limit slope
     try:
@@ -168,7 +168,7 @@ def _custom_pair(spec: FDivergenceSpec, tol: ToleranceConfig):
     return pair
 
 
-def _pair_divergence(spec: FDivergenceSpec, tol: ToleranceConfig):
+def _pair_divergence(spec: FDivergenceSpec):
     """The kernel D(base + diff || base) of `spec`, as a function of two
     arrays of shape (..., m): one divergence per row, reduced over the last
     axis, and an optional column `split`, which gives an array of shape
@@ -181,15 +181,10 @@ def _pair_divergence(spec: FDivergenceSpec, tol: ToleranceConfig):
         return _kl_pair_bits
     if spec.kind is FKind.CHI_SQUARED:
         return _chi2_pair
-    return _custom_pair(spec, tol)
+    return _custom_pair(spec)
 
 
-def f_divergence(
-    p: Distribution,
-    q: Distribution,
-    spec: FDivergenceSpec,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> float:
+def f_divergence(p: Distribution, q: Distribution, spec: FDivergenceSpec) -> float:
     """sum_z q(z) f(p(z)/q(z)) with the conventions 0/0 := 1 and 1/0 := inf,
     evaluated from the base q and the difference p - q.
 
@@ -200,4 +195,4 @@ def f_divergence(
     (sum p - sum q)/ln 2 and never negative.
     """
     _check_sizes(p, q)
-    return float(_pair_divergence(spec, tol)(q.probs, p.probs - q.probs))
+    return float(_pair_divergence(spec)(q.probs, p.probs - q.probs))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Channel, ToleranceConfig, validate_channel
+from .core import Channel, validate_channel
 from .errors import (
     AlphaOutOfRange,
     InvalidConcentration,
@@ -36,7 +36,7 @@ def _check_k_alpha(k, alpha_bits, allow_zero=False):
         raise AlphaOutOfRange(f"alpha_bits must be positive, got {alpha_bits!r}")
 
 
-def randomized_response(k: int, alpha_bits: float, tol: ToleranceConfig = DEFAULT_TOL) -> Channel:
+def randomized_response(k: int, alpha_bits: float) -> Channel:
     """k x k randomized response: keep the symbol with boosted probability.
 
     Diagonal entries are 2**a / (2**a + k - 1), off-diagonal entries
@@ -47,10 +47,10 @@ def randomized_response(k: int, alpha_bits: float, tol: ToleranceConfig = DEFAUL
     r = 2.0 ** float(alpha_bits)
     denom = r + k - 1.0
     rows = np.full((k, k), 1.0 / denom) + np.eye(k) * ((r - 1.0) / denom)
-    return validate_channel(rows, tol)
+    return validate_channel(rows)
 
 
-def z_channel(alpha_bits: float, tol: ToleranceConfig = DEFAULT_TOL) -> Channel:
+def z_channel(alpha_bits: float) -> Channel:
     """Binary asymmetric mechanism [[2**a - 1, 2 - 2**a], [0, 1]].
 
     Defined for 0 <= a <= 1 only; outside that range an entry would leave
@@ -61,7 +61,7 @@ def z_channel(alpha_bits: float, tol: ToleranceConfig = DEFAULT_TOL) -> Channel:
         raise AlphaOutOfRange(f"alpha_bits must lie in [0, 1], got {alpha_bits!r}")
     r = 2.0 ** float(alpha_bits)
     rows = np.array([[r - 1.0, 2.0 - r], [0.0, 1.0]])
-    return validate_channel(rows, tol)
+    return validate_channel(rows)
 
 
 def staircase_rate(k: int, alpha_bits: float) -> float:
@@ -83,7 +83,7 @@ def staircase_rate(k: int, alpha_bits: float) -> float:
     return min((r - 1.0) / (k - 1.0), 1.0)
 
 
-def maxl_staircase(k: int, alpha_bits: float, tol: ToleranceConfig = DEFAULT_TOL) -> Channel:
+def maxl_staircase(k: int, alpha_bits: float) -> Channel:
     """k x (k+1) mechanism passing symbol x through with probability lam,
     otherwise emitting the dummy symbol (last output column).
 
@@ -95,15 +95,11 @@ def maxl_staircase(k: int, alpha_bits: float, tol: ToleranceConfig = DEFAULT_TOL
     idx = np.arange(k)
     rows[idx, idx] = lam
     rows[:, k] = 1.0 - lam
-    return validate_channel(rows, tol)
+    return validate_channel(rows)
 
 
 def random_channel(
-    in_size: int,
-    out_size: int,
-    concentration: float = 1.0,
-    seed: int = 0,
-    tol: ToleranceConfig = DEFAULT_TOL,
+    in_size: int, out_size: int, concentration: float = 1.0, seed: int = 0
 ) -> Channel:
     """Channel with rows drawn i.i.d. from a symmetric Dirichlet.
 
@@ -119,4 +115,4 @@ def random_channel(
         )
     rng = np.random.default_rng(seed)
     rows = rng.dirichlet(np.full(out_size, float(concentration)), size=in_size)
-    return validate_channel(rows, tol)
+    return validate_channel(rows)

@@ -19,15 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .bounds import BoundCheckResult, _verdict
-from .core import (
-    DEFAULT_TOL,
-    Channel,
-    Distribution,
-    ToleranceConfig,
-    _check_count,
-    pushforward,
-    validate_distribution,
-)
+from .core import EQ_TOL, Channel, Distribution, _check_count, pushforward, validate_distribution
 from .divergences import _LN2, _kl_pair_bits
 from .errors import BadDirectionVector, DimensionMismatch, PreconditionNotMet, SymbolOutOfRange
 from .mechanisms import _check_k, _check_k_alpha, staircase_rate
@@ -35,6 +27,9 @@ from .mechanisms import _check_k, _check_k_alpha, staircase_rate
 # Count cells per multinomial block. Rows are drawn in order from one
 # generator, so the block size bounds memory without changing any result.
 _BLOCK_CELLS = 1 << 16
+
+# How near its limit the large-sample condition must come (see lecam_lower_check).
+_TAYLOR_SLACK = 1e-3
 
 
 @dataclass(frozen=True)
@@ -201,16 +196,10 @@ def default_direction(k: int) -> np.ndarray:
     return u
 
 
-def lecam_pair(
-    k: int,
-    alpha_bits: float,
-    n: int,
-    u,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> LeCamPair:
+def lecam_pair(k: int, alpha_bits: float, n: int, u) -> LeCamPair:
     """Uniform p0 and p1(x) = 1/k + u(x)/sqrt(n*(2**a - 1)).
 
-    `u` must be zero-sum with unit squared norm (within eq_tol). The pair
+    `u` must be zero-sum with unit squared norm (within EQ_TOL). The pair
     is flagged invalid when any p1 entry leaves [0, 1], which cannot happen
     once n >= k^2/(2**a - 1).
     """
@@ -221,7 +210,7 @@ def lecam_pair(
         raise BadDirectionVector(f"direction must have length {k}, got shape {uu.shape}")
     total = float(uu.sum())
     sqnorm = float(uu @ uu)
-    if abs(total) > tol.eq_tol or abs(sqnorm - 1.0) > tol.eq_tol:
+    if abs(total) > EQ_TOL or abs(sqnorm - 1.0) > EQ_TOL:
         raise BadDirectionVector(
             f"direction must satisfy sum u = 0 and sum u^2 = 1, got {total!r} and {sqnorm!r}"
         )
@@ -229,7 +218,7 @@ def lecam_pair(
     scale = math.sqrt(n * (2.0 ** alpha_bits - 1.0))
     p1_raw = 1.0 / k + uu / scale
     valid = bool((p1_raw >= 0.0).all() and (p1_raw <= 1.0).all())
-    p1 = validate_distribution(p1_raw, tol) if valid else None
+    p1 = validate_distribution(p1_raw) if valid else None
     uu_ro = uu.copy()
     uu_ro.setflags(write=False)
     return LeCamPair(p0=p0, p1=p1, u=uu_ro, valid=valid)
@@ -244,13 +233,7 @@ def _taylor_value(k, alpha_bits, n, u) -> float:
 
 
 def lecam_lower_check(
-    k: int,
-    alpha_bits: float,
-    n: int,
-    replicates: int,
-    seed: int,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    taylor_slack: float = 1e-3,
+    k: int, alpha_bits: float, n: int, replicates: int, seed: int
 ) -> BoundCheckResult:
     """Check the two-point lower bound: the staircase estimator's average
     risk over the pair must be at least 1/(16*n*(2**a - 1)).
@@ -259,10 +242,10 @@ def lecam_lower_check(
     smallest satisfying n:
 
     * pair validity: n >= k^2/(2**a - 1);
-    * large-sample condition: n*(2**a - 1)*KL(p1 || p0) <= 1 + taylor_slack,
+    * large-sample condition: n*(2**a - 1)*KL(p1 || p0) <= 1 + 1e-3,
       with KL in nats. The product approaches k/2 from above as n grows
       (for k = 2 it is 1 + 1/(3n(2**a - 1))), so a strict <= 1 test is
-      unsatisfiable for every n; `taylor_slack` sets how close to the
+      unsatisfiable for every n; the slack 1e-3 sets how close to the
       limit counts as converged, and for k >= 3 no sample size qualifies.
 
     The verdict passes iff S >= bound - 3*std_error, where S is the Monte
@@ -281,19 +264,19 @@ def lecam_lower_check(
         )
     u = default_direction(k)
     value = _taylor_value(k, alpha_bits, n, u)
-    if value > 1.0 + taylor_slack:
-        min_n = _min_taylor_n(k, alpha_bits, n_min, taylor_slack)
+    if value > 1.0 + _TAYLOR_SLACK:
+        min_n = _min_taylor_n(k, alpha_bits, n_min)
         detail = (
             f"smallest satisfying n is {min_n}"
             if min_n is not None
             else f"no sample size satisfies it for k = {k} (limit {k / 2:.3f})"
         )
         raise PreconditionNotMet(
-            f"large-sample condition value {value:.6f} exceeds 1 + {taylor_slack}; {detail}",
+            f"large-sample condition value {value:.6f} exceeds 1 + {_TAYLOR_SLACK}; {detail}",
             condition="large_sample",
             min_n=min_n,
         )
-    pair = lecam_pair(k, alpha_bits, n, u, tol)
+    pair = lecam_pair(k, alpha_bits, n, u)
     assert pair.valid and pair.p1 is not None
     rng = np.random.default_rng(seed)
     risks0 = _mc_risks(pair.p0, lam, n, replicates, rng)
@@ -310,7 +293,6 @@ def lecam_lower_check(
         "lecam_lower",
         bound - 3.0 * se,
         s_value,
-        tol.ineq_slack,
         note=(
             f"two-point mean risk {s_value:.6e} (se {se:.3e}, {replicates} replicates "
             f"per point); large-sample condition value {value:.6f}"
@@ -318,25 +300,25 @@ def lecam_lower_check(
     )
 
 
-def _min_taylor_n(k, alpha_bits, n_min, taylor_slack):
+def _min_taylor_n(k, alpha_bits, n_min):
     """Smallest n >= n_min meeting the large-sample condition, or None."""
     u = default_direction(k)
     limit = k / 2.0
-    if limit > 1.0 + taylor_slack:
+    if limit > 1.0 + _TAYLOR_SLACK:
         return None
     hi = max(n_min, 1)
     for _ in range(64):
-        if _taylor_value(k, alpha_bits, hi, u) <= 1.0 + taylor_slack:
+        if _taylor_value(k, alpha_bits, hi, u) <= 1.0 + _TAYLOR_SLACK:
             break
         hi *= 2
     else:
         return None
     lo = n_min
-    if _taylor_value(k, alpha_bits, lo, u) <= 1.0 + taylor_slack:
+    if _taylor_value(k, alpha_bits, lo, u) <= 1.0 + _TAYLOR_SLACK:
         return lo
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _taylor_value(k, alpha_bits, mid, u) <= 1.0 + taylor_slack:
+        if _taylor_value(k, alpha_bits, mid, u) <= 1.0 + _TAYLOR_SLACK:
             hi = mid
         else:
             lo = mid

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from privmech import (
-    DEFAULT_TOL,
     BoundCheckResult,
     Channel,
     Distribution,
@@ -38,6 +37,7 @@ from privmech import (
     z_channel,
 )
 from privmech import coefficients
+from privmech.core import INEQ_SLACK
 
 CONSTANT = validate_channel([[0.3, 0.7], [0.3, 0.7]])
 ALPHAS = [0.25, 0.5, 1.0, 2.0, 4.0]
@@ -308,6 +308,28 @@ class TestRunAllChecks:
         assert checks["ldp_sandwich_lower"].lhs == pytest.approx(1.0)  # log2(2 eta/(1 - eta))
         assert checks["ldp_sandwich_lower"].rhs == level
 
+    def test_overflowing_eta_over_min_entry_reports_bits(self):
+        # R = 2 is finite, but eta/w* = 0.25/1e-317 overflows a double
+        w = validate_channel([[0.5 - 1e-317, 1e-317, 0.5], [0.25, 2e-317, 0.75 - 2e-317]])
+        rep = privacy_report(w)
+        assert rep.ldp_level_bits == 1.0 and rep.min_entry == 1e-317
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            checks = {c.name: c for c in run_all_checks(w)}
+        for c in checks.values():
+            assert all(math.isfinite(v) for v in (c.lhs, c.rhs, c.margin)), c
+            assert c.applicable and c.passed, c
+        log_q = math.log2(0.25) - math.log2(1e-317)  # log2(eta/w*)
+        thm2, upper = checks["thm2"], checks["ldp_sandwich_upper"]
+        assert thm2.lhs == 1.0 and upper.lhs == 0.0  # log2 R and log2(R - 1)
+        assert thm2.rhs == pytest.approx(log_q, rel=1e-15)  # log2(1 + eta/w*)
+        assert upper.rhs == pytest.approx(log_q, rel=1e-15)
+        for c in (thm2, upper):
+            assert c.margin == c.rhs - c.lhs and c.note.endswith("since eta/w* overflows")
+        # the lower sandwich keeps the ratio form: 2 eta/(1 - eta) = 2/3 <= R - 1 = 1
+        lower = checks["ldp_sandwich_lower"]
+        assert (lower.lhs, lower.rhs) == (2 * 0.25 / 0.75, 1.0) and "bits" not in lower.note
+
     def test_record_is_an_immutable_value(self):
         res = run_all_checks(randomized_response(3, 1.0))[0]
         with pytest.raises(AttributeError):
@@ -467,7 +489,7 @@ class TestBoundProperties:
     @given(_composable())
     def test_verdicts_leakage_and_composition(self, case):
         w1, w2, px = case
-        slack = DEFAULT_TOL.ineq_slack
+        slack = INEQ_SLACK
         reports = [privacy_report(w) for w in (w1, w2)]
         for w in (w1, w2):
             checks = run_all_checks(w)

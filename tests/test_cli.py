@@ -213,6 +213,40 @@ class TestOutOfMemory:
         assert err.startswith("error: ") and err.count("\n") == 1 and "74.5 GiB" in err
 
 
+class TestMalformedInput:
+    # in process, so an uncaught exception fails the test instead of
+    # exiting 1 with a traceback
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", '{"rows": [[0.5, 0.5]], "tol": {"sum_tol": null}}'],
+            ["analyze", '{"rows": [[0.5, 0.5]], "tol": {"sum_tol": "1e-6"}}'],
+            ["analyze", '{"rows": [[0.5, 0.5]], "tol": 5}'],
+            ["analyze", '{"rows": [[0.5, 0.5]], "tol": [1]}'],
+            ["analyze", '{"rows": [[0.5, 0.5]], "tol": {"sum_tol": 0}}'],
+            ["analyze", '{"rows": [[{}]]}'],
+            ["bounds-check", '{"rows": [[0.5, {}], [0.5, 0.5]]}'],
+            ["simulate", "--k", "2", "--alpha", "1", "--n", "10", "--replicates", "10",
+             "--source", '{"probs": [{}, 1]}'],
+        ],
+    )
+    def test_exits_two_with_one_error_line(self, capsys, argv):
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_json_sum_tol_widens_the_row_sum_check(self, capsys):
+        # rows off by -1e-7 and +1e-7; balanced, so every verdict still holds
+        rows = [[0.7, 0.3 - 1e-7], [0.2, 0.8 + 1e-7]]
+        loose = {"rows": rows, "tol": {"sum_tol": 1e-6}}
+        assert cli.main(["analyze", json.dumps(loose)]) == 0
+        assert json.loads(capsys.readouterr().out)["report"]["input_size"] == 2
+        assert cli.main(["analyze", json.dumps({"rows": rows})]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: row 0 sums to ") and "1e-09" in err
+
+
 class TestDeterminismAndEnvironment:
     def test_byte_identical_reruns(self, tmp_path):
         invocations = [

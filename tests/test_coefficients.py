@@ -35,7 +35,6 @@ from privmech import (
     z_channel,
 )
 from privmech import coefficients
-from privmech.core import DEFAULT_TOL
 from privmech.divergences import _pair_divergence
 from privmech.errors import BudgetTooSmall, CustomFNotNormalized, DimensionMismatch
 
@@ -48,7 +47,7 @@ def _pushed_divergence(w, est, spec) -> float:
     pushed through the channel: pushing each witness separately rounds the
     output pair by ~1e-17, which at D ~ 1e-12 is ~1e-8 relative."""
     p0, p1 = est.witness_p0.probs, est.witness_p1.probs
-    return float(_pair_divergence(spec, DEFAULT_TOL)(p1 @ w.rows, (p0 - p1) @ w.rows))
+    return float(_pair_divergence(spec)(p1 @ w.rows, (p0 - p1) @ w.rows))
 
 
 class TestDobrushinCoefficient:

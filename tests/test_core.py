@@ -1,10 +1,12 @@
+import inspect
+
 import numpy as np
 import pytest
 
+import privmech
 from privmech import (
     Channel,
     Distribution,
-    ToleranceConfig,
     channel_from_dict,
     channel_to_dict,
     compose,
@@ -14,6 +16,7 @@ from privmech import (
     validate_channel,
     validate_distribution,
 )
+from privmech.core import EQ_TOL, INEQ_SLACK, SUM_TOL
 from privmech.errors import (
     DimensionMismatch,
     EmptyMatrix,
@@ -27,17 +30,35 @@ from privmech.errors import (
 )
 
 
-class TestToleranceConfig:
+class TestNumericsPolicy:
     def test_defaults(self):
-        tol = ToleranceConfig()
-        assert tol.sum_tol == 1e-9
-        assert tol.eq_tol == 1e-12
-        assert tol.ineq_slack == 1e-10
+        assert SUM_TOL == 1e-9
+        assert EQ_TOL == 1e-12
+        assert INEQ_SLACK == 1e-10
 
     @pytest.mark.parametrize("bad", [0.0, -1e-9, 2e-3, float("nan")])
     def test_rejects_out_of_range(self, bad):
-        with pytest.raises(ValueError):
-            ToleranceConfig(sum_tol=bad)
+        with pytest.raises(ValidationError, match="sum_tol must lie in"):
+            channel_from_dict({"rows": [[1.0]], "tol": {"sum_tol": bad}})
+
+    def test_no_public_callable_takes_a_tolerance(self):
+        # the policy is the three constants; a channel's row-sum slack is the
+        # one value a caller sets, through validate_channel or the JSON "tol"
+        def is_tolerance(param):
+            return param == "tol" or param.endswith(("_tol", "_slack"))
+
+        found, walked = [], 0
+        for name in privmech.__all__:
+            obj = getattr(privmech, name)
+            if not callable(obj):
+                continue
+            walked += 1
+            found += [
+                (name, param)
+                for param in inspect.signature(obj).parameters
+                if is_tolerance(param) and (name, param) != ("validate_channel", "sum_tol")
+            ]
+        assert walked >= 50 and found == []
 
 
 class TestValidateDistribution:
@@ -172,7 +193,6 @@ class TestPushforward:
 
     def test_affine_in_the_distribution(self):
         rng = np.random.default_rng(55)
-        tol = ToleranceConfig()
         for _ in range(200):
             k, m = rng.integers(1, 6, size=2)
             w = validate_channel(rng.dirichlet(np.ones(m), size=k))
@@ -183,7 +203,7 @@ class TestPushforward:
             parts = lam * pushforward(w, validate_distribution(p0)).probs + (
                 1 - lam
             ) * pushforward(w, validate_distribution(p1)).probs
-            assert np.abs(mixed.probs - parts).max() <= tol.eq_tol
+            assert np.abs(mixed.probs - parts).max() <= EQ_TOL
 
 
 class TestCompose:
@@ -212,7 +232,6 @@ class TestCompose:
 
     def test_associative_and_consistent_with_pushforward(self):
         rng = np.random.default_rng(77)
-        tol = ToleranceConfig()
         for _ in range(100):
             a, b, c, d = rng.integers(1, 6, size=4)
             wa = validate_channel(rng.dirichlet(np.ones(b), size=a))
@@ -220,11 +239,11 @@ class TestCompose:
             wc = validate_channel(rng.dirichlet(np.ones(d), size=c))
             left = compose(compose(wa, wb), wc).rows
             right = compose(wa, compose(wb, wc)).rows
-            assert np.abs(left - right).max() <= tol.eq_tol
+            assert np.abs(left - right).max() <= EQ_TOL
             p = validate_distribution(rng.dirichlet(np.ones(a)))
             via_compose = pushforward(compose(wa, wb), p).probs
             via_stages = pushforward(wb, pushforward(wa, p)).probs
-            assert np.abs(via_compose - via_stages).max() <= tol.eq_tol
+            assert np.abs(via_compose - via_stages).max() <= EQ_TOL
 
 
 class TestJsonInterchange:
@@ -242,6 +261,40 @@ class TestJsonInterchange:
     def test_channel_missing_rows(self):
         with pytest.raises(ValidationError):
             channel_from_dict({"tol": {"sum_tol": 1e-9}})
+
+    def test_json_sum_tol_is_the_one_settable_tolerance(self):
+        # rows off by -1e-7 and +1e-7; balanced, so every verdict still holds
+        rows = [[0.7, 0.3 - 1e-7], [0.2, 0.8 + 1e-7]]
+        w = channel_from_dict({"rows": rows, "tol": {"sum_tol": 1e-6}})
+        assert np.array_equal(w.rows, rows)
+        for d in ({"rows": rows}, {"rows": rows, "tol": {}}):
+            with pytest.raises(RowSumOutOfTolerance) as exc:
+                channel_from_dict(d)
+            assert exc.value.row == 0 and exc.value.sum_tol == SUM_TOL
+
+    @pytest.mark.parametrize("tol", [None, 5, [1], "1e-6", True])
+    def test_channel_tol_must_be_an_object(self, tol):
+        with pytest.raises(ValidationError, match="'tol' must be an object"):
+            channel_from_dict({"rows": [[1.0]], "tol": tol})
+
+    @pytest.mark.parametrize("sum_tol", [None, "1e-6", [1e-6], {}])
+    def test_sum_tol_must_be_a_number(self, sum_tol):
+        with pytest.raises(ValidationError, match="sum_tol must be a number"):
+            channel_from_dict({"rows": [[1.0]], "tol": {"sum_tol": sum_tol}})
+
+    def test_huge_integer_sum_tol_is_out_of_range(self):
+        with pytest.raises(ValidationError, match="sum_tol must lie in"):
+            channel_from_dict({"rows": [[1.0]], "tol": {"sum_tol": 10 ** 400}})
+
+    @pytest.mark.parametrize("raw", [[[{}]], [[0.5, object()]], {}])
+    def test_non_numeric_channel_entries_are_validation_errors(self, raw):
+        with pytest.raises(ValidationError, match="entries must be numbers"):
+            validate_channel(raw)
+
+    @pytest.mark.parametrize("raw", [[{}, 1], [0.5, object()], {}])
+    def test_non_numeric_distribution_entries_are_validation_errors(self, raw):
+        with pytest.raises(ValidationError, match="entries must be numbers"):
+            validate_distribution(raw)
 
     def test_distribution_round_trip(self):
         p = validate_distribution([0.25, 0.75])

@@ -19,7 +19,6 @@ from privmech import (
     validate_channel,
     validate_distribution,
 )
-from privmech.core import DEFAULT_TOL
 from privmech.divergences import _pair_divergence
 from privmech.errors import CustomFNotNormalized, DimensionMismatch
 
@@ -219,7 +218,7 @@ class TestKernelProperties:
                 CHI_SQUARED,
                 FDivergenceSpec(FKind.CUSTOM, custom_f=lambda t: (t - 1.0) ** 2),
             ):
-                kernel = _pair_divergence(spec, DEFAULT_TOL)
+                kernel = _pair_divergence(spec)
                 batched = kernel(base, diff)
                 assert batched.shape == (40,)
                 for i in range(40):

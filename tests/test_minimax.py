@@ -263,6 +263,64 @@ class TestCountsEngine:
         assert peak < 16 * 2**20  # an unblocked draw peaks near 249 MB
 
 
+def _exact_risk_variance(p, lam, n) -> float:
+    """Var R for R = sum_{x<k} D_x^2/(n lam)^2, D = N - n q, N ~ Multinomial(n, q),
+    q = (lam p, 1 - lam), from the cumulants of one draw Z = e_Y - q:
+    Var R = sum_{x,y<k} [n k4(x,x,y,y) + 2 n^2 k2(x,y)^2] / (n lam)^4."""
+    q = np.append(lam * p, 1.0 - lam)
+    k = p.size
+    k2 = (np.diag(q) - np.outer(q, q))[:k, :k]
+    dev2 = ((np.eye(q.size) - q) ** 2)[:, :k]  # (delta_cx - q_x)^2
+    m4 = np.einsum("c,cx,cy->xy", q, dev2, dev2)
+    k4 = m4 - np.outer(np.diag(k2), np.diag(k2)) - 2.0 * k2 ** 2
+    return float((n * k4 + 2.0 * n * n * k2 ** 2).sum() / (n * lam) ** 4)
+
+
+def _enumerated_risk_moments(p, lam, n) -> tuple[float, float]:
+    """Mean and variance of R over every count vector of Multinomial(n, q)."""
+    q = np.append(lam * p, 1.0 - lam)
+
+    def compositions(total, parts):
+        if parts == 1:
+            yield (total,)
+            return
+        for c in range(total + 1):
+            for rest in compositions(total - c, parts - 1):
+                yield (c, *rest)
+
+    probs, risks = [], []
+    for counts in compositions(n, q.size):
+        coef = math.factorial(n)
+        for c in counts:
+            coef //= math.factorial(c)
+        probs.append(coef * math.prod(float(qc) ** c for qc, c in zip(q, counts)))
+        risks.append(float(np.sum((np.array(counts[:-1]) / (n * lam) - p) ** 2)))
+    probs, risks = np.array(probs), np.array(risks)
+    mean = float(probs @ risks)
+    return mean, float(probs @ (risks - mean) ** 2)
+
+
+class TestRiskVarianceOracle:
+    @pytest.mark.parametrize("k, alpha, n", [(2, 1.0, 9), (3, 1.0, 12), (4, 1.5, 10)])
+    def test_matches_exact_enumeration(self, k, alpha, n):
+        p = np.full(k, 1.0 / k)
+        lam = staircase_rate(k, alpha)
+        mean, var = _enumerated_risk_moments(p, lam, n)
+        assert abs(_exact_risk_variance(p, lam, n) - var) <= 1e-12 * var
+        closed = closed_form_risk(Distribution.uniform(k), k, alpha, n)
+        assert abs(closed - mean) <= 1e-12 * mean
+
+    def test_std_error_matches_the_oracle(self):
+        k, alpha, n, replicates = 3, 1.0, 1000, 200_000
+        est = empirical_risk(SimulationConfig(
+            k=k, alpha_bits=alpha, n=n, replicates=replicates, seed=0,
+            source=Distribution.uniform(k),
+        ))
+        var = _exact_risk_variance(np.full(k, 1.0 / k), staircase_rate(k, alpha), n)
+        ratio = est.std_error * math.sqrt(replicates) / math.sqrt(var)
+        assert abs(ratio - 1.0) <= 0.02, ratio
+
+
 class TestLeCamPair:
     def test_hand_values(self):
         pair = lecam_pair(2, 1.0, 100, default_direction(2))
