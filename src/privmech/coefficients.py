@@ -111,12 +111,6 @@ def _ratio_bits(hi: np.ndarray, lo: np.ndarray) -> float:
     return float(np.log2(worst) if worst < np.inf else np.max(np.log2(hi) - np.log2(lo)))
 
 
-def _ldp_bits(hi: np.ndarray, lo: np.ndarray) -> float:
-    """`ldp_level` from the maxima and minima of the columns that are not all
-    zero: infinite if one of them mixes zero and nonzero entries."""
-    return float("inf") if (lo == 0.0).any() else _ratio_bits(hi, lo)
-
-
 def ldp_level(w: Channel) -> float:
     """Least a such that every column's entry ratio is at most 2**a, in bits.
 
@@ -124,9 +118,7 @@ def ldp_level(w: Channel) -> float:
     convention); a column mixing zero and nonzero entries forces +inf.
     Constant channels report 0.
     """
-    col_max = w.rows.max(axis=0)
-    live = col_max > 0.0
-    return _ldp_bits(col_max[live], w.rows.min(axis=0)[live])
+    return _column_certificates(w.rows)[0]
 
 
 def max_leakage(w: Channel) -> float:
@@ -171,7 +163,8 @@ def _column_certificates(rows: np.ndarray) -> tuple[float, float, float, int]:
         live = col_max > 0.0  # an all-zero column has no ratio and no contrast
         hi, lo = col_max[live], col_min[live]
         zeros = np.count_nonzero(rows == 0.0, axis=0)
-        bits, skipped = _ldp_bits(hi, lo), int((zeros * (zeros - 1) // 2).sum())
+        bits = float("inf") if (lo == 0.0).any() else _ratio_bits(hi, lo)  # 0 in a live column
+        skipped = int((zeros * (zeros - 1) // 2).sum())
     contrast = float(((hi - lo) / (hi + lo)).max())  # >= 0, since hi >= lo
     return bits, float(np.log2(col_max.sum())), contrast, skipped
 

@@ -1,17 +1,20 @@
 """Finite-alphabet probability objects: distributions, channels, and their algebra.
 
 Distributions are validated probability vectors; channels are row-stochastic
-matrices acting on them by pushforward. Validation is strict: nothing is ever
-renormalized, because downstream certificate checks assume exact
-stochasticity up to the sum slack (`SUM_TOL`). All objects are immutable after
-construction (frozen dataclasses over read-only copies of the arrays given)
-and safe to share across threads. A channel fills in its certificates on
+matrices acting on them by pushforward. Raw input is turned into a float
+array in one place (`_as_floats`): entries must be real numbers, not strings,
+null or integers past the double range. Validation is strict: nothing is
+ever renormalized, because downstream certificate checks assume exact
+stochasticity up to the fixed sum slack `SUM_TOL`. All objects are immutable
+after construction (frozen dataclasses over read-only copies of the arrays
+given) and safe to share across threads. A channel fills in its certificates on
 first use (see `Channel`); threads that race to do so compute and set equal
 values.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,8 +32,7 @@ from .errors import (
 )
 
 
-# The one numerics policy, shared by every module. Only the slack on row
-# sums can be set, and only through a channel JSON's "tol": {"sum_tol": x}.
+# The one numerics policy, shared by every module; none of it can be set.
 SUM_TOL = 1e-9  # slack on vector and row sums at validation
 EQ_TOL = 1e-12  # slack for equality between computed reals
 INEQ_SLACK = 1e-10  # added to the right side of inequality checks, for rounding
@@ -111,6 +113,27 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be a whole number >= 1, got {value!r}")
 
 
+def _as_floats(x, ragged: type[ValidationError]) -> np.ndarray:
+    """`x` as a float array: the one parse of raw input. An entry that is no
+    real number (a string, an object, null, an integer past the double
+    range) is a ValidationError; nesting of unequal lengths raises `ragged`."""
+    try:
+        arr = np.asarray(x)
+    except ValueError as exc:  # numpy: "inhomogeneous shape"
+        raise ragged("nested lists have unequal lengths") from exc
+    if arr.dtype.kind in "biuf":
+        return arr.astype(float, copy=False)
+    # numpy typed the entries as strings, complex or objects (null, a dict,
+    # or a Python int past int64, which float() takes up to the double range)
+    bad = [v for v in arr.ravel().tolist() if not isinstance(v, numbers.Real)]
+    if bad:
+        raise ValidationError(f"entries must be numbers, got {bad[0]!r}")
+    try:
+        return arr.astype(float)
+    except OverflowError as exc:
+        raise ValidationError(f"entries must be numbers in the double range ({exc})") from exc
+
+
 def validate_distribution(p) -> Distribution:
     """Validate a raw real vector as a probability distribution.
 
@@ -119,12 +142,10 @@ def validate_distribution(p) -> Distribution:
 
     Raises
     ------
-    ValidationError, EmptyVector, NonFiniteEntry, NegativeEntry, SumOutOfTolerance
+    ValidationError (also for an entry that is no number, or ragged nesting),
+    EmptyVector, NonFiniteEntry, NegativeEntry, SumOutOfTolerance
     """
-    try:
-        arr = np.asarray(p, dtype=float)
-    except TypeError as exc:  # an entry that is no number: an object, null
-        raise ValidationError(f"entries must be numbers ({exc})") from exc
+    arr = _as_floats(p, ValidationError)
     if arr.ndim != 1:
         raise ValidationError(f"expected a 1-d vector, got shape {arr.shape}")
     if arr.size == 0:
@@ -136,33 +157,28 @@ def validate_distribution(p) -> Distribution:
     return Distribution(arr, arr.size)
 
 
-def validate_channel(m, sum_tol: float = SUM_TOL) -> Channel:
+def validate_channel(m) -> Channel:
     """Validate a raw real matrix as a row-stochastic channel.
 
     Every row must pass the same checks as `validate_distribution`, with
-    row sums within `sum_tol` of 1 (a channel JSON's "tol" sets it).
+    row sums within `SUM_TOL` of 1.
 
     Raises
     ------
     EmptyMatrix, RaggedRows, NonFiniteEntry, NegativeEntry, RowSumOutOfTolerance,
     ValidationError (an entry that is no number)
     """
-    try:
-        arr = np.asarray(m, dtype=float)
-    except TypeError as exc:
-        raise ValidationError(f"entries must be numbers ({exc})") from exc
-    except ValueError as exc:
-        raise RaggedRows(f"rows have unequal lengths: {exc}") from exc
+    arr = _as_floats(m, RaggedRows)
     if arr.size == 0:
         raise EmptyMatrix("channel matrix has no entries")
     if arr.ndim != 2:
         raise ValidationError(f"expected a 2-d matrix, got shape {arr.shape}")
     _check_entries(arr)
     sums = arr.sum(axis=1)
-    off = ~(np.abs(sums - 1.0) <= sum_tol)
+    off = ~(np.abs(sums - 1.0) <= SUM_TOL)
     if off.any():
         r = int(np.where(off)[0][0])
-        raise RowSumOutOfTolerance(r, float(sums[r]), sum_tol)
+        raise RowSumOutOfTolerance(r, float(sums[r]), SUM_TOL)
     return Channel(arr, arr.shape[0], arr.shape[1])
 
 
@@ -195,32 +211,16 @@ def json_float(x: float):
 
 
 def channel_to_dict(w: Channel) -> dict:
-    """Interchange form: {"rows": [[...], ...], "tol": {"sum_tol": SUM_TOL}}."""
-    return {
-        "rows": [[float(v) for v in row] for row in w.rows],
-        "tol": {"sum_tol": SUM_TOL},
-    }
+    """Interchange form: {"rows": [[...], ...]}."""
+    return {"rows": [[float(v) for v in row] for row in w.rows]}
 
 
 def channel_from_dict(d: dict) -> Channel:
-    """Parse the interchange form; unknown keys are ignored. An optional
-    "tol" object may set "sum_tol", the row-sum slack, in (0, 1e-3]: the
-    only tolerance a caller can set."""
+    """Parse the interchange form; unknown keys are ignored, among them the
+    "tol" object that older versions wrote: the row-sum slack is `SUM_TOL`."""
     if not isinstance(d, dict) or "rows" not in d:
         raise ValidationError("channel JSON must be an object with a 'rows' key")
-    tol = d.get("tol", {})
-    if not isinstance(tol, dict):
-        raise ValidationError(f"channel JSON 'tol' must be an object, got {tol!r}")
-    sum_tol = tol.get("sum_tol", SUM_TOL)
-    if not isinstance(sum_tol, (int, float)):
-        raise ValidationError(f"sum_tol must be a number, got {sum_tol!r}")
-    try:
-        sum_tol = float(sum_tol)
-    except OverflowError:  # a JSON integer past the double range
-        sum_tol = math.inf if sum_tol > 0 else -math.inf
-    if not 0.0 < sum_tol <= 1e-3:
-        raise ValidationError(f"sum_tol must lie in (0, 1e-3], got {sum_tol!r}")
-    return validate_channel(d["rows"], sum_tol)
+    return validate_channel(d["rows"])
 
 
 def distribution_to_dict(p: Distribution) -> dict:

@@ -330,6 +330,17 @@ class TestRunAllChecks:
         lower = checks["ldp_sandwich_lower"]
         assert (lower.lhs, lower.rhs) == (2 * 0.25 / 0.75, 1.0) and "bits" not in lower.note
 
+    # Open fault: a row-sum error inside SUM_TOL = 1e-9 moves the certificates
+    # by more than INEQ_SLACK = 1e-10, so channels that validation accepts
+    # fail verdicts that hold for every exact channel. The first fails thm2,
+    # thm4 and both upper sandwiches; the second reports eta_tv = 1.00000000025
+    # and fails thm1, thm3, thm4 and maxl_sandwich_upper.
+    @pytest.mark.xfail(strict=True, reason="row-sum slack SUM_TOL exceeds verdict slack INEQ_SLACK")
+    @pytest.mark.parametrize("rows", [[[0.7, 0.3000000005], [0.2, 0.8]], [[1 + 5e-10, 0], [0, 1]]])
+    def test_channels_inside_the_sum_slack_pass_every_verdict(self, rows):
+        failed = [c.name for c in run_all_checks(validate_channel(rows)) if not c.passed]
+        assert failed == []
+
     def test_record_is_an_immutable_value(self):
         res = run_all_checks(randomized_response(3, 1.0))[0]
         with pytest.raises(AttributeError):

@@ -3,10 +3,14 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from privmech import cli
+from privmech import channel_from_dict, cli
+from privmech.core import SUM_TOL
+from privmech.errors import RowSumOutOfTolerance
 
+# with the "tol" object that older versions wrote, which is now ignored
 RR21 = {"rows": [[2 / 3, 1 / 3], [1 / 3, 2 / 3]], "tol": {"sum_tol": 1e-9}}
 
 
@@ -219,15 +223,16 @@ class TestMalformedInput:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["analyze", '{"rows": [[0.5, 0.5]], "tol": {"sum_tol": null}}'],
-            ["analyze", '{"rows": [[0.5, 0.5]], "tol": {"sum_tol": "1e-6"}}'],
-            ["analyze", '{"rows": [[0.5, 0.5]], "tol": 5}'],
-            ["analyze", '{"rows": [[0.5, 0.5]], "tol": [1]}'],
-            ["analyze", '{"rows": [[0.5, 0.5]], "tol": {"sum_tol": 0}}'],
             ["analyze", '{"rows": [[{}]]}'],
             ["bounds-check", '{"rows": [[0.5, {}], [0.5, 0.5]]}'],
             ["simulate", "--k", "2", "--alpha", "1", "--n", "10", "--replicates", "10",
              "--source", '{"probs": [{}, 1]}'],
+            ["analyze", '{"rows": [["a", 0.5]]}'],
+            ["analyze", '{"rows": [["0.5", "0.5"]]}'],
+            ["analyze", '{"rows": [[%d, 0]]}' % 10 ** 399],
+            ["analyze", '{"rows": [[1.0], [0.5, 0.5]]}'],
+            ["simulate", "--k", "2", "--alpha", "1", "--n", "10", "--replicates", "10",
+             "--source", '{"probs": [[1], [1, 2]]}'],
         ],
     )
     def test_exits_two_with_one_error_line(self, capsys, argv):
@@ -236,15 +241,17 @@ class TestMalformedInput:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
-    def test_json_sum_tol_widens_the_row_sum_check(self, capsys):
-        # rows off by -1e-7 and +1e-7; balanced, so every verdict still holds
+    def test_json_tol_is_ignored_not_obeyed(self, capsys):
+        # older versions wrote "tol" and obeyed its sum_tol; the slack is SUM_TOL now
         rows = [[0.7, 0.3 - 1e-7], [0.2, 0.8 + 1e-7]]
         loose = {"rows": rows, "tol": {"sum_tol": 1e-6}}
-        assert cli.main(["analyze", json.dumps(loose)]) == 0
-        assert json.loads(capsys.readouterr().out)["report"]["input_size"] == 2
-        assert cli.main(["analyze", json.dumps({"rows": rows})]) == 2
+        with pytest.raises(RowSumOutOfTolerance) as exc:
+            channel_from_dict(loose)
+        assert exc.value.row == 0 and exc.value.sum_tol == SUM_TOL
+        assert cli.main(["analyze", json.dumps(loose)]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: row 0 sums to ") and "1e-09" in err
+        assert np.array_equal(channel_from_dict(RR21).rows, RR21["rows"])
 
 
 class TestDeterminismAndEnvironment:
