@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Channel, Distribution, _check_count, json_float, validate_distribution
-from .divergences import FDivergenceSpec, FKind, _pair_divergence
+from .divergences import FDivergenceSpec, FKind, _pair_divergence, _quiet
 from .errors import BudgetTooSmall, DimensionMismatch
 
 # Admission window for ratio denominators: pairs with divergence outside
@@ -239,13 +239,16 @@ def estimate_eta_f(
     first improving move of the window, applies the sweep's end first if
     that move lies in the next sweep, and opens the next window at the move
     after it; `evaluations` counts only the moves up to each accepted one,
-    and skips moves from an empty input without counting them. Each block
-    takes its input and output divergences from one kernel call. A window's
-    moves are slices of tables built per climb over at most two windows of
-    positions (which half of the pair moves, whether the move lies in the
-    next sweep, where its mass comes from, and a row of -1 at the source and
-    +1 at the target), rebuilt when a window leaves them: for small k they
+    and skips moves from an empty input without counting them; a window
+    with no other moves is passed over with the windows after it that have
+    none either. Each block takes its input and output divergences from one
+    kernel call. A window's moves are slices of tables over at most two
+    windows of positions, each read as a move of a sweep (which half of the
+    pair moves, where its mass comes from, and a row of -1 at the source
+    and +1 at the target; the window itself tells which of its moves lie in
+    the next sweep), rebuilt when a window leaves them: for small k they
     cover both sweeps and are built once, and memory stays O(block) at any k.
+    The kernels run under one `np.errstate` for the whole search.
 
     Returns
     -------
@@ -275,6 +278,7 @@ def estimate_eta_f(
         )
     pair_div = _pair_divergence(spec)
     rows = w.rows
+    cols = k + w.output_size
     block = max(1, _BLOCK_CELLS // max(k, w.output_size))
 
     evals = 0
@@ -283,21 +287,26 @@ def estimate_eta_f(
     best_div = (0.0, 0.0)  # its input and output divergence
 
     def ratios(p0s: np.ndarray, p1s: np.ndarray):
-        """Ratio of each row pair (-inf where the pair is not admitted),
-        with its input and output divergences."""
-        diff = p0s - p1s  # exactly 0 off the joint support
+        """dout/din of each row pair, whether admitted or not, with its
+        input and output divergences din and dout."""
+        n = len(p1s)
+        # rows: the n bases, then the n differences, each beside its image
+        joined = np.empty((2 * n, cols))
+        inputs = joined[:, :k]
+        inputs[:n] = p1s
+        diff = inputs[n:]
+        np.subtract(p0s, p1s, out=diff)  # exactly 0 off the joint support
         support = (p0s + p1s) > 0.0
         # project the difference back onto zero sum over the joint support;
         # kills the rounding drift that would otherwise leak into the ratio
         shift = np.add.reduce(diff, axis=1) / np.add.reduce(support, axis=1)
-        diff = np.where(support, diff - shift[:, None], diff)
-        n = len(p1s)
-        # rows: the n bases, then the n differences, each beside its image
-        stacked = np.concatenate((p1s, diff))
-        joined = np.concatenate((stacked, stacked @ rows), axis=1)
+        np.subtract(diff, shift[:, None], out=diff, where=support)
+        np.matmul(inputs, rows, out=joined[:, k:])
         din, dout = pair_div(joined[:n], joined[n:], k)
-        out = np.full(n, -np.inf)
-        return np.divide(dout, din, out=out, where=(DIV_FLOOR < din) & (din < DIV_CEIL)), din, dout
+        return dout / din, din, dout
+
+    def admitted(din):
+        return (DIV_FLOOR < din) & (din < DIV_CEIL)
 
     def accept(r, din, dout, p0s, p1s, j):
         nonlocal best_val, best, best_div
@@ -313,7 +322,8 @@ def estimate_eta_f(
             p0s, p1s = make_block(start, min(total, start + block))
             r, din, dout = ratios(p0s, p1s)
             evals += len(r)
-            j = int(np.argmax(np.where(r > best_val, r, -np.inf)))
+            r = np.where(admitted(din) & (r > best_val), r, -np.inf)
+            j = int(r.argmax())
             if r[j] > best_val:
                 accept(r, din, dout, p0s, p1s, j)
 
@@ -322,12 +332,6 @@ def estimate_eta_f(
     def vertex_block(start, stop):
         a, b = _off_diagonal(k, np.arange(start, stop))
         return eye[a], eye[b]
-
-    # every point-mass pair has the same input divergence, f(0) + f'(inf),
-    # so one pair decides whether the stage can admit any (KL and chi^2
-    # cannot: theirs is infinite)
-    if k > 1 and DIV_FLOOR < pair_div(eye[1:2], eye[:1] - eye[1:2])[0] < DIV_CEIL:
-        scan(min(n_vertex, budget), vertex_block)
 
     def explore_stage() -> int:
         """Spend half the remaining budget on the grid or the Dirichlet
@@ -361,65 +365,77 @@ def estimate_eta_f(
         return 0
 
     def climb_stage():
-        # move t of a sweep shifts mass from a to b in best[t // n_vertex],
-        # with (a, b) the (t mod n_vertex)-th ordered pair of distinct inputs;
-        # window position g is move g of the current sweep, or move
-        # g - n_moves of the next one
+        # move g of a sweep shifts mass from a to b in best[g // n_vertex],
+        # with (a, b) the (g mod n_vertex)-th ordered pair of distinct inputs,
+        # so its source entry is best.flat[g // (k - 1)]; window position
+        # g >= n_moves is move g - n_moves of the next sweep
         nonlocal evals
         n_moves = 2 * n_vertex
         window = min(block, n_moves)
 
         def tables(lo):
-            """For positions lo.. (at most 2 * window of them): the half of
-            the pair each moves, whether it lies in the next sweep, the flat
-            index of its source entry in `best`, and its move row (-1 at
-            the source, +1 at the target)."""
-            g = np.arange(lo, min(lo + 2 * window, 2 * n_moves))
-            in_next = g >= n_moves
-            idx = g - n_moves * in_next
-            which = idx // n_vertex
-            a, b = _off_diagonal(k, idx - which * n_vertex)
+            """For positions lo.. (at most 2 * window of them, and none past
+            the first window of the next sweep): the half of the pair each
+            moves, as an index and as a column of "first half" flags, the
+            flat index of its source entry in `best`, and its move row (-1
+            at the source, +1 at the target)."""
+            g = np.arange(lo, min(lo + 2 * window, n_moves + window)) % n_moves
+            which = g // n_vertex
+            a, b = _off_diagonal(k, g - which * n_vertex)
             delta = np.zeros((g.size, k))
             r = np.arange(g.size)
             delta[r, a] = -1.0
             delta[r, b] = 1.0
-            return which, in_next, which * k + a, delta
+            return which, (which == 0)[:, None], g // (k - 1), delta
 
-        lo = 0
-        which_at, next_at, source_at, delta_at = tables(lo)
+        lo = hi = 0
         step, before, t = 0.1, best_val, 0
         while evals < budget:
             step_next = step if best_val > before else 0.5 * step
             stop = t + window if step_next >= 1e-9 else min(t + window, n_moves)
             if stop <= t:
                 break
-            if t < lo or stop > lo + len(which_at):
+            if t < lo or stop > hi:
                 lo = t
-                which_at, next_at, source_at, delta_at = tables(lo)
+                which_at, first_at, source_at, delta_at = tables(lo)
+                hi = lo + len(which_at)
             s = slice(t - lo, stop - lo)
-            which, delta = which_at[s], delta_at[s]
-            eps = np.minimum(np.where(next_at[s], step_next, step), best.take(source_at[s]))
-            live = eps > 0.0  # a move from an empty input is skipped, not counted
+            which, first, delta = which_at[s], first_at[s], delta_at[s]
+            eps = np.minimum(best.take(source_at[s]), step)
+            if stop > n_moves and step_next < step:
+                # the moves of the next sweep take its step, which is smaller
+                np.minimum(eps[n_moves - t:], step_next, out=eps[n_moves - t:])
             keep = None
-            if not live.all() or eps.size > budget - evals:
-                keep = np.flatnonzero(live)[: budget - evals]
-                which, delta, eps = which[keep], delta[keep], eps[keep]
+            # a move from an empty input (eps = 0) is skipped, not counted
+            if not eps.all() or eps.size > budget - evals:
+                keep = eps.nonzero()[0][: budget - evals]
+                which, first, delta, eps = which[keep], first[keep], delta[keep], eps[keep]
             sweep_best, end, counted = best_val, stop, eps.size
             if eps.size:
                 # eps <= the mass at the source, so no entry turns negative;
                 # x + eps * (-1) is x - eps and x + eps * 0 is x, bit for bit
                 moved = best.take(which, axis=0) + eps[:, None] * delta
-                moved /= moved.sum(axis=1, keepdims=True)
-                first = (which == 0)[:, None]
+                moved /= np.add.reduce(moved, axis=1, keepdims=True)
                 p0s = np.where(first, moved, best[0])
                 p1s = np.where(first, best[1], moved)
                 found, din, dout = ratios(p0s, p1s)
                 gains = found > best_val
-                j = int(np.argmax(gains))  # the first improving move, if any
+                j = int(gains.argmax())  # the first improving move, if any
+                if gains[j] and not DIV_FLOOR < din[j] < DIV_CEIL:
+                    gains &= admitted(din)  # that one is not admitted
+                    j = int(gains.argmax())
                 if gains[j]:
                     end = t + 1 + (j if keep is None else int(keep[j]))
                     counted = j + 1
                     accept(found, din, dout, p0s, p1s, j)
+            elif stop < n_moves:
+                # every move of the window is from an empty input, and so is
+                # every move up to the next nonempty source of this sweep:
+                # the whole windows before that count and change nothing
+                src = stop // (k - 1)
+                live = best.ravel()[src:].nonzero()[0]
+                ahead = min(n_moves, max(stop, (src + live[0]) * (k - 1))) if live.size else n_moves
+                end = t + (ahead - t) // window * window
             evals += counted
             if end > n_moves:
                 # the window crossed into the next sweep: end the current one
@@ -428,11 +444,17 @@ def estimate_eta_f(
                 t = end
 
     grid_resolution = 0
-    # eta_TV is attained at a pair of point masses, so the first stage is exact
-    if spec.kind is not FKind.TOTAL_VARIATION:
-        grid_resolution = explore_stage()
-        if best is not None:
-            climb_stage()
+    with _quiet():  # the kernels' error state, entered once per search
+        # every point-mass pair has the same input divergence, f(0) + f'(inf),
+        # so one pair decides whether the stage can admit any (KL and chi^2
+        # cannot: theirs is infinite)
+        if k > 1 and DIV_FLOOR < pair_div(eye[1:2], eye[:1] - eye[1:2])[0] < DIV_CEIL:
+            scan(min(n_vertex, budget), vertex_block)
+        # eta_TV is attained at a pair of point masses, so the first stage is exact
+        if spec.kind is not FKind.TOTAL_VARIATION:
+            grid_resolution = explore_stage()
+            if best is not None:
+                climb_stage()
     if best is not None:
         value = min(max(best_val, 0.0), 1.0)
         din, dout = best_div

@@ -18,6 +18,12 @@ groups [:split] and [split:]: the search places each pair's input
 distributions and their images side by side, shape (..., k + m), and gets
 the input and the output divergence from one elementwise pass. Each
 group's sum is the one a separate call on that group would give.
+
+The kernels run under the caller's `np.errstate`, the one `_quiet()`
+returns: there a ratio that overflows (a base near 1e-310) and 0/0 (a symbol
+both sides leave empty) are values, not warnings. `f_divergence`,
+`estimate_eta_f` and the Le Cam condition each enter it once per call, not
+once per kernel call.
 """
 from __future__ import annotations
 
@@ -96,15 +102,26 @@ def l2_distance_sq(p: Distribution, q: Distribution) -> float:
     return float(np.dot(d, d))
 
 
+def _quiet():
+    """The floating-point error state the kernels run under: overflow
+    (a base near 1e-310), 0/0 and inf - inf are results here, not faults."""
+    return np.errstate(divide="ignore", over="ignore", invalid="ignore")
+
+
 def _bracket_g(x: np.ndarray) -> np.ndarray:
-    # g(t) = (1+t)*log1p(t) - t, the nonnegative integrand of extended KL;
-    # series for small |t| to keep full relative precision, and g(-1) = 1
-    # (x = -1 reads log1p at the next float up, where 0 * finite - x = 1)
-    xx = x * x
-    with np.errstate(over="ignore", invalid="ignore"):
-        series = xx * (0.5 - x / 6.0 + xx / 12.0)
-        direct = (1.0 + x) * np.log1p(np.maximum(x, _NEXT_ABOVE_MINUS_ONE)) - x
-    return np.where(np.abs(x) <= 1e-4, series, direct)
+    # g(t) = (1+t)*log1p(t) - t, the nonnegative integrand of extended KL,
+    # with g(-1) = 1 (x = -1 reads log1p at the next float up, where
+    # 0 * finite - x = 1); entries with 0 < |t| <= 1e-4 take the series,
+    # which keeps full relative precision there (at t = 0 both give 0)
+    g = (1.0 + x) * np.log1p(np.maximum(x, _NEXT_ABOVE_MINUS_ONE)) - x
+    ax = np.abs(x)
+    if np.minimum.reduce(ax, axis=None) <= 1e-4:
+        small = (ax <= 1e-4) & (ax > 0.0)
+        t = x[small]
+        if t.size:
+            tt = t * t
+            g[small] = tt * (0.5 - t / 6.0 + tt / 12.0)
+    return g
 
 
 def _column_sums(terms: np.ndarray, split: int | None) -> np.ndarray:
@@ -121,8 +138,16 @@ def _column_sums(terms: np.ndarray, split: int | None) -> np.ndarray:
 def _kl_pair_bits(base: np.ndarray, diff: np.ndarray, split: int | None = None) -> np.ndarray:
     live = base > 0.0
     x = np.maximum(diff / np.where(live, base, 1.0), -1.0)
+    terms = base * _bracket_g(x)
+    if not np.maximum.reduce(terms, axis=None) < np.inf:
+        # (1 + x) log1p(x) overflows once x passes ~1e306, and x itself past
+        # ~1e308: there the term is (base + diff) ln((base + diff)/base) - diff,
+        # with the log of the ratio taken as a difference of logs
+        over = ~(terms < np.inf)
+        b, d = base[over], diff[over]
+        terms[over] = (b + d) * (np.log(b + d) - np.log(b)) - d
     # mass where the base has none makes the divergence infinite
-    terms = np.where(live | (diff == 0.0), base * _bracket_g(x), np.inf)
+    terms = np.where(live | (diff == 0.0), terms, np.inf)
     return _column_sums(terms, split) / _LN2
 
 
@@ -131,9 +156,9 @@ def _tv_pair(base: np.ndarray, diff: np.ndarray, split: int | None = None) -> np
 
 
 def _chi2_pair(base: np.ndarray, diff: np.ndarray, split: int | None = None) -> np.ndarray:
-    live = base > 0.0
-    terms = np.where(live | (diff == 0.0), diff * diff / np.where(live, base, 1.0), np.inf)
-    return _column_sums(terms, split)
+    # where the base is 0 (or -0), diff^2/base is 0/0 (NaN, read as 0) or
+    # +-inf (mass where the base has none: infinite)
+    return _column_sums(np.fmax(np.abs(diff * diff / base), 0.0), split)
 
 
 def _custom_pair(spec: FDivergenceSpec):
@@ -162,8 +187,7 @@ def _custom_pair(spec: FDivergenceSpec):
         total = _column_sums(terms, split)
         # mass where q vanishes; 0/0 pairs add 0
         escaped = _column_sums(np.where(qpos, 0.0, pp), split)
-        with np.errstate(invalid="ignore"):
-            return np.where(escaped > 0.0, total + escaped * f_inf, total)
+        return np.where(escaped > 0.0, total + escaped * f_inf, total)
 
     return pair
 
@@ -195,4 +219,5 @@ def f_divergence(p: Distribution, q: Distribution, spec: FDivergenceSpec) -> flo
     (sum p - sum q)/ln 2 and never negative.
     """
     _check_sizes(p, q)
-    return float(_pair_divergence(spec)(q.probs, p.probs - q.probs))
+    with _quiet():
+        return float(_pair_divergence(spec)(q.probs, p.probs - q.probs))

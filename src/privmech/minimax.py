@@ -20,7 +20,7 @@ import numpy as np
 
 from .bounds import BoundCheckResult, _verdict
 from .core import EQ_TOL, Channel, Distribution, _check_count, pushforward, validate_distribution
-from .divergences import _LN2, _kl_pair_bits
+from .divergences import _LN2, _kl_pair_bits, _quiet
 from .errors import BadDirectionVector, DimensionMismatch, PreconditionNotMet, SymbolOutOfRange
 from .mechanisms import _check_k, _check_k_alpha, staircase_rate
 
@@ -229,7 +229,8 @@ def _taylor_value(k, alpha_bits, n, u) -> float:
     and the exact difference p1 - p0, so no cancellation at large n."""
     r1 = 2.0 ** alpha_bits - 1.0
     diff = np.asarray(u, float) / math.sqrt(n * r1)
-    return float(n * r1 * _LN2 * _kl_pair_bits(np.full(k, 1.0 / k), diff))
+    with _quiet():
+        return float(n * r1 * _LN2 * _kl_pair_bits(np.full(k, 1.0 / k), diff))
 
 
 def lecam_lower_check(

@@ -35,7 +35,7 @@ from privmech import (
     z_channel,
 )
 from privmech import coefficients
-from privmech.divergences import _pair_divergence
+from privmech.divergences import _pair_divergence, _quiet
 from privmech.errors import BudgetTooSmall, CustomFNotNormalized, DimensionMismatch
 
 CONSTANT = validate_channel([[0.3, 0.7], [0.3, 0.7]])
@@ -47,7 +47,8 @@ def _pushed_divergence(w, est, spec) -> float:
     pushed through the channel: pushing each witness separately rounds the
     output pair by ~1e-17, which at D ~ 1e-12 is ~1e-8 relative."""
     p0, p1 = est.witness_p0.probs, est.witness_p1.probs
-    return float(_pair_divergence(spec)(p1 @ w.rows, (p0 - p1) @ w.rows))
+    with _quiet():
+        return float(_pair_divergence(spec)(p1 @ w.rows, (p0 - p1) @ w.rows))
 
 
 class TestDobrushinCoefficient:
@@ -319,13 +320,27 @@ class TestEstimateEtaF:
         assert est.evaluations == 20_000
         assert peak < 2e6, peak
 
+    def test_windows_of_moves_from_empty_inputs_are_skipped(self, monkeypatch):
+        # at 300 x 3 the climb empties an input with each accepted move, and
+        # most windows then hold only moves from empty inputs, which count
+        # nothing: the climb jumps past them to the next nonempty source, so
+        # it builds move tables (one _off_diagonal call each) only where it
+        # evaluates (opening every window would build them about 4000 times)
+        builds = []
+        real = coefficients._off_diagonal
+        monkeypatch.setattr(coefficients, "_off_diagonal", lambda n, t: builds.append(n) or real(n, t))
+        est = estimate_eta_f(random_channel(300, 3, 1.0, 1), KL, budget=20_000, seed=0)
+        assert est.evaluations == 20_000
+        assert len(builds) < 1000, len(builds)
+
     # (channel, spec, budget, seed) -> value.hex(), evaluations, and the first
     # 16 hex digits of sha256(witness_p0 bytes + witness_p1 bytes), recorded
     # from the search that built a fresh block at every sweep start; the
     # windowed climb must reproduce them bit for bit. Cases cover k = 2, 3,
     # 5, 8, 12 and a 6 x 30 channel, moves from emptied inputs (skipped, not
     # counted), budgets that end inside a window reaching into the next
-    # sweep (3 x 3 at 1237), and a channel with exact zeros. The two total
+    # sweep (3 x 3 at 1237), climb windows whose first improving move is
+    # not admitted (rr at 2000), and a channel with exact zeros. The two total
     # variation rows stop after the point masses, where eta_TV is attained.
     PINNED = [
         ("rr", (2, 1.0), KL, 2000, 3, "0x1.c71c71c71c45cp-4", 1164, "e860d76217de3f85"),

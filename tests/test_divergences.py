@@ -19,7 +19,7 @@ from privmech import (
     validate_channel,
     validate_distribution,
 )
-from privmech.divergences import _pair_divergence
+from privmech.divergences import _pair_divergence, _quiet
 from privmech.errors import CustomFNotNormalized, DimensionMismatch
 
 LN2 = math.log(2.0)
@@ -83,6 +83,17 @@ class TestKlDivergence:
                 saw_asymmetry = True
         assert saw_asymmetry
 
+    @pytest.mark.parametrize(
+        "t, bits",
+        # 0.5 log2(0.5/(1 - t)) + 0.5 log2(0.5/t), to 20 digits (mpmath)
+        [(1e-308, 510.57692661265380164), (1e-310, 513.89885470754116612)],
+    )
+    def test_finite_where_the_ratio_overflows(self, t, bits):
+        # diff/base = 0.5/t passes 1e306, where (1 + x) log1p(x) overflows
+        # (inf at 1e-308), and the double range at 1e-310 (x = inf, NaN)
+        got = kl_divergence(dist([0.5, 0.5]), dist([1 - t, t]))
+        assert got == pytest.approx(bits, rel=1e-15)
+
     def test_pinsker_in_bits(self):
         # tv <= sqrt((ln2 / 2) * kl_bits); the ln2 converts bits to nats
         rng = np.random.default_rng(5)
@@ -141,6 +152,16 @@ class TestFDivergence:
             for spec in (TOTAL_VARIATION, KL, CHI_SQUARED):
                 assert f_divergence(p, q, spec) >= 0.0
                 assert f_divergence(p, p, spec) == pytest.approx(0.0, abs=1e-12)
+
+    def test_chi_squared_past_the_double_range_is_infinite(self):
+        # 0.25/t: 2.5e307 at t = 1e-308, and 2.5e309 (inf) at 1e-310
+        assert f_divergence(dist([0.5, 0.5]), dist([1 - 1e-308, 1e-308]), CHI_SQUARED) == pytest.approx(2.5e307)
+        assert f_divergence(dist([0.5, 0.5]), dist([1 - 1e-310, 1e-310]), CHI_SQUARED) == float("inf")
+
+    @pytest.mark.parametrize("spec", [KL, CHI_SQUARED], ids=["kl", "chi_squared"])
+    def test_a_negative_zero_base_is_an_empty_symbol(self, spec):
+        assert f_divergence(dist([0.5, 0.5]), dist([-0.0, 1.0]), spec) == float("inf")
+        assert f_divergence(dist([0.0, 1.0]), dist([-0.0, 1.0]), spec) == 0.0
 
     def test_zero_zero_convention(self):
         # shared zero coordinate contributes nothing (0/0 := 1, f(1) = 0)
@@ -203,6 +224,7 @@ class TestKernelProperties:
             assert f_divergence(p, p, spec) == 0.0
             assert f_divergence(pw, qw, spec) <= d_in * (1.0 + 1e-9) + 1e-12
 
+    @_quiet()  # the kernels run under their callers' error state
     def test_batched_rows_equal_one_row_calls(self):
         # exact zeros on either side, including mass where the base has none
         rng = np.random.default_rng(2024)
@@ -231,3 +253,41 @@ class TestKernelProperties:
                     left, right = kernel(base, diff, split)
                     assert np.array_equal(left, kernel(base[:, :split], diff[:, :split]))
                     assert np.array_equal(right, kernel(base[:, split:], diff[:, split:]))
+
+    @_quiet()
+    @pytest.mark.parametrize("spec", [KL, CHI_SQUARED], ids=["kl", "chi_squared"])
+    def test_a_row_that_takes_a_branch_leaves_the_other_rows_bits(self, spec):
+        # seeded full-support rows, with no |x| = |diff/base| <= 1e-4, give
+        # the same bits alone and in a block with one row that takes a branch
+        kernel = _pair_divergence(spec)
+        rng = np.random.default_rng(15)
+        base = rng.dirichlet(np.ones(6), size=30)
+        diff = rng.dirichlet(np.ones(6), size=30) - base
+        assert (np.abs(diff / base) > 1e-4).all()
+        alone = [kernel(base[i], diff[i]) for i in range(30)]
+        q = base[0]
+        branches = {
+            # 0 < |x| <= 1e-4: KL's series
+            "small": (q, 1e-10 * np.array([1, -1, 2, -2, 0.5, -0.5])),
+            # x = 0 exactly: the direct form, which is exact there
+            "zero diff": (q, np.zeros(6)),
+            # base 0: an empty symbol (0/0), and mass where the base has none
+            "empty": (np.array([0.0, 0.2, 0.2, 0.2, 0.2, 0.2]), np.array([0.0, 0.1, -0.1, 0, 0, 0])),
+            "escaped": (np.array([0.0, 0.2, 0.2, 0.2, 0.2, 0.2]), np.array([0.1, -0.1, 0, 0, 0, 0])),
+            # x past 1e306: KL's overflow mend, and chi^2 past the double range
+            "overflow": (np.array([1e-310, 0.2, 0.2, 0.2, 0.2, 0.2 - 1e-310]), np.array([0.3, -0.3, 0, 0, 0, 0])),
+        }
+        for name, (b, d) in branches.items():
+            block = kernel(np.vstack((base, b)), np.vstack((diff, d)))
+            assert [v.tobytes() for v in block[:30]] == [v.tobytes() for v in alone], name
+            assert block[30].tobytes() == kernel(b, d).tobytes(), name
+        assert kernel(*branches["escaped"]) == np.inf
+        assert kernel(*branches["empty"]) == kernel(np.full(5, 0.2), np.array([0.1, -0.1, 0, 0, 0]))
+        # the small row to full relative precision (the direct form of KL
+        # would be off by about 1e-7 relative at |x| ~ 1e-9)
+        b, d = branches["small"]
+        x = d / b
+        exact = (b * x * x * (0.5 - x / 6 + x * x / 12)).sum() / LN2 if spec is KL else (d * d / b).sum()
+        assert kernel(b, d) == pytest.approx(exact, rel=1e-12, abs=0.0)
+        assert np.isfinite(kernel(*branches["overflow"])) == (spec is KL)
+
