@@ -240,15 +240,16 @@ def estimate_eta_f(
     that move lies in the next sweep, and opens the next window at the move
     after it; `evaluations` counts only the moves up to each accepted one,
     and skips moves from an empty input without counting them; a window
-    with no other moves is passed over with the windows after it that have
-    none either. Each block takes its input and output divergences from one
-    kernel call. A window's moves are slices of tables over at most two
-    windows of positions, each read as a move of a sweep (which half of the
-    pair moves, where its mass comes from, and a row of -1 at the source
-    and +1 at the target; the window itself tells which of its moves lie in
-    the next sweep), rebuilt when a window leaves them: for small k they
-    cover both sweeps and are built once, and memory stays O(block) at any k.
-    The kernels run under one `np.errstate` for the whole search.
+    that holds only such moves is passed over together with the whole
+    windows after it that do. Each block takes its input and output
+    divergences from one kernel call. A window's moves are slices of tables
+    over at most two windows of positions, each read as a move of a sweep
+    (which half of the pair moves, where its mass comes from, and a row of
+    -1 at the source and +1 at the target; the window itself tells which of
+    its moves lie in the next sweep), rebuilt when a window leaves them: for
+    small k they cover both sweeps and are built once, and memory stays
+    O(block) at any k. The kernels run under one `np.errstate` for the
+    whole search.
 
     Returns
     -------
