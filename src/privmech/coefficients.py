@@ -1,4 +1,4 @@
-"""Channel certificates: contraction, privacy levels, leakage, and a seeded
+"""Channel certificates: contraction, privacy levels, leakage, and a
 lower-bound search for f-divergence contraction coefficients.
 
 The exact certificates (Dobrushin coefficient, LDP level, maximal leakage,
@@ -9,6 +9,7 @@ claimed supremum.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,15 +24,10 @@ from .errors import BudgetTooSmall, DimensionMismatch
 DIV_FLOOR = 1e-12
 DIV_CEIL = 1e12
 
-# Cells per block of pairs in `estimate_eta_f` (rows times the larger
+# Cells per block of pairs in `estimate_eta_f` (pairs times the output
 # alphabet) and per block of row differences in `dobrushin_coefficient`.
-# The size bounds memory. `dobrushin_coefficient` does not depend on it,
-# since each pair is summed in the same order in any block. The search's
-# blocks keep the order of a pair-by-pair search, but a row of the block
-# product `X @ rows` can round differently with the number of rows in `X`
-# (OpenBLAS gemm), so from about 8 inputs on a search's path and value can
-# depend on the size: `random_channel(20, 3, 0.5, 20003)` under chi^2 at
-# budget 20 000, seed 23 gives 0.8233486 here and 0.8238941 at 64 cells.
+# The size bounds memory. Neither result depends on it: each pair is
+# evaluated, and summed, as it would be alone.
 _BLOCK_CELLS = 1 << 12
 
 
@@ -64,9 +60,8 @@ class ContractionEstimate:
     `value` is a lower bound on the contraction coefficient for the given
     divergence: `output_divergence / input_divergence`, the divergences of
     the witnesses and of their images as the search evaluated them, clamped
-    to [0, 1] (both divergences are 0 when no pair was admitted).
-    `grid_resolution` is the per-axis resolution of the deterministic
-    exploration grid (0 when no grid stage ran).
+    to [0, 1] (both divergences are 0 when no pair was admitted). `seed` is
+    the seed the search was called with; it does not affect the result.
     """
 
     spec: FDivergenceSpec
@@ -76,7 +71,6 @@ class ContractionEstimate:
     witness_p0: Distribution
     witness_p1: Distribution
     evaluations: int
-    grid_resolution: int
     seed: int
 
 
@@ -205,51 +199,118 @@ def _off_diagonal(n: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, j + (j >= a)
 
 
+def _pair_peaks(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each row pair (a, b): the logit s of the weight p on a that
+    maximises h(p) = p(1 - p) sum_y (a_y - b_y)^2 / (p a_y + (1 - p) b_y),
+    the chi^2 contraction coefficient of the two-input channel [a; b], and
+    h there. h is concave in p, so golden section in s over [-23, 23] finds
+    its peak; p stays above 1e-10, where a witness still clears the
+    admission floor. Every pair takes the same fixed steps, so a block gives
+    the results of one-pair calls."""
+    d2 = (a - b) ** 2
+
+    def h(s):
+        p, q = 1.0 / (1.0 + np.exp(-s)), 1.0 / (1.0 + np.exp(s))  # q = 1 - p
+        # where both rows are 0 the term is 0/0 (NaN), read as 0
+        return p * q * np.add.reduce(np.fmax(d2 / (p[:, None] * a + q[:, None] * b), 0.0), axis=1)
+
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = np.full(len(a), -23.0), np.full(len(a), 23.0)
+    x1, x2 = hi - g * (hi - lo), lo + g * (hi - lo)
+    f1, f2 = h(x1), h(x2)
+    for _ in range(50):
+        up = f1 < f2  # the peak lies in [x1, hi]
+        lo, hi = np.where(up, x1, lo), np.where(up, hi, x2)
+        x = np.where(up, lo + g * (hi - lo), hi - g * (hi - lo))
+        fx = h(x)
+        x1, f1, x2, f2 = (np.where(up, x2, x), np.where(up, f2, fx),
+                          np.where(up, x, x1), np.where(up, fx, f1))
+    up = f1 < f2
+    return np.where(up, x2, x1), np.where(up, f2, f1)
+
+
+def _best_pair(
+    rows: np.ndarray, budget: int, block: int
+) -> tuple[int, tuple[int, int, float] | None]:
+    """The pair stage: the number of input pairs examined (at most `budget`)
+    and, for the first pair of greatest h among them, its inputs (i, j) and
+    the logit of p at its peak (None if none was examined). Pairs go in
+    order of decreasing TV distance (ties in (i, j) order), and the stage
+    stops at the first whose TV distance is at or below the best h so far:
+    h is at most it. A block's pairs are examined or not as in a
+    pair-by-pair pass."""
+    k = len(rows)
+    # TV distance of each pair i < j, at flat index starts[i] + j - i - 1
+    starts = np.concatenate(([0], np.cumsum(np.arange(k - 1, 0, -1))))
+    tv = np.empty(starts[-1])
+    for i in range(k - 1):
+        tv[starts[i]:starts[i + 1]] = 0.5 * np.add.reduce(np.abs(rows[i + 1:] - rows[i]), axis=1)
+    order = np.argsort(-tv, kind="stable")[:budget]
+    examined, best_h, peak = 0, 0.0, None
+    for start in range(0, order.size, block):
+        chunk = order[start:start + block]
+        flat = chunk[tv[chunk] > best_h]
+        if not flat.size:
+            break
+        i = np.searchsorted(starts, flat, side="right") - 1
+        j = flat - starts[i] + i + 1
+        s, h = _pair_peaks(rows[i], rows[j])
+        # a pair is examined while its TV distance exceeds the best h before it
+        before = np.maximum.accumulate(np.concatenate(([best_h], h[:-1])))
+        n = int(np.count_nonzero(tv[flat] > before))
+        examined += n
+        c = int(h[:n].argmax())
+        if h[c] > best_h:
+            best_h, peak = float(h[c]), (int(i[c]), int(j[c]), float(s[c]))
+        if n < chunk.size:
+            break
+    return examined, peak
+
+
 def estimate_eta_f(
     w: Channel, spec: FDivergenceSpec, budget: int, seed: int
 ) -> ContractionEstimate:
     """Search for a high ratio D_f(w(p0) || w(p1)) / D_f(p0 || p1).
 
-    The search spends up to `budget` ratio evaluations in three stages:
+    The search spends up to `budget` ratio evaluations in two stages:
 
     1. every ordered pair of point masses, when such a pair is admissible:
        their input divergence f(0) + f'(inf) is infinite for KL and chi^2,
        which skip the stage. Total variation attains its supremum there, so
        its search ends after this stage with the exact value, eta_TV, in
        k(k - 1) evaluations;
-    2. deterministic exploration: a two-parameter grid for binary input
-       alphabets, symmetric-Dirichlet random pairs otherwise;
-    3. greedy coordinate-wise refinement of the best pair with shrinking
-       steps.
+    2. pairs of inputs. Restricting a channel to two of its inputs, rows a
+       and b, cannot raise its contraction coefficient, and that two-input
+       channel's eta_chi2 = eta_KL is the peak of the concave
+       h(p) = p(1 - p) sum_y (a_y - b_y)^2 / (p a_y + (1 - p) b_y), found by
+       golden section in the logit of p. Input pairs are examined in order
+       of decreasing TV distance, one evaluation each; h is at most the TV
+       distance, so the stage stops at the first pair whose TV distance is
+       at or below the best h so far. At the best pair's peak p*, a fixed
+       ladder of 48 steps +-t (24 powers of two, from at most the smaller
+       weight down) is evaluated around p1 = p* e_i + (1 - p*) e_j, with
+       p0 = p1 + t (e_i - e_j), and the first strict maximum kept. For
+       chi^2 every step gives h(p*); for KL the ratio tends to h(p*) as
+       t -> 0, so the least admitted step is the closest. The pairs take at
+       most budget - 48 evaluations (at least one), the ladder the rest.
 
     Pairs whose input divergence falls outside (1e-12, 1e12) are skipped,
     matching the 0 < D_f < inf constraint in the coefficient's definition.
-    The result is deterministic given (budget, seed).
+    The value is the ratio at its own witnesses, so it is a certified lower
+    bound, and by the two-letter reduction above it is at most the best
+    pair's coefficient; it is not claimed to be the channel's. Custom f take
+    the same stages, the ladder evaluated with their own kernel. `seed` is
+    read by no stage and does not affect the result, which is deterministic
+    given `budget`.
 
-    Pairs are evaluated a block at a time, at most _BLOCK_CELLS cells per
-    block, with one channel product per block, so memory stays bounded at
-    any budget. The blocks keep the order of a pair-by-pair search: the
-    best pair is the first strict maximum in stage order, the Dirichlet
-    pairs come from one stream, and the refinement keeps its in-sweep
-    (Gauss-Seidel) updates exactly. Its block is a window of the moves the
-    pair-by-pair climb would try next if none of them improved: the rest of
-    the current sweep, then the start of the next one, whose step is the
-    current one if the sweep has improved and half of it if not (and which
-    is left out once that step falls below 1e-9). The climb accepts the
-    first improving move of the window, applies the sweep's end first if
-    that move lies in the next sweep, and opens the next window at the move
-    after it; `evaluations` counts only the moves up to each accepted one,
-    and skips moves from an empty input without counting them; a window
-    that holds only such moves is passed over together with the whole
-    windows after it that do. Each block takes its input and output
-    divergences from one kernel call. A window's moves are slices of tables
-    over at most two windows of positions, each read as a move of a sweep
-    (which half of the pair moves, where its mass comes from, and a row of
-    -1 at the source and +1 at the target; the window itself tells which of
-    its moves lie in the next sweep), rebuilt when a window leaves them: for
-    small k they cover both sweeps and are built once, and memory stays
-    O(block) at any k. The kernels run under one `np.errstate` for the
-    whole search.
+    Every evaluation forms its input and output (base, diff) straight from
+    two rows of the channel: (row b, row a - row b) for point masses, and
+    (p* a + (1 - p*) b, t (a - b)) on the ladder, with no matrix product.
+    Pairs go through a block at a time, at most _BLOCK_CELLS cells per
+    block, and each pair's numbers are those of a one-pair pass, so the
+    result does not depend on the block size. The pair stage holds one TV
+    distance and one index per pair of inputs. The kernels run under one
+    `np.errstate` for the whole search.
 
     Returns
     -------
@@ -279,183 +340,60 @@ def estimate_eta_f(
         )
     pair_div = _pair_divergence(spec)
     rows = w.rows
-    cols = k + w.output_size
-    block = max(1, _BLOCK_CELLS // max(k, w.output_size))
+    block = max(1, _BLOCK_CELLS // w.output_size)
 
     evals = 0
     best_val = -1.0
     best: np.ndarray | None = None  # rows p0, p1 of the best pair
     best_div = (0.0, 0.0)  # its input and output divergence
 
-    def ratios(p0s: np.ndarray, p1s: np.ndarray):
-        """dout/din of each row pair, whether admitted or not, with its
-        input and output divergences din and dout."""
-        n = len(p1s)
-        # rows: the n bases, then the n differences, each beside its image
-        joined = np.empty((2 * n, cols))
-        inputs = joined[:, :k]
-        inputs[:n] = p1s
-        diff = inputs[n:]
-        np.subtract(p0s, p1s, out=diff)  # exactly 0 off the joint support
-        support = (p0s + p1s) > 0.0
-        # project the difference back onto zero sum over the joint support;
-        # kills the rounding drift that would otherwise leak into the ratio
-        shift = np.add.reduce(diff, axis=1) / np.add.reduce(support, axis=1)
-        np.subtract(diff, shift[:, None], out=diff, where=support)
-        np.matmul(inputs, rows, out=joined[:, k:])
-        din, dout = pair_div(joined[:n], joined[n:], k)
-        return dout / din, din, dout
-
-    def admitted(din):
-        return (DIV_FLOOR < din) & (din < DIV_CEIL)
-
-    def accept(r, din, dout, p0s, p1s, j):
-        nonlocal best_val, best, best_div
-        best_val = float(r[j])
-        best = np.array((p0s[j], p1s[j]))
-        best_div = (float(din[j]), float(dout[j]))
-
-    def scan(total: int, make_block):
-        """Evaluate `total` pairs, block by block, keeping the first strict
-        maximum; make_block(start, stop) returns the pairs start..stop-1."""
-        nonlocal evals
-        for start in range(0, total, block):
-            p0s, p1s = make_block(start, min(total, start + block))
-            r, din, dout = ratios(p0s, p1s)
-            evals += len(r)
-            r = np.where(admitted(din) & (r > best_val), r, -np.inf)
-            j = int(r.argmax())
-            if r[j] > best_val:
-                accept(r, din, dout, p0s, p1s, j)
-
-    eye = np.eye(k)
-
-    def vertex_block(start, stop):
-        a, b = _off_diagonal(k, np.arange(start, stop))
-        return eye[a], eye[b]
-
-    def explore_stage() -> int:
-        """Spend half the remaining budget on the grid or the Dirichlet
-        pairs; returns the grid resolution (0 when no grid ran)."""
-        explore = (budget - evals) // 2
-        if k == 2:
-            g = 0
-            while (g + 1) * g <= explore:
-                g += 1
-            # at exit g*(g-1) <= explore: the grid fits the exploration budget
-            if g < 2:
-                return 0
-            pts = np.arange(1, g + 1) / (g + 1.0)
-
-            def grid_block(start, stop):
-                a, b = _off_diagonal(g, np.arange(start, stop))
-                return (np.column_stack((pts[a], 1.0 - pts[a])),
-                        np.column_stack((pts[b], 1.0 - pts[b])))
-
-            scan(g * (g - 1), grid_block)
-            return g
-        rng = np.random.default_rng(seed)
-        alpha = np.ones(k)
-
-        def dirichlet_block(start, stop):
-            # the same stream as stop - start interleaved pairs of draws
-            d = rng.dirichlet(alpha, size=(stop - start, 2))
-            return d[:, 0], d[:, 1]
-
-        scan(explore, dirichlet_block)
-        return 0
-
-    def climb_stage():
-        # move g of a sweep shifts mass from a to b in best[g // n_vertex],
-        # with (a, b) the (g mod n_vertex)-th ordered pair of distinct inputs,
-        # so its source entry is best.flat[g // (k - 1)]; window position
-        # g >= n_moves is move g - n_moves of the next sweep
-        nonlocal evals
-        n_moves = 2 * n_vertex
-        window = min(block, n_moves)
-
-        def tables(lo):
-            """For positions lo.. (at most 2 * window of them, and none past
-            the first window of the next sweep): the half of the pair each
-            moves, as an index and as a column of "first half" flags, the
-            flat index of its source entry in `best`, and its move row (-1
-            at the source, +1 at the target)."""
-            g = np.arange(lo, min(lo + 2 * window, n_moves + window)) % n_moves
-            which = g // n_vertex
-            a, b = _off_diagonal(k, g - which * n_vertex)
-            delta = np.zeros((g.size, k))
-            r = np.arange(g.size)
-            delta[r, a] = -1.0
-            delta[r, b] = 1.0
-            return which, (which == 0)[:, None], g // (k - 1), delta
-
-        lo = hi = 0
-        step, before, t = 0.1, best_val, 0
-        while evals < budget:
-            step_next = step if best_val > before else 0.5 * step
-            stop = t + window if step_next >= 1e-9 else min(t + window, n_moves)
-            if stop <= t:
-                break
-            if t < lo or stop > hi:
-                lo = t
-                which_at, first_at, source_at, delta_at = tables(lo)
-                hi = lo + len(which_at)
-            s = slice(t - lo, stop - lo)
-            which, first, delta = which_at[s], first_at[s], delta_at[s]
-            eps = np.minimum(best.take(source_at[s]), step)
-            if stop > n_moves and step_next < step:
-                # the moves of the next sweep take its step, which is smaller
-                np.minimum(eps[n_moves - t:], step_next, out=eps[n_moves - t:])
-            keep = None
-            # a move from an empty input (eps = 0) is skipped, not counted
-            if not eps.all() or eps.size > budget - evals:
-                keep = eps.nonzero()[0][: budget - evals]
-                which, first, delta, eps = which[keep], first[keep], delta[keep], eps[keep]
-            sweep_best, end, counted = best_val, stop, eps.size
-            if eps.size:
-                # eps <= the mass at the source, so no entry turns negative;
-                # x + eps * (-1) is x - eps and x + eps * 0 is x, bit for bit
-                moved = best.take(which, axis=0) + eps[:, None] * delta
-                moved /= np.add.reduce(moved, axis=1, keepdims=True)
-                p0s = np.where(first, moved, best[0])
-                p1s = np.where(first, best[1], moved)
-                found, din, dout = ratios(p0s, p1s)
-                gains = found > best_val
-                j = int(gains.argmax())  # the first improving move, if any
-                if gains[j] and not DIV_FLOOR < din[j] < DIV_CEIL:
-                    gains &= admitted(din)  # that one is not admitted
-                    j = int(gains.argmax())
-                if gains[j]:
-                    end = t + 1 + (j if keep is None else int(keep[j]))
-                    counted = j + 1
-                    accept(found, din, dout, p0s, p1s, j)
-            elif stop < n_moves:
-                # every move of the window is from an empty input, and so is
-                # every move up to the next nonempty source of this sweep:
-                # the whole windows before that count and change nothing
-                src = stop // (k - 1)
-                live = best.ravel()[src:].nonzero()[0]
-                ahead = min(n_moves, max(stop, (src + live[0]) * (k - 1))) if live.size else n_moves
-                end = t + (ahead - t) // window * window
-            evals += counted
-            if end > n_moves:
-                # the window crossed into the next sweep: end the current one
-                step, before, t = step_next, sweep_best, end - n_moves
-            else:
-                t = end
-
-    grid_resolution = 0
     with _quiet():  # the kernels' error state, entered once per search
-        # every point-mass pair has the same input divergence, f(0) + f'(inf),
-        # so one pair decides whether the stage can admit any (KL and chi^2
-        # cannot: theirs is infinite)
-        if k > 1 and DIV_FLOOR < pair_div(eye[1:2], eye[:1] - eye[1:2])[0] < DIV_CEIL:
-            scan(min(n_vertex, budget), vertex_block)
+        # point masses e_a, e_b are (base, diff) = ([0, 1], [1, -1]) on {a, b}:
+        # every such pair has that input divergence, f(0) + f'(inf), so one
+        # call decides whether any is admitted (KL and chi^2: none)
+        din = float(pair_div(np.array([0.0, 1.0]), np.array([1.0, -1.0])))
+        if k > 1 and DIV_FLOOR < din < DIV_CEIL:
+            total = min(n_vertex, budget)
+            for start in range(0, total, block):
+                a, b = _off_diagonal(k, np.arange(start, min(total, start + block)))
+                dout = pair_div(rows[b], rows[a] - rows[b])
+                r = dout / din
+                evals += len(r)
+                j = int(np.where(r > best_val, r, -np.inf).argmax())
+                if r[j] > best_val:
+                    best_val, best_div = float(r[j]), (din, float(dout[j]))
+                    best = np.zeros((2, k))
+                    best[[0, 1], [a[j], b[j]]] = 1.0
         # eta_TV is attained at a pair of point masses, so the first stage is exact
-        if spec.kind is not FKind.TOTAL_VARIATION:
-            grid_resolution = explore_stage()
-            if best is not None:
-                climb_stage()
+        if spec.kind is not FKind.TOTAL_VARIATION and k > 1 and evals < budget:
+            examined, peak = _best_pair(rows, max(1, budget - evals - 48), block)
+            evals += examined
+            if peak is not None and evals < budget:
+                i, j, s = peak
+                if s > 0.0:  # put the smaller weight, u, on input i
+                    i, j, s = j, i, -s
+                mant, e = math.frexp(1.0 / (1.0 + math.exp(-s)))
+                # u with its last bit cleared and steps t = 2^(e-1-n) <= u, at
+                # least 2^-53: u +- t and v -+ t are exact, so p0 - p1 is exactly
+                # t (e_i - e_j) and its image exactly t (a - b), as evaluated
+                u = math.ldexp(math.floor(math.ldexp(mant, 52)), e - 52)
+                v = 1.0 - u
+                t = np.ldexp(1.0, e - 1 - np.arange(24))
+                t = np.column_stack((t, -t))[t >= 2.0 ** -53].ravel()[: budget - evals]
+                a, b = rows[i], rows[j]
+                diff = np.concatenate((t[:, None] * [1.0, -1.0], t[:, None] * (a - b)), axis=1)
+                base = np.broadcast_to(np.concatenate(([u, v], u * a + v * b)), diff.shape)
+                din, dout = pair_div(base, diff, 2)
+                r = dout / din
+                evals += len(r)
+                r = np.where((DIV_FLOOR < din) & (din < DIV_CEIL) & (r > best_val), r, -np.inf)
+                c = int(r.argmax())
+                if r[c] > best_val:
+                    best_val, best_div = float(r[c]), (float(din[c]), float(dout[c]))
+                    best = np.zeros((2, k))
+                    best[:, i], best[:, j] = u, v
+                    best[0, i] += t[c]
+                    best[0, j] -= t[c]
     if best is not None:
         value = min(max(best_val, 0.0), 1.0)
         din, dout = best_div
@@ -473,6 +411,5 @@ def estimate_eta_f(
         witness_p0=w0,
         witness_p1=w1,
         evaluations=evals,
-        grid_resolution=grid_resolution,
         seed=seed,
     )

@@ -7,17 +7,18 @@ infinite pairs themselves.
 Every divergence is evaluated in (base, difference) form, D(base + diff ||
 base), by the one kernel per kind that `_pair_divergence` selects, never
 from two separately rounded vectors: the public functions pass (q, p - q),
-and `estimate_eta_f` pushes the difference of a pair through the channel
-once. Each divergence is thus computed at full relative precision;
-otherwise the search's hill climb chases rounding noise near its admission
-floor and reports "lower bounds" above the true supremum. A kernel takes
-arrays of shape (..., m) and reduces over the last axis, so the search
-evaluates a block of pairs in one call and the public functions pass one
-row. The last axis is reduced whole, or, given `split`, as the two column
-groups [:split] and [split:]: the search places each pair's input
-distributions and their images side by side, shape (..., k + m), and gets
-the input and the output divergence from one elementwise pass. Each
-group's sum is the one a separate call on that group would give.
+and `estimate_eta_f` takes the image of a pair's difference straight from
+two rows of the channel. Each divergence is thus computed at full relative
+precision; otherwise a ratio taken near the search's admission floor
+follows rounding noise and can report a "lower bound" above the true
+supremum. A kernel takes arrays of shape (..., m) and reduces over the
+last axis, so the search evaluates a block of pairs in one call and the
+public functions pass one row. The last axis is reduced whole, or, given
+`split`, as the two column groups [:split] and [split:]: the search places
+the two letters of each input pair and their images side by side, shape
+(..., 2 + m), and gets the input and the output divergence from one
+elementwise pass. Each group's sum is the one a separate call on that
+group would give.
 
 The kernels run under the caller's `np.errstate`, the one `_quiet()`
 returns: there a ratio that overflows (a base near 1e-310) and 0/0 (a symbol

@@ -227,7 +227,6 @@ class TestEstimateEtaF:
         est = estimate_eta_f(BSC_THIRD, KL, budget=10_000, seed=12345)
         assert 0.109 <= est.value <= 1 / 3
         assert est.value <= 1 / 9 + 1e-10
-        assert est.grid_resolution > 0
         assert est.evaluations <= 10_000
 
     def test_witnesses_are_admissible(self):
@@ -289,15 +288,17 @@ class TestEstimateEtaF:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert est.evaluations == 100_000
+        # 13 of the 28 input pairs before the TV bound stops the pair stage,
+        # then the 48 steps of the ladder
+        assert est.evaluations == 61 <= 100_000
         assert peak < 1e6, peak
 
     def test_point_mass_stage_runs_only_where_pairs_are_admissible(self):
-        # KL admits no pair of point masses, so at k = 300 the budget goes
-        # to exploration and refinement, not to 89 700 skipped pairs
+        # KL admits no pair of point masses, so at k = 300 the search goes
+        # to the input pairs, not to 89 700 skipped point-mass pairs
         w = random_channel(300, 3, 1.0, 1)
         est = estimate_eta_f(w, KL, budget=20_000, seed=0)
-        assert est.evaluations == 20_000
+        assert est.evaluations == 50 <= 20_000
         assert 0.0 < est.value <= dobrushin_coefficient(w) + 1e-10
         # total variation and a custom f of finite slope at infinity run it
         w = random_channel(3, 4, 0.5, 2)
@@ -306,10 +307,11 @@ class TestEstimateEtaF:
         half_tv = FDivergenceSpec(FKind.CUSTOM, custom_f=lambda t: 0.5 * abs(t - 1.0))
         est = estimate_eta_f(w, half_tv, budget=6, seed=0)
         assert est.value == pytest.approx(dobrushin_coefficient(w), abs=1e-12)
+        assert est.evaluations == 6  # the point masses spend the budget
 
     def test_peak_memory_is_bounded_at_three_hundred_inputs(self):
-        # the climb's move tables hold at most two windows of positions, each
-        # at most a block: a table over whole sweeps would be O(k^2)
+        # the pair stage holds one TV distance and one index per input pair
+        # (44 850 of each), and evaluates its pairs a block at a time
         w = random_channel(300, 3, 1.0, 1)
         tracemalloc.start()
         try:
@@ -317,54 +319,42 @@ class TestEstimateEtaF:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert est.evaluations == 20_000
+        assert est.evaluations == 50 <= 20_000
         assert peak < 2e6, peak
 
-    def test_windows_of_moves_from_empty_inputs_are_skipped(self, monkeypatch):
-        # at 300 x 3 the climb empties an input with each accepted move, and
-        # most windows then hold only moves from empty inputs, which count
-        # nothing: the climb jumps past them to the next nonempty source, so
-        # it builds move tables (one _off_diagonal call each) only where it
-        # evaluates (opening every window would build them about 4000 times)
-        builds = []
-        real = coefficients._off_diagonal
-        monkeypatch.setattr(coefficients, "_off_diagonal", lambda n, t: builds.append(n) or real(n, t))
-        est = estimate_eta_f(random_channel(300, 3, 1.0, 1), KL, budget=20_000, seed=0)
-        assert est.evaluations == 20_000
-        assert len(builds) < 1000, len(builds)
-
     # (channel, spec, budget, seed) -> value.hex(), evaluations, and the first
-    # 16 hex digits of sha256(witness_p0 bytes + witness_p1 bytes), recorded
-    # from the search that built a fresh block at every sweep start; the
-    # windowed climb must reproduce them bit for bit. Cases cover k = 2, 3,
-    # 5, 8, 12 and a 6 x 30 channel, moves from emptied inputs (skipped, not
-    # counted), budgets that end inside a window reaching into the next
-    # sweep (3 x 3 at 1237), climb windows whose first improving move is
-    # not admitted (rr at 2000), and a channel with exact zeros. The two total
-    # variation rows stop after the point masses, where eta_TV is attained.
+    # 16 hex digits of sha256(witness_p0 bytes + witness_p1 bytes). Cases
+    # cover k = 2, 3, 5, 8, 12 and a 6 x 30 channel, and a channel with exact
+    # zeros, whose best pair peaks at the end of the logit range. The two
+    # total variation rows stop after the point masses, where eta_TV is
+    # attained.
     PINNED = [
-        ("rr", (2, 1.0), KL, 2000, 3, "0x1.c71c71c71c45cp-4", 1164, "e860d76217de3f85"),
-        ("rand", (2, 5, 0.5, 21), CHI_SQUARED, 1000, 1, "0x1.4c36c07dce1c7p-1", 658, "d653483df3041f03"),
-        ("rand", (3, 3, 1.0, 11), KL, 3000, 5, "0x1.13e5fc84a9159p-2", 3000, "9ac36d80ecaf35a8"),
-        ("rand", (3, 4, 0.5, 12), CHI_SQUARED, 2500, 6, "0x1.5bebf609414dfp-1", 1577, "3dad03147eab507e"),
-        ("rand", (3, 3, 1.0, 19), KL, 1237, 4, "0x1.22c1b4dae756cp-1", 1237, "cc71c836ad4eb84c"),
+        ("rr", (2, 1.0), KL, 2000, 3, "0x1.c71c71c71b649p-4", 49, "d177f25adda810b2"),
+        ("rand", (2, 5, 0.5, 21), CHI_SQUARED, 1000, 1, "0x1.4c36c07dce1c8p-1", 49, "49ba5d56fb804412"),
+        ("rand", (3, 3, 1.0, 11), KL, 3000, 5, "0x1.1a059e0a4e0d2p-2", 50, "d11911b6f044a4c4"),
+        ("rand", (3, 4, 0.5, 12), CHI_SQUARED, 2500, 6, "0x1.5bebf609414dep-1", 50, "a0c82c2cac3255b5"),
+        ("rand", (3, 3, 1.0, 19), KL, 1237, 4, "0x1.24298895f3b61p-1", 49, "c41a56abfe7712b4"),
         ("rand", (3, 5, 1.0, 20), TOTAL_VARIATION, 800, 2, "0x1.10afb61252bf9p-1", 6, "6cdc628fb753ec8c"),
-        ("rand", (5, 4, 1.0, 13), KL, 4000, 7, "0x1.05f858836b3ccp-1", 4000, "5637f5fcae48cb68"),
+        ("rand", (5, 4, 1.0, 13), KL, 4000, 7, "0x1.0d76b3270777ep-1", 50, "4382420139bcdd80"),
         ("rand", (5, 3, 0.5, 14), TOTAL_VARIATION, 1500, 8, "0x1.06f234a42e09ap-1", 20, "ad76d9ce4c3e5652"),
-        ("rand", (8, 8, 1.0, 15), CHI_SQUARED, 5000, 9, "0x1.45d6721758282p-1", 5000, "e9ea6d76806ec54d"),
-        ("rand", (8, 5, 0.1, 16), KL, 3000, 10, "0x1.dc6d16cba1b2ep-1", 3000, "ca4dc9c317bc2751"),
-        ("rand", (12, 4, 1.0, 17), KL, 4000, 11, "0x1.1771173b7c43fp-1", 4000, "2b7a6b67b5ba9f8b"),
-        ("rand", (6, 30, 0.5, 18), CHI_SQUARED, 3000, 12, "0x1.34c651de8c38dp-1", 3000, "ebf37ebe7f2ebf62"),
-        ("zeros", None, KL, 3000, 7, "0x1.8a825e2bbbbcep-1", 3000, "f970cabfb2e4947d"),
-        ("zeros", None, CHI_SQUARED, 2000, 8, "0x1.801afff059af4p-1", 2000, "a624056500ab3704"),
+        ("rand", (8, 8, 1.0, 15), CHI_SQUARED, 5000, 9, "0x1.47e27f9b3afb6p-1", 52, "fb9cc1a75df02e2e"),
+        ("rand", (8, 5, 0.1, 16), KL, 3000, 10, "0x1.fbaf462c2c641p-1", 51, "6062bfdb8df16293"),
+        ("rand", (12, 4, 1.0, 17), KL, 4000, 11, "0x1.4a30c6d85901bp-1", 54, "7aae247deedc8290"),
+        ("rand", (6, 30, 0.5, 18), CHI_SQUARED, 3000, 12, "0x1.4867394df6f9bp-1", 56, "3b8293aac3134680"),
+        ("zeros", None, KL, 3000, 7, "0x1.999999998452ep-1", 41, "21c329de82b2e779"),
+        ("zeros", None, CHI_SQUARED, 2000, 8, "0x1.999999997e852p-1", 41, "42c140c4fcbaf639"),
     ]
     ZEROS = [[0.5, 0.5, 0.0], [0.0, 0.3, 0.7], [0.2, 0.0, 0.8], [0.1, 0.2, 0.7]]
 
     @pytest.mark.parametrize("cells", [None, 64])
     def test_results_are_pinned(self, monkeypatch, cells):
+        # at 64 cells, the ROLLING searches too (the test below pins them at
+        # the default): a block then holds 2 pairs at 30 x 30 and 21 at 300 x 3
+        cases = self.PINNED
         if cells is not None:
             monkeypatch.setattr(coefficients, "_BLOCK_CELLS", cells)
-        for kind, args, spec, budget, seed, value, evals, digest in self.PINNED:
+            cases = cases + [("rand", *case) for case in self.ROLLING]
+        for kind, args, spec, budget, seed, value, evals, digest in cases:
             if kind == "rr":
                 w = randomized_response(*args)
             elif kind == "rand":
@@ -378,14 +368,13 @@ class TestEstimateEtaF:
             ratio = est.output_divergence / est.input_divergence
             assert est.value == min(ratio, 1.0), (kind, args, spec.kind.value, budget, seed)
 
-    # As PINNED, at the default block size only, for searches whose climb
-    # tables cover less than two sweeps and are rebuilt as the climb moves on:
-    # 30 x 30 holds 272 of 3480 positions, 300 x 3 holds 26 of 358 800.
+    # As PINNED, for larger channels: at 30 x 30 the pair stage examines 139
+    # pairs over several blocks, and at 300 x 3 it stops after 2 of 44 850.
     ROLLING = [
-        ((30, 30, 1.0, 5), KL, 10_000, 2, "0x1.86c93fac3f45bp-2", 10_000, "44f031794950d812"),
-        ((30, 30, 1.0, 5), CHI_SQUARED, 10_000, 3, "0x1.11a99aad44b00p-2", 10_000, "6fa90cc386a5c6ea"),
-        ((300, 3, 1.0, 1), KL, 20_000, 0, "0x1.d319e9490bbd9p-4", 20_000, "e7440d5cf6a735e6"),
-        ((300, 3, 1.0, 1), CHI_SQUARED, 20_000, 4, "0x1.a3b6bea12c902p-5", 20_000, "338215da49d13031"),
+        ((30, 30, 1.0, 5), KL, 10_000, 2, "0x1.0a085474bb9c8p-1", 187, "1ff35156f77269b5"),
+        ((30, 30, 1.0, 5), CHI_SQUARED, 10_000, 3, "0x1.0a085474bbc56p-1", 187, "990cd83493819df7"),
+        ((300, 3, 1.0, 1), KL, 20_000, 0, "0x1.ebb64ef67ef37p-1", 50, "4d6817333ad76e86"),
+        ((300, 3, 1.0, 1), CHI_SQUARED, 20_000, 4, "0x1.ebb64ef67ef9cp-1", 50, "d64a52a02c2f3296"),
     ]
 
     @pytest.mark.parametrize("case", ROLLING, ids=lambda c: f"{c[0][0]}x{c[0][1]}-{c[1].kind.value}")
@@ -425,6 +414,26 @@ class TestEstimateEtaF:
         chi2 = FDivergenceSpec(FKind.CUSTOM, custom_f=lambda t: (t - 1.0) ** 2)
         est = estimate_eta_f(w, chi2, budget=300, seed=0)
         assert 0.0 < est.value <= dobrushin_coefficient(w) + 1e-10
+
+    @pytest.mark.parametrize("args", [(3, 4, 0.5, 0), (3, 4, 0.5, 1), (5, 4, 1.0, 13), (12, 4, 1.0, 701)])
+    def test_custom_chi_squared_matches_the_built_in_one(self, args):
+        # the same pair and ladder, evaluated by the custom kernel, which
+        # rebuilds p0 = base + diff and so loses digits at small steps
+        w = random_channel(*args)
+        chi2 = FDivergenceSpec(FKind.CUSTOM, custom_f=lambda t: (t - 1.0) ** 2)
+        custom = estimate_eta_f(w, chi2, budget=2000, seed=0)
+        built_in = estimate_eta_f(w, CHI_SQUARED, budget=2000, seed=0)
+        assert custom.value == pytest.approx(built_in.value, abs=1e-9)
+        assert custom.evaluations == built_in.evaluations
+
+    @pytest.mark.parametrize("budget", [1, 2, 3, 20, 49, 50, 51])
+    def test_small_budgets_cut_the_ladder(self, budget):
+        # 3 input pairs and a 48-step ladder: the pairs take budget - 48
+        # evaluations (at least one), the ladder what is left
+        w = random_channel(3, 4, 1.0, 7)
+        est = estimate_eta_f(w, KL, budget=budget, seed=0)
+        assert est.evaluations <= budget
+        assert 0.0 <= est.value <= dobrushin_coefficient(w) + 1e-10
 
 
 # Entries are exactly 0 or drawn from [1e-11, 1]; normalizing by a sum of at
@@ -514,6 +523,50 @@ class TestBinaryInputOracle:
                         din = f_divergence(est.witness_p0, est.witness_p1, spec)
                         dout = _pushed_divergence(w, est, spec)
                         assert dout / din == pytest.approx(est.value, rel=1e-9), where
+
+    @pytest.mark.parametrize("spec", [KL, CHI_SQUARED], ids=["kl", "chi_squared"])
+    @pytest.mark.parametrize("k, alpha, exact", [(3, 1.0, 1 / 12), (5, 2.0, 0.225)])
+    def test_randomized_response_with_more_inputs(self, spec, k, alpha, exact):
+        # every pair of inputs is alike: rows r/(r + k - 1) and 1/(r + k - 1)
+        # on two letters, equal on the rest, with h peaking at p = 1/2
+        est = estimate_eta_f(randomized_response(k, alpha), spec, budget=10_000, seed=0)
+        assert est.value == pytest.approx(exact, abs=1e-9)
+        assert est.value <= exact + 1e-10
+
+    @pytest.mark.parametrize("spec", [KL, CHI_SQUARED], ids=["kl", "chi_squared"])
+    def test_three_hundred_inputs_reach_the_best_pair(self, spec):
+        w = random_channel(300, 3, 1.0, 1)
+        est = estimate_eta_f(w, spec, budget=20_000, seed=0)
+        assert 0.96 <= est.value <= dobrushin_coefficient(w) + 1e-10
+
+    def test_zeros_under_kl_reach_the_end_of_the_logit_range(self):
+        # rows 0 and 2 of ZEROS: h rises to their TV distance, 0.8, as p -> 1
+        est = estimate_eta_f(validate_channel(TestEstimateEtaF.ZEROS), KL, budget=3000, seed=7)
+        assert 0.79 <= est.value <= 0.8
+
+    @staticmethod
+    def _criterion_05_channels():
+        rng = np.random.default_rng(50_505)  # as test_acceptance's criterion 05
+        for trial in range(100):
+            kx, ky = int(rng.integers(2, 6)), int(rng.integers(2, 6))
+            yield random_channel(kx, ky, (0.1, 1.0, 10.0)[trial % 3], 55_000 + trial)
+
+    def test_search_meets_the_best_pair_of_inputs(self):
+        channels = [*self._criterion_05_channels(), random_channel(12, 4, 1.0, 701),
+                    random_channel(30, 30, 1.0, 703)]
+        for w in channels:
+            rows, k = w.rows, w.input_size
+            pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+            tv = {(i, j): 0.5 * float(np.abs(rows[i] - rows[j]).sum()) for i, j in pairs}
+            etas = {}
+            for spec, tol in ((KL, 1e-9), (CHI_SQUARED, 1e-12)):
+                est = estimate_eta_f(w, spec, budget=10_000, seed=0)
+                assert est.value <= dobrushin_coefficient(w) + 1e-10, (rows, spec.kind.value)
+                # a pair's eta is at most its TV distance: only pairs above the value can beat it
+                for i, j in (pair for pair in pairs if tv[pair] > est.value):
+                    if (i, j) not in etas:
+                        etas[i, j] = _binary_input_eta(rows[[i, j]])
+                    assert etas[i, j] - tol <= est.value, (rows, i, j, spec.kind.value)
 
 
 class TestContractionProperties:
