@@ -238,31 +238,41 @@ def _best_pair(
     order of decreasing TV distance (ties in (i, j) order), and the stage
     stops at the first whose TV distance is at or below the best h so far:
     h is at most it. A block's pairs are examined or not as in a
-    pair-by-pair pass."""
+    pair-by-pair pass. Only the first `budget` pairs in that order are kept,
+    so memory is O(min(budget, k^2) + k)."""
     k = len(rows)
-    # TV distance of each pair i < j, at flat index starts[i] + j - i - 1
+    # pair i < j has flat index starts[i] + j - i - 1
     starts = np.concatenate(([0], np.cumsum(np.arange(k - 1, 0, -1))))
-    tv = np.empty(starts[-1])
+    keep = min(budget, int(starts[-1]))
+    tv = np.empty(min(int(starts[-1]), 2 * keep + k))
+    flat = np.empty(tv.size, dtype=np.intp)
+    n = 0
     for i in range(k - 1):
-        tv[starts[i]:starts[i + 1]] = 0.5 * np.add.reduce(np.abs(rows[i + 1:] - rows[i]), axis=1)
-    order = np.argsort(-tv, kind="stable")[:budget]
+        if n + k - 1 - i > tv.size:  # cut back to the first `keep` in order
+            order = np.lexsort((flat[:n], -tv[:n]))[:keep]
+            tv[:keep], flat[:keep], n = tv[order], flat[order], keep
+        tv[n:n + k - 1 - i] = 0.5 * np.add.reduce(np.abs(rows[i + 1:] - rows[i]), axis=1)
+        flat[n:n + k - 1 - i] = np.arange(starts[i], starts[i + 1])
+        n += k - 1 - i
+    order = np.lexsort((flat[:n], -tv[:n]))[:keep]
+    tv, flat = tv[order], flat[order]
     examined, best_h, peak = 0, 0.0, None
-    for start in range(0, order.size, block):
-        chunk = order[start:start + block]
-        flat = chunk[tv[chunk] > best_h]
-        if not flat.size:
+    for start in range(0, keep, block):
+        t = tv[start:start + block]
+        live = int(np.count_nonzero(t > best_h))  # a prefix, as t decreases
+        if not live:
             break
-        i = np.searchsorted(starts, flat, side="right") - 1
-        j = flat - starts[i] + i + 1
+        i = np.searchsorted(starts, flat[start:start + live], side="right") - 1
+        j = flat[start:start + live] - starts[i] + i + 1
         s, h = _pair_peaks(rows[i], rows[j])
         # a pair is examined while its TV distance exceeds the best h before it
         before = np.maximum.accumulate(np.concatenate(([best_h], h[:-1])))
-        n = int(np.count_nonzero(tv[flat] > before))
+        n = int(np.count_nonzero(t[:live] > before))
         examined += n
         c = int(h[:n].argmax())
         if h[c] > best_h:
             best_h, peak = float(h[c]), (int(i[c]), int(j[c]), float(s[c]))
-        if n < chunk.size:
+        if n < t.size:
             break
     return examined, peak
 
@@ -308,9 +318,9 @@ def estimate_eta_f(
     (p* a + (1 - p*) b, t (a - b)) on the ladder, with no matrix product.
     Pairs go through a block at a time, at most _BLOCK_CELLS cells per
     block, and each pair's numbers are those of a one-pair pass, so the
-    result does not depend on the block size. The pair stage holds one TV
-    distance and one index per pair of inputs. The kernels run under one
-    `np.errstate` for the whole search.
+    result does not depend on the block size. The pair stage keeps only the
+    pairs its budget can reach, so memory is O(min(budget, k^2) + k). The
+    kernels run under one `np.errstate` for the whole search.
 
     Returns
     -------

@@ -310,8 +310,8 @@ class TestEstimateEtaF:
         assert est.evaluations == 6  # the point masses spend the budget
 
     def test_peak_memory_is_bounded_at_three_hundred_inputs(self):
-        # the pair stage holds one TV distance and one index per input pair
-        # (44 850 of each), and evaluates its pairs a block at a time
+        # the pair stage keeps the first 19 952 of the 44 850 input pairs in
+        # order of TV distance, and evaluates its pairs a block at a time
         w = random_channel(300, 3, 1.0, 1)
         tracemalloc.start()
         try:
@@ -321,6 +321,21 @@ class TestEstimateEtaF:
             tracemalloc.stop()
         assert est.evaluations == 50 <= 20_000
         assert peak < 2e6, peak
+
+    def test_peak_memory_follows_the_budget_not_the_pairs_of_inputs(self):
+        # 499 500 input pairs, of which the pair stage keeps the first 1 952
+        # in order of TV distance: a TV distance and an index for every pair
+        # would take 8 MB
+        w = random_channel(1000, 2, 1.0, 1)
+        tracemalloc.start()
+        try:
+            est = estimate_eta_f(w, KL, budget=2000, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert est.evaluations <= 2000
+        assert 0.99 < est.value <= dobrushin_coefficient(w) + 1e-10
+        assert peak < 1e6, peak
 
     # (channel, spec, budget, seed) -> value.hex(), evaluations, and the first
     # 16 hex digits of sha256(witness_p0 bytes + witness_p1 bytes). Cases
