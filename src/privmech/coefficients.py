@@ -313,14 +313,17 @@ def estimate_eta_f(
     read by no stage and does not affect the result, which is deterministic
     given `budget`.
 
-    Every evaluation forms its input and output (base, diff) straight from
-    two rows of the channel: (row b, row a - row b) for point masses, and
-    (p* a + (1 - p*) b, t (a - b)) on the ladder, with no matrix product.
-    Pairs go through a block at a time, at most _BLOCK_CELLS cells per
-    block, and each pair's numbers are those of a one-pair pass, so the
-    result does not depend on the block size. The pair stage keeps only the
-    pairs its budget can reach, so memory is O(min(budget, k^2) + k). The
-    kernels run under one `np.errstate` for the whole search.
+    Both stages evaluate one witness form: inputs i and j, a weight u and
+    a step t give p1 = u e_i + (1 - u) e_j and p0 = p1 + t (e_i - e_j), with
+    input (base, diff) = ([u, 1 - u], t [1, -1]) on {i, j} and output
+    (base, diff) = (u a + (1 - u) b, t (a - b)) from rows a = w(i) and
+    b = w(j), with no matrix product. A pair of point masses is
+    (u, t) = (0, 1), a ladder step (u, t) = (p*, +-t). Pairs go through a
+    block at a time, at most _BLOCK_CELLS cells per block, and each pair's
+    numbers are those of a one-pair pass, so the result does not depend on
+    the block size. The pair stage keeps only the pairs its budget can
+    reach, so memory is O(min(budget, k^2) + k). The kernels run under one
+    `np.errstate` for the whole search.
 
     Returns
     -------
@@ -351,29 +354,35 @@ def estimate_eta_f(
     pair_div = _pair_divergence(spec)
     rows = w.rows
     block = max(1, _BLOCK_CELLS // w.output_size)
-
     evals = 0
-    best_val = -1.0
-    best: np.ndarray | None = None  # rows p0, p1 of the best pair
-    best_div = (0.0, 0.0)  # its input and output divergence
+    # ratio, input and output divergence, and (i, j, u, t) of the first strict maximum
+    best = (-1.0, 0.0, 0.0, None)
+
+    def evaluate(i: np.ndarray, j: np.ndarray, u: np.ndarray, t: np.ndarray) -> None:
+        # the pairs p1 = u e_i + (1 - u) e_j, p0 = p1 + t (e_i - e_j): on {i, j}
+        # (base, diff) = ([u, 1 - u], t [1, -1]), and their images
+        # (u a + (1 - u) b, t (a - b)), one kernel call each
+        nonlocal evals, best
+        u, t, a, b = u[:, None], t[:, None], rows[i], rows[j]
+        din = pair_div(np.concatenate((u, 1.0 - u), axis=1), t * [1.0, -1.0])
+        dout = pair_div(u * a + (1.0 - u) * b, t * (a - b))
+        r = dout / din
+        evals += len(r)
+        r = np.where((DIV_FLOOR < din) & (din < DIV_CEIL) & (r > best[0]), r, -np.inf)
+        c = int(r.argmax())
+        if r[c] > best[0]:
+            best = (float(r[c]), float(din[c]), float(dout[c]),
+                    (int(i[c]), int(j[c]), float(u[c, 0]), float(t[c, 0])))
 
     with _quiet():  # the kernels' error state, entered once per search
-        # point masses e_a, e_b are (base, diff) = ([0, 1], [1, -1]) on {a, b}:
-        # every such pair has that input divergence, f(0) + f'(inf), so one
-        # call decides whether any is admitted (KL and chi^2: none)
+        # every pair of point masses has the input divergence f(0) + f'(inf),
+        # so one call decides whether any is admitted (KL and chi^2: none)
         din = float(pair_div(np.array([0.0, 1.0]), np.array([1.0, -1.0])))
         if k > 1 and DIV_FLOOR < din < DIV_CEIL:
             total = min(n_vertex, budget)
             for start in range(0, total, block):
-                a, b = _off_diagonal(k, np.arange(start, min(total, start + block)))
-                dout = pair_div(rows[b], rows[a] - rows[b])
-                r = dout / din
-                evals += len(r)
-                j = int(np.where(r > best_val, r, -np.inf).argmax())
-                if r[j] > best_val:
-                    best_val, best_div = float(r[j]), (din, float(dout[j]))
-                    best = np.zeros((2, k))
-                    best[[0, 1], [a[j], b[j]]] = 1.0
+                i, j = _off_diagonal(k, np.arange(start, min(total, start + block)))
+                evaluate(i, j, np.zeros(len(i)), np.ones(len(i)))  # p0 = e_i, p1 = e_j
         # eta_TV is attained at a pair of point masses, so the first stage is exact
         if spec.kind is not FKind.TOTAL_VARIATION and k > 1 and evals < budget:
             examined, peak = _best_pair(rows, max(1, budget - evals - 48), block)
@@ -384,35 +393,27 @@ def estimate_eta_f(
                     i, j, s = j, i, -s
                 mant, e = math.frexp(1.0 / (1.0 + math.exp(-s)))
                 # u with its last bit cleared and steps t = 2^(e-1-n) <= u, at
-                # least 2^-53: u +- t and v -+ t are exact, so p0 - p1 is exactly
-                # t (e_i - e_j) and its image exactly t (a - b), as evaluated
+                # least 2^-53: u +- t and 1 - u -+ t are exact, so p0 - p1 is
+                # exactly t (e_i - e_j) and its image exactly t (a - b), as evaluated
                 u = math.ldexp(math.floor(math.ldexp(mant, 52)), e - 52)
-                v = 1.0 - u
                 t = np.ldexp(1.0, e - 1 - np.arange(24))
                 t = np.column_stack((t, -t))[t >= 2.0 ** -53].ravel()[: budget - evals]
-                a, b = rows[i], rows[j]
-                diff = np.concatenate((t[:, None] * [1.0, -1.0], t[:, None] * (a - b)), axis=1)
-                base = np.broadcast_to(np.concatenate(([u, v], u * a + v * b)), diff.shape)
-                din, dout = pair_div(base, diff, 2)
-                r = dout / din
-                evals += len(r)
-                r = np.where((DIV_FLOOR < din) & (din < DIV_CEIL) & (r > best_val), r, -np.inf)
-                c = int(r.argmax())
-                if r[c] > best_val:
-                    best_val, best_div = float(r[c]), (float(din[c]), float(dout[c]))
-                    best = np.zeros((2, k))
-                    best[:, i], best[:, j] = u, v
-                    best[0, i] += t[c]
-                    best[0, j] -= t[c]
-    if best is not None:
-        value = min(max(best_val, 0.0), 1.0)
-        din, dout = best_div
-        w0 = validate_distribution(best[0])
-        w1 = validate_distribution(best[1])
-    else:
+                n = len(t)
+                evaluate(np.full(n, i), np.full(n, j), np.full(n, u), t)
+    value, din, dout, pair = best
+    if pair is None:
         # no admissible pair (e.g. |X| = 1): report 0 with degenerate witnesses
         value = din = dout = 0.0
         w0 = w1 = Distribution.uniform(k)
+    else:
+        i, j, u, t = pair
+        p1 = np.zeros(k)
+        p1[i], p1[j] = u, 1.0 - u
+        p0 = p1.copy()
+        p0[i] += t
+        p0[j] -= t
+        value = min(max(value, 0.0), 1.0)
+        w0, w1 = validate_distribution(p0), validate_distribution(p1)
     return ContractionEstimate(
         spec=spec,
         value=value,

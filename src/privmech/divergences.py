@@ -7,18 +7,13 @@ infinite pairs themselves.
 Every divergence is evaluated in (base, difference) form, D(base + diff ||
 base), by the one kernel per kind that `_pair_divergence` selects, never
 from two separately rounded vectors: the public functions pass (q, p - q),
-and `estimate_eta_f` takes the image of a pair's difference straight from
-two rows of the channel. Each divergence is thus computed at full relative
-precision; otherwise a ratio taken near the search's admission floor
-follows rounding noise and can report a "lower bound" above the true
-supremum. A kernel takes arrays of shape (..., m) and reduces over the
-last axis, so the search evaluates a block of pairs in one call and the
-public functions pass one row. The last axis is reduced whole, or, given
-`split`, as the two column groups [:split] and [split:]: the search places
-the two letters of each input pair and their images side by side, shape
-(..., 2 + m), and gets the input and the output divergence from one
-elementwise pass. Each group's sum is the one a separate call on that
-group would give.
+and `estimate_eta_f` forms each pair and its image from two rows of the
+channel. Each divergence is thus computed at full relative precision;
+otherwise a ratio taken near the search's admission floor follows rounding
+noise and can report a "lower bound" above the true supremum. A kernel
+takes arrays of shape (..., m) and reduces over the last axis, so the
+search evaluates a block of pairs in one call and the public functions
+pass one row.
 
 The kernels run under the caller's `np.errstate`, the one `_quiet()`
 returns: there a ratio that overflows (a base near 1e-310) and 0/0 (a symbol
@@ -125,18 +120,7 @@ def _bracket_g(x: np.ndarray) -> np.ndarray:
     return g
 
 
-def _column_sums(terms: np.ndarray, split: int | None) -> np.ndarray:
-    """Sums of `terms` over the last axis: whole when split is None, else
-    the column groups [:split] and [split:], stacked on a new first axis."""
-    if split is None:
-        return np.add.reduce(terms, axis=-1)
-    sums = np.empty((2,) + terms.shape[:-1])
-    np.add.reduce(terms[..., :split], axis=-1, out=sums[0, ...])
-    np.add.reduce(terms[..., split:], axis=-1, out=sums[1, ...])
-    return sums
-
-
-def _kl_pair_bits(base: np.ndarray, diff: np.ndarray, split: int | None = None) -> np.ndarray:
+def _kl_pair_bits(base: np.ndarray, diff: np.ndarray) -> np.ndarray:
     live = base > 0.0
     x = np.maximum(diff / np.where(live, base, 1.0), -1.0)
     terms = base * _bracket_g(x)
@@ -149,17 +133,17 @@ def _kl_pair_bits(base: np.ndarray, diff: np.ndarray, split: int | None = None) 
         terms[over] = (b + d) * (np.log(b + d) - np.log(b)) - d
     # mass where the base has none makes the divergence infinite
     terms = np.where(live | (diff == 0.0), terms, np.inf)
-    return _column_sums(terms, split) / _LN2
+    return np.add.reduce(terms, axis=-1) / _LN2
 
 
-def _tv_pair(base: np.ndarray, diff: np.ndarray, split: int | None = None) -> np.ndarray:
-    return 0.5 * _column_sums(np.abs(diff), split)
+def _tv_pair(base: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    return 0.5 * np.add.reduce(np.abs(diff), axis=-1)
 
 
-def _chi2_pair(base: np.ndarray, diff: np.ndarray, split: int | None = None) -> np.ndarray:
+def _chi2_pair(base: np.ndarray, diff: np.ndarray) -> np.ndarray:
     # where the base is 0 (or -0), diff^2/base is 0/0 (NaN, read as 0) or
     # +-inf (mass where the base has none: infinite)
-    return _column_sums(np.fmax(np.abs(diff * diff / base), 0.0), split)
+    return np.add.reduce(np.fmax(np.abs(diff * diff / base), 0.0), axis=-1)
 
 
 def _custom_pair(spec: FDivergenceSpec):
@@ -180,14 +164,14 @@ def _custom_pair(spec: FDivergenceSpec):
     else:
         f_inf = float(hi)
 
-    def pair(base: np.ndarray, diff: np.ndarray, split: int | None = None) -> np.ndarray:
+    def pair(base: np.ndarray, diff: np.ndarray) -> np.ndarray:
         pp = np.clip(base + diff, 0.0, None)
         qpos = base > 0
         terms = np.zeros_like(pp)
         terms[qpos] = base[qpos] * np.array([float(f(t)) for t in pp[qpos] / base[qpos]])
-        total = _column_sums(terms, split)
+        total = np.add.reduce(terms, axis=-1)
         # mass where q vanishes; 0/0 pairs add 0
-        escaped = _column_sums(np.where(qpos, 0.0, pp), split)
+        escaped = np.add.reduce(np.where(qpos, 0.0, pp), axis=-1)
         return np.where(escaped > 0.0, total + escaped * f_inf, total)
 
     return pair
@@ -196,10 +180,8 @@ def _custom_pair(spec: FDivergenceSpec):
 def _pair_divergence(spec: FDivergenceSpec):
     """The kernel D(base + diff || base) of `spec`, as a function of two
     arrays of shape (..., m): one divergence per row, reduced over the last
-    axis, and an optional column `split`, which gives an array of shape
-    (2, ...): the divergences of the groups [:split] and [split:]. Support
-    violations (base = 0 < diff) give +inf for KL and chi^2 and contribute
-    |diff|/2 for total variation."""
+    axis. Support violations (base = 0 < diff) give +inf for KL and chi^2
+    and contribute |diff|/2 for total variation."""
     if spec.kind is FKind.TOTAL_VARIATION:
         return _tv_pair
     if spec.kind is FKind.KL:

@@ -19,9 +19,13 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .bounds import BoundCheckResult, _verdict
-from .core import EQ_TOL, Channel, Distribution, _check_count, pushforward, validate_distribution
+from .core import (
+    EQ_TOL, Channel, Distribution, _as_floats, _check_count, pushforward, validate_distribution,
+)
 from .divergences import _LN2, _kl_pair_bits, _quiet
-from .errors import BadDirectionVector, DimensionMismatch, PreconditionNotMet, SymbolOutOfRange
+from .errors import (
+    BadDirectionVector, DimensionMismatch, PreconditionNotMet, RaggedRows, SymbolOutOfRange,
+)
 from .mechanisms import _check_k, _check_k_alpha, staircase_rate
 
 # Count cells per multinomial block. Rows are drawn in order from one
@@ -117,7 +121,7 @@ def staircase_estimator(samples, k: int, alpha_bits: float, n: int) -> np.ndarra
     coordinates may exceed 1 and need not sum to 1.
     """
     lam = staircase_rate(k, alpha_bits)
-    arr = np.asarray(samples)
+    arr = _as_floats(samples, RaggedRows)
     if arr.ndim != 1 or len(arr) != n:
         raise DimensionMismatch(f"expected {n} samples, got shape {arr.shape}")
     bad = ~((arr >= 0) & (arr <= k) & (arr == np.round(arr)))  # also catches NaN
@@ -205,12 +209,12 @@ def lecam_pair(k: int, alpha_bits: float, n: int, u) -> LeCamPair:
     """
     _check_k_alpha(k, alpha_bits)
     _check_count("n", n)
-    uu = np.asarray(u, dtype=float)
+    uu = _as_floats(u, RaggedRows)
     if uu.shape != (k,):
         raise BadDirectionVector(f"direction must have length {k}, got shape {uu.shape}")
     total = float(uu.sum())
     sqnorm = float(uu @ uu)
-    if abs(total) > EQ_TOL or abs(sqnorm - 1.0) > EQ_TOL:
+    if not abs(total) <= EQ_TOL or not abs(sqnorm - 1.0) <= EQ_TOL:  # NaN fails too
         raise BadDirectionVector(
             f"direction must satisfy sum u = 0 and sum u^2 = 1, got {total!r} and {sqnorm!r}"
         )

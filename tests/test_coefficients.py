@@ -218,6 +218,14 @@ class TestEstimateEtaF:
             # eta_TV is attained at a pair of point masses: the search stops there
             assert est.value == dobrushin_coefficient(w)
             assert est.evaluations == w.input_size * (w.input_size - 1)
+            # each witness is an exact point mass, on a pair of rows whose
+            # TV distance is the value
+            ends = []
+            for witness in (est.witness_p0.probs, est.witness_p1.probs):
+                (one,) = np.flatnonzero(witness == 1.0)
+                assert np.count_nonzero(witness == 0.0) == w.input_size - 1
+                ends.append(validate_distribution(w.rows[one]))
+            assert total_variation(*ends) == est.value
 
     def test_kl_constant_channel_is_zero(self):
         est = estimate_eta_f(CONSTANT, KL, budget=500, seed=1)
@@ -429,6 +437,28 @@ class TestEstimateEtaF:
         chi2 = FDivergenceSpec(FKind.CUSTOM, custom_f=lambda t: (t - 1.0) ** 2)
         est = estimate_eta_f(w, chi2, budget=300, seed=0)
         assert 0.0 < est.value <= dobrushin_coefficient(w) + 1e-10
+
+    # As PINNED, for custom f: (channel, f, budget) -> value.hex(),
+    # evaluations, witness digest, and the stage whose pair wins. Both
+    # stages run: for triangular discrimination a ladder step wins, for half
+    # the TV distance a pair of point masses.
+    CUSTOM_PINNED = [
+        ((3, 4, 0.5, 0), lambda t: (t - 1.0) ** 2 / (t + 1.0), 2000,
+         "0x1.1518ce9fc5c3cp-1", 56, "098eaa938efe9422", "ladder"),
+        ((4, 4, 0.5, 0), lambda t: 0.5 * abs(t - 1.0), 2000,
+         "0x1.59004ef3e70e5p-1", 63, "56abeffce5d25d3a", "point masses"),
+    ]
+
+    @pytest.mark.parametrize("case", CUSTOM_PINNED, ids=["triangular", "half_tv"])
+    def test_custom_f_results_are_pinned(self, case):
+        args, f, budget, value, evals, digest, stage = case
+        est = estimate_eta_f(random_channel(*args), FDivergenceSpec(FKind.CUSTOM, custom_f=f), budget, 0)
+        witnesses = est.witness_p0.probs.tobytes() + est.witness_p1.probs.tobytes()
+        got = (est.value.hex(), est.evaluations, hashlib.sha256(witnesses).hexdigest()[:16])
+        assert got == (value, evals, digest)
+        assert est.value == est.output_divergence / est.input_divergence
+        peaks = {est.witness_p0.probs.max(), est.witness_p1.probs.max()}
+        assert stage == ("point masses" if peaks == {1.0} else "ladder")
 
     @pytest.mark.parametrize("args", [(3, 4, 0.5, 0), (3, 4, 0.5, 1), (5, 4, 1.0, 13), (12, 4, 1.0, 701)])
     def test_custom_chi_squared_matches_the_built_in_one(self, args):

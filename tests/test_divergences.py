@@ -182,6 +182,24 @@ class TestFDivergence:
         spec = FDivergenceSpec(FKind.CUSTOM, custom_f=lambda t: t * math.log2(t) if t > 0 else 0.0)
         assert f_divergence(dist([1, 0]), dist([0, 1]), spec) == float("inf")
 
+    # Open fault: the slope probe reads f(1e8)/1e8 and f(1e12)/1e12 and takes
+    # any rise between them as an infinite slope, so f(t)/t that converges
+    # slowly (squared Hellinger, slope 1) or from below (reverse KL, slope 0)
+    # charges infinity for mass where the base has none.
+    @pytest.mark.xfail(reason="slope probe reads slow convergence of f(t)/t as infinite")
+    @pytest.mark.parametrize(
+        "f, p, q, exact",
+        [
+            (lambda t: (math.sqrt(t) - 1.0) ** 2, [1.0, 0.0], [0.0, 1.0], 2.0),
+            (lambda t: (math.sqrt(t) - 1.0) ** 2, [0.5, 0.5], [0.0, 1.0], 2.0 - math.sqrt(2.0)),
+            (lambda t: -math.log(t), [0.5, 0.5], [0.0, 1.0], math.log(2.0)),
+        ],
+        ids=["hellinger_disjoint", "hellinger_half", "reverse_kl"],
+    )
+    def test_custom_f_of_finite_slope_charges_escaped_mass_finitely(self, f, p, q, exact):
+        spec = FDivergenceSpec(FKind.CUSTOM, custom_f=f)
+        assert f_divergence(dist(p), dist(q), spec) == pytest.approx(exact, rel=1e-9)
+
     def test_spec_invariants(self):
         with pytest.raises(ValueError):
             FDivergenceSpec(FKind.CUSTOM)  # custom requires a callable
@@ -247,12 +265,6 @@ class TestKernelProperties:
                     one = kernel(base[i], diff[i])
                     assert np.ndim(one) == 0
                     assert batched[i] == one
-                # two column groups from one call, each as its own call gives
-                split = m // 2
-                if split:
-                    left, right = kernel(base, diff, split)
-                    assert np.array_equal(left, kernel(base[:, :split], diff[:, :split]))
-                    assert np.array_equal(right, kernel(base[:, split:], diff[:, split:]))
 
     @_quiet()
     @pytest.mark.parametrize("spec", [KL, CHI_SQUARED], ids=["kl", "chi_squared"])

@@ -32,6 +32,7 @@ from privmech.errors import (
     DimensionMismatch,
     PreconditionNotMet,
     SymbolOutOfRange,
+    ValidationError,
 )
 
 LN2 = math.log(2.0)
@@ -94,6 +95,15 @@ class TestStaircaseEstimator:
             staircase_estimator(np.array([-1, 0]), k=3, alpha_bits=1.0, n=2)
         with pytest.raises(SymbolOutOfRange):
             staircase_estimator(np.array([0.5, 2.9, 1.0]), k=3, alpha_bits=1.0, n=3)
+
+    @pytest.mark.parametrize("samples", [["1", "0"], [None, 1]], ids=["strings", "null"])
+    def test_non_numeric_samples_are_validation_errors(self, samples):
+        with pytest.raises(ValidationError, match="must be numbers"):
+            staircase_estimator(samples, k=3, alpha_bits=1.0, n=2)
+
+    def test_an_integer_past_int64_is_out_of_range(self):
+        with pytest.raises(SymbolOutOfRange):
+            staircase_estimator([10**30, 0], k=3, alpha_bits=1.0, n=2)
 
     def test_whole_valued_floats_accepted(self):
         est = staircase_estimator(np.array([0.0, 2.0, 1.0, 3.0]), k=3, alpha_bits=1.0, n=4)
@@ -348,6 +358,12 @@ class TestLeCamPair:
             lecam_pair(2, 1.0, 100, np.array([0.5, 0.5]))  # nonzero sum
         with pytest.raises(BadDirectionVector):
             lecam_pair(3, 1.0, 100, np.array([1.0, -1.0]))  # wrong length
+        with pytest.raises(BadDirectionVector):
+            lecam_pair(2, 1.0, 100, [math.nan, math.nan])  # NaN fails both tests
+        with pytest.raises(ValidationError, match="must be numbers"):
+            lecam_pair(2, 1.0, 100, ["0.7071067811865476", "-0.7071067811865476"])
+        with pytest.raises(ValidationError, match="must be numbers"):
+            lecam_pair(2, 1.0, 100, [None, 1])
 
     @pytest.mark.parametrize("k", [2, 3, 7])
     def test_default_direction_is_admissible(self, k):
