@@ -235,35 +235,35 @@ def _best_pair(
     """The pair stage: the number of input pairs examined (at most `budget`)
     and, for the first pair of greatest h among them, its inputs (i, j) and
     the logit of p at its peak (None if none was examined). Pairs go in
-    order of decreasing TV distance (ties in (i, j) order), and the stage
-    stops at the first whose TV distance is at or below the best h so far:
-    h is at most it. A block's pairs are examined or not as in a
-    pair-by-pair pass. Only the first `budget` pairs in that order are kept,
-    so memory is O(min(budget, k^2) + k)."""
+    order of decreasing TV distance, by one stable sort (ties in (i, j)
+    order), and the stage stops at the first whose TV distance is at or
+    below the best h so far: h is at most it. A block's pairs are examined
+    or not as in a pair-by-pair pass. Only the first `budget` pairs in that
+    order are kept, so memory is O(min(budget, k^2) + k)."""
     k = len(rows)
-    # pair i < j has flat index starts[i] + j - i - 1
-    starts = np.concatenate(([0], np.cumsum(np.arange(k - 1, 0, -1))))
-    keep = min(budget, int(starts[-1]))
-    tv = np.empty(min(int(starts[-1]), 2 * keep + k))
-    flat = np.empty(tv.size, dtype=np.intp)
+    total = k * (k - 1) // 2
+    keep = min(budget, total)
+    tv = np.empty(min(total, 2 * keep + k))
+    code = np.empty(tv.size, dtype=np.intp)  # pair i < j is coded i * k + j
     n = 0
     for i in range(k - 1):
+        # rows enter in (i, j) order and a cut keeps its survivors ahead of
+        # all later rows, so a stable sort leaves ties in (i, j) order
         if n + k - 1 - i > tv.size:  # cut back to the first `keep` in order
-            order = np.lexsort((flat[:n], -tv[:n]))[:keep]
-            tv[:keep], flat[:keep], n = tv[order], flat[order], keep
+            order = np.argsort(-tv[:n], kind="stable")[:keep]
+            tv[:keep], code[:keep], n = tv[order], code[order], keep
         tv[n:n + k - 1 - i] = 0.5 * np.add.reduce(np.abs(rows[i + 1:] - rows[i]), axis=1)
-        flat[n:n + k - 1 - i] = np.arange(starts[i], starts[i + 1])
+        code[n:n + k - 1 - i] = np.arange(i * k + i + 1, (i + 1) * k)
         n += k - 1 - i
-    order = np.lexsort((flat[:n], -tv[:n]))[:keep]
-    tv, flat = tv[order], flat[order]
+    order = np.argsort(-tv[:n], kind="stable")[:keep]
+    tv, code = tv[order], code[order]
     examined, best_h, peak = 0, 0.0, None
     for start in range(0, keep, block):
         t = tv[start:start + block]
         live = int(np.count_nonzero(t > best_h))  # a prefix, as t decreases
         if not live:
             break
-        i = np.searchsorted(starts, flat[start:start + live], side="right") - 1
-        j = flat[start:start + live] - starts[i] + i + 1
+        i, j = np.divmod(code[start:start + live], k)
         s, h = _pair_peaks(rows[i], rows[j])
         # a pair is examined while its TV distance exceeds the best h before it
         before = np.maximum.accumulate(np.concatenate(([best_h], h[:-1])))

@@ -20,20 +20,22 @@ def _check_k(k):
 
 
 def _check_k_alpha(k, alpha_bits, allow_zero=False):
-    """Domain check shared by the mechanisms and the risk study.
-
-    k must be an integer >= 2 (InvalidK); alpha_bits must be finite
-    (AlphaOutOfRange) and positive (AlphaOutOfRange), or with `allow_zero`
-    nonnegative (NegativeAlpha). `_check_k` is the k half alone.
+    """Domain check shared by the mechanisms and the risk study; returns
+    r = 2**alpha_bits. k must be an integer >= 2 (InvalidK); alpha_bits
+    must be finite and below 1024, where r overflows, and make r > 1
+    (AlphaOutOfRange), or with `allow_zero` be nonnegative (NegativeAlpha).
+    `_check_k` is the k half alone.
     """
     _check_k(k)
-    if not np.isfinite(alpha_bits):
-        raise AlphaOutOfRange(f"alpha_bits must be finite, got {alpha_bits!r}")
+    if not np.isfinite(alpha_bits) or alpha_bits >= 1024:
+        raise AlphaOutOfRange(f"alpha_bits must be finite and below 1024, got {alpha_bits!r}")
+    r = 2.0 ** float(alpha_bits)
     if allow_zero:
         if alpha_bits < 0:
             raise NegativeAlpha(f"alpha_bits must be >= 0, got {alpha_bits!r}")
-    elif alpha_bits <= 0:
-        raise AlphaOutOfRange(f"alpha_bits must be positive, got {alpha_bits!r}")
+    elif not r > 1.0:  # a tiny alpha_bits has r = 1, and r - 1 = 0
+        raise AlphaOutOfRange(f"alpha_bits must make 2**alpha_bits > 1, got {alpha_bits!r}")
+    return r
 
 
 def randomized_response(k: int, alpha_bits: float) -> Channel:
@@ -43,8 +45,7 @@ def randomized_response(k: int, alpha_bits: float) -> Channel:
     1 / (2**a + k - 1). At a = 0 this degenerates to the constant uniform
     channel; its LDP level is exactly `alpha_bits`.
     """
-    _check_k_alpha(k, alpha_bits, allow_zero=True)
-    r = 2.0 ** float(alpha_bits)
+    r = _check_k_alpha(k, alpha_bits, allow_zero=True)
     denom = r + k - 1.0
     rows = np.full((k, k), 1.0 / denom) + np.eye(k) * ((r - 1.0) / denom)
     return validate_channel(rows)
@@ -71,8 +72,7 @@ def staircase_rate(k: int, alpha_bits: float) -> float:
     constrains anything). Values of 2**a within one part in 1e9 of k are
     snapped to the boundary so that a = log2(k) is accepted exactly.
     """
-    _check_k_alpha(k, alpha_bits)
-    r = 2.0 ** float(alpha_bits)
+    r = _check_k_alpha(k, alpha_bits)
     if r > k:
         if r <= k * (1.0 + 1e-9):
             r = float(k)

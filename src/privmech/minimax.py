@@ -20,7 +20,8 @@ import numpy as np
 
 from .bounds import BoundCheckResult, _verdict
 from .core import (
-    EQ_TOL, Channel, Distribution, _as_floats, _check_count, pushforward, validate_distribution,
+    EQ_TOL, Channel, Distribution, _as_floats, _check_count, _readonly, pushforward,
+    validate_distribution,
 )
 from .divergences import _LN2, _kl_pair_bits, _quiet
 from .errors import (
@@ -207,7 +208,7 @@ def lecam_pair(k: int, alpha_bits: float, n: int, u) -> LeCamPair:
     is flagged invalid when any p1 entry leaves [0, 1], which cannot happen
     once n >= k^2/(2**a - 1).
     """
-    _check_k_alpha(k, alpha_bits)
+    r1 = _check_k_alpha(k, alpha_bits) - 1.0
     _check_count("n", n)
     uu = _as_floats(u, RaggedRows)
     if uu.shape != (k,):
@@ -219,13 +220,11 @@ def lecam_pair(k: int, alpha_bits: float, n: int, u) -> LeCamPair:
             f"direction must satisfy sum u = 0 and sum u^2 = 1, got {total!r} and {sqnorm!r}"
         )
     p0 = Distribution.uniform(k)
-    scale = math.sqrt(n * (2.0 ** alpha_bits - 1.0))
+    scale = math.sqrt(n * r1)
     p1_raw = 1.0 / k + uu / scale
     valid = bool((p1_raw >= 0.0).all() and (p1_raw <= 1.0).all())
     p1 = validate_distribution(p1_raw) if valid else None
-    uu_ro = uu.copy()
-    uu_ro.setflags(write=False)
-    return LeCamPair(p0=p0, p1=p1, u=uu_ro, valid=valid)
+    return LeCamPair(p0=p0, p1=p1, u=_readonly(uu), valid=valid)
 
 
 def _taylor_value(k, alpha_bits, n, u) -> float:
@@ -342,11 +341,12 @@ def scaling_sweep(
     normalized_risk = mean_risk * n * (2**a - 1).
 
     Rows are ordered by n; each row runs on its own seed substream derived
-    from (seed, row index). An empty grid gives an empty table.
+    from (seed, row index). An empty grid gives an empty table; k and
+    alpha_bits are checked even then.
     """
+    r1 = _check_k_alpha(k, alpha_bits) - 1.0
     if source is None:
         source = Distribution.uniform(k)
-    r1 = 2.0 ** alpha_bits - 1.0
     grid = list(n_grid)
     for n in grid:
         _check_count("n", n)

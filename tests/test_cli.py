@@ -233,6 +233,12 @@ class TestMalformedInput:
             ["analyze", '{"rows": [[1.0], [0.5, 0.5]]}'],
             ["simulate", "--k", "2", "--alpha", "1", "--n", "10", "--replicates", "10",
              "--source", '{"probs": [[1], [1, 2]]}'],
+            # 2**2000 overflows a double, and 2**1e-20 rounds to 1
+            ["construct", "rr", "--k", "3", "--alpha", "2000"],
+            ["construct", "staircase", "--k", "3", "--alpha", "2000"],
+            ["simulate", "--k", "3", "--alpha", "2000", "--n", "10", "--replicates", "10"],
+            ["simulate", "--k", "3", "--alpha", "1e-20", "--n", "10", "--replicates", "10"],
+            ["sweep", "--k", "3", "--alpha", "1e-20", "--n-grid", "10", "--replicates", "10"],
         ],
     )
     def test_exits_two_with_one_error_line(self, capsys, argv):

@@ -345,6 +345,32 @@ class TestEstimateEtaF:
         assert 0.99 < est.value <= dobrushin_coefficient(w) + 1e-10
         assert peak < 1e6, peak
 
+    @pytest.mark.parametrize("block", [7, 1365])
+    @pytest.mark.parametrize("budget", [300, 2000])
+    def test_pair_order_across_cuts_is_tv_then_inputs(self, budget, block):
+        # 400 rows drawn from 4: each TV distance is shared by thousands of
+        # pairs, and the buffer of about 2 * budget + k pairs is cut back to
+        # `budget` many times. The reference sorts all 79 800 pairs at once
+        # by (-TV, i, j) and examines them one at a time.
+        rng = np.random.default_rng(4)
+        rows = rng.dirichlet(np.ones(3), size=4)[rng.integers(4, size=400)]
+        got = coefficients._best_pair(rows, budget, block)
+        tv = {(i, j): 0.5 * float(np.abs(rows[j] - rows[i]).sum())
+              for i in range(len(rows)) for j in range(i + 1, len(rows))}
+        peaks = {}  # repeated rows have the same peak
+        examined, best_h, peak = 0, 0.0, None
+        for i, j in sorted(tv, key=lambda pair: (-tv[pair], *pair))[:budget]:
+            if tv[i, j] <= best_h:
+                break
+            key = (rows[i].tobytes(), rows[j].tobytes())
+            if key not in peaks:
+                peaks[key] = coefficients._pair_peaks(rows[[i]], rows[[j]])
+            s, h = peaks[key]
+            examined += 1
+            if h[0] > best_h:
+                best_h, peak = float(h[0]), (i, j, float(s[0]))
+        assert got == (examined, peak)
+
     # (channel, spec, budget, seed) -> value.hex(), evaluations, and the first
     # 16 hex digits of sha256(witness_p0 bytes + witness_p1 bytes). Cases
     # cover k = 2, 3, 5, 8, 12 and a 6 x 30 channel, and a channel with exact
@@ -401,7 +427,7 @@ class TestEstimateEtaF:
     ]
 
     @pytest.mark.parametrize("case", ROLLING, ids=lambda c: f"{c[0][0]}x{c[0][1]}-{c[1].kind.value}")
-    def test_results_with_rolling_climb_tables_are_pinned(self, case):
+    def test_larger_channels_are_pinned(self, case):
         args, spec, budget, seed, value, evals, digest = case
         est = estimate_eta_f(random_channel(*args), spec, budget, seed)
         witnesses = est.witness_p0.probs.tobytes() + est.witness_p1.probs.tobytes()

@@ -208,13 +208,15 @@ class TestSharedDomainCheck:
             with pytest.raises(InvalidK):
                 call()
 
-    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), float("-inf")])
+    # 2**2000 overflows a double
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), float("-inf"), 2000.0])
     def test_non_finite_alpha(self, alpha):
         for call in self._calls(2, alpha).values():
             with pytest.raises(AlphaOutOfRange):
                 call()
 
-    @pytest.mark.parametrize("alpha", [0.0, -1.0])
+    # 2**1e-20 rounds to 1, so 2**a - 1 is 0, as at a = 0
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, 1e-20])
     def test_non_positive_alpha(self, alpha):
         calls = self._calls(2, alpha)
         rr = calls.pop("randomized_response")
