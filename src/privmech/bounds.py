@@ -52,11 +52,15 @@ class BoundCheckResult(NamedTuple):
         }
 
 
-def _verdict(name, lhs, rhs, applicable=True, note="") -> BoundCheckResult:
+def _verdict(name, lhs, rhs, applicable=True, note="", holds=None) -> BoundCheckResult:
+    """Passed iff lhs <= rhs + INEQ_SLACK, or iff `holds` when it is given
+    (a product-form test, see below); vacuously when not applicable."""
+    # Python floats: inf - inf is nan without a warning
     lhs = float(lhs)
     rhs = float(rhs)
-    # Python floats: inf - inf is nan without a warning
-    passed = bool(lhs <= rhs + INEQ_SLACK) if applicable else True
+    if holds is None:
+        holds = lhs <= rhs + INEQ_SLACK
+    passed = bool(holds) if applicable else True
     return BoundCheckResult(name, lhs, rhs, rhs - lhs, passed, applicable, note)
 
 
@@ -86,17 +90,6 @@ def _ldp_cap(alpha: float) -> float:
     return 1.0 if math.isinf(r) else (r - 1.0) / (r + 1.0)
 
 
-def _product_form(name, sides, holds, applicable, why_not, note) -> BoundCheckResult:
-    """A likelihood-ratio verdict: reports `sides`, (lhs, rhs) in ratio form
-    or in bits, passes when `holds` (the product form does), and passes
-    vacuously with note `why_not` when not applicable."""
-    lhs, rhs = sides
-    passed = bool(holds) if applicable else True
-    return BoundCheckResult(
-        name, lhs, rhs, float(rhs - lhs), passed, applicable, note if applicable else why_not
-    )
-
-
 def _report_verdicts(rep: PrivacyReport) -> dict[str, BoundCheckResult]:
     """The eight verdicts that depend on the report alone, by name, in output order."""
     eta, wstar, inf = rep.eta_tv, rep.min_entry, float("inf")
@@ -124,7 +117,8 @@ def _report_verdicts(rep: PrivacyReport) -> dict[str, BoundCheckResult]:
         q = eta / wstar if full else inf
         upper_holds = (ratio - 1.0) * wstar <= eta + INEQ_SLACK
         thm2, ldp_upper, ldp_lower = (ratio, 1.0 + q), (ratio - 1.0, q), (lower, ratio - 1.0)
-        note = upper_note = _PRODUCT_FORM_NOTE
+        note = _PRODUCT_FORM_NOTE
+        upper_note = note if full else "zero entry"
         if full and math.isinf(q):
             # R is finite but eta/w* overflows (w* is tiny): log2 of each side,
             # where R - 1 >= 2 eta > 0 by the lower LDP sandwich
@@ -136,22 +130,19 @@ def _report_verdicts(rep: PrivacyReport) -> dict[str, BoundCheckResult]:
         v.name: v
         for v in (
             _verdict("thm1", eta, _ldp_cap(rep.ldp_level_bits)),
-            _product_form("thm2", thm2, upper_holds, full, "zero entry", upper_note),
+            _verdict("thm2", *thm2, full, upper_note, upper_holds),
             _verdict("thm3", eta, min(1.0, leak - 1.0)),
             thm4,
             _verdict("maxl_sandwich_lower", 1.0 + eta, leak),
             BoundCheckResult("maxl_sandwich_upper", *thm4[1:]),
-            _product_form(
+            _verdict(
                 "ldp_sandwich_lower",
-                ldp_lower,
-                2.0 * eta <= (ratio - 1.0) * (1.0 - eta) + INEQ_SLACK,
+                *ldp_lower,
                 below_one,
-                "eta_tv = 1",
-                note,
+                note if below_one else "eta_tv = 1",
+                2.0 * eta <= (ratio - 1.0) * (1.0 - eta) + INEQ_SLACK,
             ),
-            _product_form(
-                "ldp_sandwich_upper", ldp_upper, upper_holds, full, "zero entry", upper_note
-            ),
+            _verdict("ldp_sandwich_upper", *ldp_upper, full, upper_note, upper_holds),
         )
     }
 

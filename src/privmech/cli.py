@@ -20,6 +20,7 @@ from .core import (
     channel_from_dict,
     channel_to_dict,
     distribution_from_dict,
+    distribution_to_dict,
 )
 from .errors import PrivmechError
 from .mechanisms import maxl_staircase, randomized_response, z_channel
@@ -53,13 +54,13 @@ def _load_source(text: str, k: int) -> Distribution:
 
 
 def _emit(text: str, output: str):
+    if not text.endswith("\n"):
+        text += "\n"
     if output == "-":
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
 
 
 def _fmt(value) -> str:
@@ -139,7 +140,7 @@ def cmd_simulate(args) -> int:
         "alpha_bits": args.alpha,
         "n": args.n,
         "replicates": args.replicates,
-        "source": [float(v) for v in source.probs],
+        "source": distribution_to_dict(source)["probs"],
         **est.to_dict(),
     }
     _emit(json.dumps(payload, indent=2), args.output)

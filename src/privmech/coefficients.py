@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Channel, Distribution, _check_count, json_float, validate_distribution
-from .divergences import FDivergenceSpec, FKind, _pair_divergence, _quiet
+from .divergences import FDivergenceSpec, FKind, _pair_divergence, _quiet, _tv_pair
 from .errors import BudgetTooSmall, DimensionMismatch
 
 # Admission window for ratio denominators: pairs with divergence outside
@@ -91,9 +91,10 @@ def dobrushin_coefficient(w: Channel) -> float:
     i = 0
     while i < k - 1:
         n = max(1, _BLOCK_CELLS // ((k - i) * m))
-        gap = max(gap, float(np.abs(rows[i + 1:, None] - rows[i:i + n]).sum(axis=2).max()))
+        block = rows[i:i + n]
+        gap = max(gap, float(_tv_pair(block, rows[i + 1:, None] - block).max()))
         i += n
-    return 0.5 * gap
+    return gap
 
 
 def _ratio_bits(hi: np.ndarray, lo: np.ndarray) -> float:
@@ -252,7 +253,7 @@ def _best_pair(
         if n + k - 1 - i > tv.size:  # cut back to the first `keep` in order
             order = np.argsort(-tv[:n], kind="stable")[:keep]
             tv[:keep], code[:keep], n = tv[order], code[order], keep
-        tv[n:n + k - 1 - i] = 0.5 * np.add.reduce(np.abs(rows[i + 1:] - rows[i]), axis=1)
+        tv[n:n + k - 1 - i] = _tv_pair(rows[i], rows[i + 1:] - rows[i])
         code[n:n + k - 1 - i] = np.arange(i * k + i + 1, (i + 1) * k)
         n += k - 1 - i
     order = np.argsort(-tv[:n], kind="stable")[:keep]

@@ -121,6 +121,7 @@ def staircase_estimator(samples, k: int, alpha_bits: float, n: int) -> np.ndarra
     contributes to no coordinate. The result is a raw nonnegative vector:
     coordinates may exceed 1 and need not sum to 1.
     """
+    _check_count("n", n)
     lam = staircase_rate(k, alpha_bits)
     arr = _as_floats(samples, RaggedRows)
     if arr.ndim != 1 or len(arr) != n:
@@ -161,6 +162,12 @@ def _mc_risks(source: Distribution, lam: float, n, replicates, rng) -> np.ndarra
     return risks
 
 
+def _mean_var(risks: np.ndarray) -> tuple[float, float]:
+    """Mean and sample variance of a batch of replicate risks; the variance
+    of one replicate is 0."""
+    return float(risks.mean()), (float(risks.var(ddof=1)) if risks.size > 1 else 0.0)
+
+
 def empirical_risk(cfg: SimulationConfig) -> RiskEstimate:
     """Monte Carlo mean of the plug-in estimator's squared-l2 risk.
 
@@ -176,14 +183,11 @@ def empirical_risk(cfg: SimulationConfig) -> RiskEstimate:
     lam = staircase_rate(cfg.k, cfg.alpha_bits)
     rng = np.random.default_rng(cfg.seed)
     risks = _mc_risks(cfg.source, lam, cfg.n, cfg.replicates, rng)
-    mean = float(risks.mean())
-    std_error = (
-        float(risks.std(ddof=1) / math.sqrt(cfg.replicates)) if cfg.replicates > 1 else 0.0
-    )
+    mean, var = _mean_var(risks)
     r1 = 2.0 ** cfg.alpha_bits - 1.0
     return RiskEstimate(
         mean_risk=mean,
-        std_error=std_error,
+        std_error=math.sqrt(var) / math.sqrt(cfg.replicates),
         replicates=cfg.replicates,
         closed_form=closed_form_risk(cfg.source, cfg.k, cfg.alpha_bits, cfg.n),
         upper_bound=(cfg.k - 1) / (cfg.n * r1),
@@ -283,15 +287,10 @@ def lecam_lower_check(
     pair = lecam_pair(k, alpha_bits, n, u)
     assert pair.valid and pair.p1 is not None
     rng = np.random.default_rng(seed)
-    risks0 = _mc_risks(pair.p0, lam, n, replicates, rng)
-    risks1 = _mc_risks(pair.p1, lam, n, replicates, rng)
-    s_value = 0.5 * float(risks0.mean() + risks1.mean())
-    if replicates > 1:
-        se = 0.5 * math.sqrt(
-            (risks0.var(ddof=1) + risks1.var(ddof=1)) / replicates
-        )
-    else:
-        se = 0.0
+    m0, v0 = _mean_var(_mc_risks(pair.p0, lam, n, replicates, rng))
+    m1, v1 = _mean_var(_mc_risks(pair.p1, lam, n, replicates, rng))
+    s_value = 0.5 * (m0 + m1)
+    se = 0.5 * math.sqrt((v0 + v1) / replicates)
     bound = 1.0 / (16.0 * n * r1)
     return _verdict(
         "lecam_lower",

@@ -113,6 +113,12 @@ class TestStaircaseEstimator:
         with pytest.raises(DimensionMismatch):
             staircase_estimator(np.array([0, 1]), k=3, alpha_bits=1.0, n=3)
 
+    @pytest.mark.parametrize("samples, n", [([], 0), ([0, 1], 2.5)], ids=["zero", "fractional"])
+    def test_n_must_be_a_whole_count(self, samples, n):
+        # n = 0 would divide by zero, and n = 2.5 is no sample count at all
+        with pytest.raises(ValueError, match="whole number"):
+            staircase_estimator(samples, k=3, alpha_bits=1.0, n=n)
+
     def test_consistency_large_n(self):
         k, alpha, n = 3, 1.0, 1_000_000
         w = maxl_staircase(k, alpha)
@@ -378,6 +384,12 @@ class TestLeCamLowerCheck:
         assert res.applicable and res.passed
         # two-point average risk clears the bound comfortably here
         assert res.rhs > res.lhs
+
+    def test_one_replicate_has_zero_standard_error(self):
+        # with se 0 the left side is the bound itself, 1/(16 n (2**a - 1))
+        res = lecam_lower_check(2, 1.0, 2000, 1, 3)
+        assert res.lhs == 1.0 / (16 * 2000) == 3.125e-05
+        assert "(se 0.000e+00, 1 replicates per point)" in res.note
 
     def test_pair_validity_precondition(self):
         with pytest.raises(PreconditionNotMet) as exc:
