@@ -105,25 +105,24 @@ def _report_verdicts(rep: PrivacyReport) -> dict[str, BoundCheckResult]:
     full = wstar > 0.0
     below_one = eta < 1.0
     lower = 2.0 * eta / (1.0 - eta) if below_one else inf
-    if full and math.isinf(ratio):
-        # a finite level whose R overflows: R - 1 rounds to R, and R * w* <= 1;
-        # the sides are log2 R and log2(1 + eta/w*), with eta/w* never formed
+    q = eta / wstar if full else inf
+    upper_holds = (ratio - 1.0) * wstar <= eta + INEQ_SLACK
+    thm2, ldp_upper, ldp_lower = (ratio, 1.0 + q), (ratio - 1.0, q), (lower, ratio - 1.0)
+    note = _PRODUCT_FORM_NOTE
+    upper_note = note if full else "zero entry"
+    if full and (math.isinf(ratio) or math.isinf(q)):
+        # R or eta/w* overflows: thm2's sides are log2 R and log2(1 + eta/w*),
+        # with eta/w* never formed
         bits, log_wstar = rep.ldp_level_bits, math.log2(wstar)
-        upper_holds = 2.0 ** (bits + log_wstar) <= eta + INEQ_SLACK
-        thm2 = ldp_upper = (bits, math.log2(eta + wstar) - log_wstar)
-        ldp_lower, note = (math.log2(lower), bits), _IN_BITS_NOTE
-        upper_note = note
-    else:
-        q = eta / wstar if full else inf
-        upper_holds = (ratio - 1.0) * wstar <= eta + INEQ_SLACK
-        thm2, ldp_upper, ldp_lower = (ratio, 1.0 + q), (ratio - 1.0, q), (lower, ratio - 1.0)
-        note = _PRODUCT_FORM_NOTE
-        upper_note = note if full else "zero entry"
-        if full and math.isinf(q):
+        thm2 = (bits, math.log2(eta + wstar) - log_wstar)
+        if math.isinf(ratio):
+            # a finite level whose R overflows: R - 1 rounds to R, and R * w* <= 1
+            upper_holds = 2.0 ** (bits + log_wstar) <= eta + INEQ_SLACK
+            ldp_upper, ldp_lower = thm2, (math.log2(lower), bits)
+            note = upper_note = _IN_BITS_NOTE
+        else:
             # R is finite but eta/w* overflows (w* is tiny): log2 of each side,
             # where R - 1 >= 2 eta > 0 by the lower LDP sandwich
-            log_wstar = math.log2(wstar)
-            thm2 = (rep.ldp_level_bits, math.log2(eta + wstar) - log_wstar)
             ldp_upper = (math.log2(ratio - 1.0), math.log2(eta) - log_wstar)
             upper_note += "; lhs and rhs in bits, since eta/w* overflows"
     return {

@@ -68,6 +68,20 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+def _exit_status(checks) -> int:
+    """1, with one message on stderr, when an applicable verdict failed; else 0."""
+    failed = [c.name for c in checks if c.applicable and not c.passed]
+    if not failed:
+        return 0
+    print(
+        f"bound check(s) failed: {', '.join(failed)}. This indicates either an "
+        "implementation bug or a genuine counterexample; please report the "
+        "channel JSON and seed.",
+        file=sys.stderr,
+    )
+    return 1
+
+
 def cmd_analyze(args) -> int:
     w = _load_channel(args.channel)
     report = privacy_report(w)
@@ -79,16 +93,7 @@ def cmd_analyze(args) -> int:
         "checks": [c.to_dict() for c in checks],
     }
     _emit(json.dumps(payload, indent=2), args.output)
-    failed = [c.name for c in checks if c.applicable and not c.passed]
-    if failed:
-        print(
-            f"bound check(s) failed: {', '.join(failed)}. This indicates either an "
-            "implementation bug or a genuine counterexample; please report the "
-            "channel JSON and seed.",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    return _exit_status(checks)
 
 
 def cmd_construct(args) -> int:
@@ -115,11 +120,7 @@ def cmd_bounds_check(args) -> int:
         for c in checks
     ]
     _emit("\n".join(lines), args.output)
-    failed = [c.name for c in checks if c.applicable and not c.passed]
-    if failed:
-        print(f"bound check(s) failed: {', '.join(failed)}", file=sys.stderr)
-        return 1
-    return 0
+    return _exit_status(checks)
 
 
 def cmd_simulate(args) -> int:

@@ -123,7 +123,7 @@ def max_leakage(w: Channel) -> float:
     posteriori guesser of the input (or of any function of it) obtains from
     observing the output.
     """
-    return float(np.log2(w.rows.max(axis=0).sum()))
+    return _column_certificates(w.rows)[1]
 
 
 def min_entry(w: Channel) -> float:
@@ -174,7 +174,7 @@ def _certificates(w: Channel) -> tuple[PrivacyReport, float, int]:
             ldp_level_bits=ldp_bits,
             maxl_bits=maxl_bits,
             # not the least column minimum: the two can differ in the sign of a zero
-            min_entry=float(w.rows.min()),
+            min_entry=min_entry(w),
             input_size=w.input_size,
             output_size=w.output_size,
         )

@@ -43,7 +43,7 @@ class NegativeEntry(_EntryError):
 
 
 class SumOutOfTolerance(ValidationError):
-    """Vector entries do not sum to one within the configured slack."""
+    """Vector entries do not sum to one within `core.SUM_TOL`."""
 
     def __init__(self, actual_sum, sum_tol):
         self.actual_sum = actual_sum
@@ -52,7 +52,7 @@ class SumOutOfTolerance(ValidationError):
 
 
 class RowSumOutOfTolerance(ValidationError):
-    """A channel row does not sum to one within the configured slack."""
+    """A channel row does not sum to one within `core.SUM_TOL`."""
 
     def __init__(self, row, actual_sum, sum_tol):
         self.row = row

@@ -13,6 +13,7 @@ index k.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import asdict, dataclass
 
@@ -129,8 +130,13 @@ def staircase_estimator(samples, k: int, alpha_bits: float, n: int) -> np.ndarra
     bad = ~((arr >= 0) & (arr <= k) & (arr == np.round(arr)))  # also catches NaN
     if bad.any():
         raise SymbolOutOfRange(f"symbol {arr[bad][0]} is not a whole number in [0, {k}]")
-    counts = np.bincount(arr.astype(np.int64), minlength=k + 1)[:k]
-    return counts / (n * lam)
+    return _plug_in(np.bincount(arr.astype(np.int64), minlength=k + 1)[:k], n, lam)
+
+
+def _plug_in(counts: np.ndarray, n: int, lam: float) -> np.ndarray:
+    """The plug-in estimate count(x) / (n * lam), for one count row or a
+    batch of them; `staircase_estimator` and the Monte Carlo share it."""
+    return counts * (1.0 / (n * lam))
 
 
 def closed_form_risk(p: Distribution, k: int, alpha_bits: float, n: int) -> float:
@@ -152,12 +158,11 @@ def _mc_risks(source: Distribution, lam: float, n, replicates, rng) -> np.ndarra
     the last probability."""
     k = source.alphabet_size
     q = np.append(lam * source.probs, 1.0 - lam)
-    inv_lam_n = 1.0 / (n * lam)
     rows = max(1, _BLOCK_CELLS // q.size)
     risks = np.empty(replicates)
     for start in range(0, replicates, rows):
         counts = rng.multinomial(n, q, size=min(rows, replicates - start))
-        diff = counts[:, :k] * inv_lam_n - source.probs
+        diff = _plug_in(counts[:, :k], n, lam) - source.probs
         risks[start:start + len(diff)] = (diff * diff).sum(axis=1)
     return risks
 
@@ -260,6 +265,7 @@ def lecam_lower_check(
     Carlo estimate of the two-point average risk: `replicates` count rows
     at p0, then `replicates` at p1, all from one default_rng(seed).
     """
+    _check_count("n", n)
     _check_count("replicates", replicates)
     lam = staircase_rate(k, alpha_bits)  # validates k, alpha and 2**a <= k
     r1 = 2.0 ** alpha_bits - 1.0
@@ -306,26 +312,16 @@ def lecam_lower_check(
 def _min_taylor_n(k, alpha_bits, n_min):
     """Smallest n >= n_min meeting the large-sample condition, or None."""
     u = default_direction(k)
-    limit = k / 2.0
-    if limit > 1.0 + _TAYLOR_SLACK:
+    if k / 2.0 > 1.0 + _TAYLOR_SLACK:
         return None
-    hi = max(n_min, 1)
-    for _ in range(64):
-        if _taylor_value(k, alpha_bits, hi, u) <= 1.0 + _TAYLOR_SLACK:
-            break
+
+    def met(n):
+        return _taylor_value(k, alpha_bits, n, u) <= 1.0 + _TAYLOR_SLACK
+
+    hi = n_min
+    while not met(hi):
         hi *= 2
-    else:
-        return None
-    lo = n_min
-    if _taylor_value(k, alpha_bits, lo, u) <= 1.0 + _TAYLOR_SLACK:
-        return lo
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _taylor_value(k, alpha_bits, mid, u) <= 1.0 + _TAYLOR_SLACK:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return n_min + bisect.bisect_left(range(n_min, hi + 1), True, key=met)
 
 
 def scaling_sweep(

@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from privmech import channel_from_dict, cli
+from privmech import __version__, channel_from_dict, cli
+from privmech.bounds import BoundCheckResult
 from privmech.core import SUM_TOL
 from privmech.errors import RowSumOutOfTolerance
 
@@ -192,6 +193,33 @@ class TestSweep:
         )
         payload = json.loads(res.stdout)
         assert len(payload["rows"]) == 1 and payload["rows"][0]["n"] == 50
+
+
+class TestFailedVerdict:
+    # one applicable and one inapplicable failing verdict: only the first
+    # sets the exit code and is named on stderr
+    CHECKS = [
+        BoundCheckResult("thm1", 0.9, 0.5, -0.4, False, True, ""),
+        BoundCheckResult("thm2", 2.0, 1.0, -1.0, False, False, "zero entry"),
+    ]
+    STDERR = (
+        "bound check(s) failed: thm1. This indicates either an implementation bug "
+        "or a genuine counterexample; please report the channel JSON and seed.\n"
+    )
+
+    @pytest.mark.parametrize("command", ["analyze", "bounds-check"])
+    def test_exits_one_and_names_the_applicable_failure(self, monkeypatch, capsys, command):
+        monkeypatch.setattr(cli, "run_all_checks", lambda w: self.CHECKS)
+        assert cli.main([command, json.dumps(RR21), "--seed", "3"]) == 1
+        out, err = capsys.readouterr()
+        assert err == self.STDERR
+        records = [c.to_dict() for c in self.CHECKS]
+        if command == "analyze":
+            assert json.loads(out)["checks"] == records
+        else:
+            assert out == "".join(
+                json.dumps({**r, "version": __version__, "seed": 3}) + "\n" for r in records
+            )
 
 
 class TestOutOfMemory:

@@ -265,6 +265,24 @@ class TestCountsEngine:
             "-0x1.3c4a0ac131288p-18", "0x1.076d690176e31p-12"
         )
 
+    @pytest.mark.parametrize("k, alpha, n, source", [
+        (2, 0.5, 1, (0.5, 0.5)),
+        (3, 1.0, 100, (0.9, 0.05, 0.05)),
+        (5, math.log2(5), 1000, (0.4, 0.3, 0.2, 0.05, 0.05)),
+        (17, 3.0, 10_000, tuple(np.arange(1, 18) / 153)),
+    ], ids=["k2-n1", "k3-n100", "k5-n1000", "k17-n10000"])
+    def test_one_replicate_is_the_public_sample_paths_risk(self, k, alpha, n, source):
+        # the engine draws the count row sample_outputs draws from the same
+        # seed, and estimates from it with staircase_estimator's arithmetic
+        p = validate_distribution(source)
+        w = maxl_staircase(k, alpha)
+        for seed in range(20):
+            est = empirical_risk(SimulationConfig(
+                k=k, alpha_bits=alpha, n=n, replicates=1, seed=seed, source=p,
+            ))
+            d = staircase_estimator(sample_outputs(w, p, n, seed), k, alpha, n) - p.probs
+            assert est.mean_risk == float((d * d).sum()), seed
+
     def test_peak_memory_is_bounded_by_the_block(self):
         cfg = SimulationConfig(
             k=512, alpha_bits=1.0, n=1000, replicates=20_000, seed=0,
@@ -390,6 +408,13 @@ class TestLeCamLowerCheck:
         res = lecam_lower_check(2, 1.0, 2000, 1, 3)
         assert res.lhs == 1.0 / (16 * 2000) == 3.125e-05
         assert "(se 0.000e+00, 1 replicates per point)" in res.note
+
+    @pytest.mark.parametrize("n", [2.5, 10.5, 1000.5])
+    def test_fractional_n_is_rejected_before_the_preconditions(self, n):
+        # 2.5 fails pair validity and 10.5 the large-sample condition, and
+        # 1000.5 meets both: each is a fractional count first
+        with pytest.raises(ValueError, match="n must be a whole number >= 1"):
+            lecam_lower_check(2, 1.0, n, replicates=10, seed=0)
 
     def test_pair_validity_precondition(self):
         with pytest.raises(PreconditionNotMet) as exc:
