@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Channel, Distribution, _check_count, json_float, validate_distribution
-from .divergences import FDivergenceSpec, FKind, _pair_divergence, _quiet, _tv_pair
+from .divergences import FKind, _pair_divergence, _quiet, _tv_pair
 from .errors import BudgetTooSmall, DimensionMismatch
 
 # Admission window for ratio denominators: pairs with divergence outside
@@ -57,14 +57,14 @@ class PrivacyReport:
 class ContractionEstimate:
     """Best ratio found by `estimate_eta_f`, with the witnessing pair.
 
-    `value` is a lower bound on the contraction coefficient for the given
-    divergence: `output_divergence / input_divergence`, the divergences of
-    the witnesses and of their images as the search evaluated them, clamped
-    to [0, 1] (both divergences are 0 when no pair was admitted). `seed` is
+    `value` is a lower bound on the contraction coefficient of the FKind
+    `spec`: `output_divergence / input_divergence`, the divergences of the
+    witnesses and of their images as the search evaluated them, clamped to
+    [0, 1] (both divergences are 0 when no pair was admitted). `seed` is
     the seed the search was called with; it does not affect the result.
     """
 
-    spec: FDivergenceSpec
+    spec: FKind
     value: float
     input_divergence: float
     output_divergence: float
@@ -279,43 +279,41 @@ def _best_pair(
 
 
 def estimate_eta_f(
-    w: Channel, spec: FDivergenceSpec, budget: int, seed: int
+    w: Channel, spec: FKind, budget: int, seed: int
 ) -> ContractionEstimate:
     """Search for a high ratio D_f(w(p0) || w(p1)) / D_f(p0 || p1).
 
-    The search spends up to `budget` ratio evaluations in two stages:
+    `spec` is an FKind. The search spends up to `budget` ratio evaluations
+    in one stage per kind:
 
-    1. every ordered pair of point masses, when such a pair is admissible:
-       their input divergence f(0) + f'(inf) is infinite for KL and chi^2,
-       which skip the stage. Total variation attains its supremum there, so
-       its search ends after this stage with the exact value, eta_TV, in
-       k(k - 1) evaluations;
-    2. pairs of inputs. Restricting a channel to two of its inputs, rows a
-       and b, cannot raise its contraction coefficient, and that two-input
-       channel's eta_chi2 = eta_KL is the peak of the concave
-       h(p) = p(1 - p) sum_y (a_y - b_y)^2 / (p a_y + (1 - p) b_y), found by
-       golden section in the logit of p. Input pairs are examined in order
-       of decreasing TV distance, one evaluation each; h is at most the TV
-       distance, so the stage stops at the first pair whose TV distance is
-       at or below the best h so far. At the best pair's peak p*, a fixed
-       ladder of 48 steps +-t (24 powers of two, from at most the smaller
-       weight down) is evaluated around p1 = p* e_i + (1 - p*) e_j, with
-       p0 = p1 + t (e_i - e_j), and the first strict maximum kept. For
-       chi^2 every step gives h(p*); for KL the ratio tends to h(p*) as
-       t -> 0, so the least admitted step is the closest. The pairs take at
-       most budget - 48 evaluations (at least one), the ladder the rest.
+    * total variation: every ordered pair of point masses, where it attains
+      its supremum, so the value is exact, eta_TV, in k(k - 1) evaluations;
+    * KL and chi^2: pairs of inputs, since no pair of point masses has a
+      finite KL or chi^2 divergence. Restricting a channel to two of its
+      inputs, rows a and b, cannot raise its contraction coefficient, and
+      that two-input channel's eta_chi2 = eta_KL is the peak of the concave
+      h(p) = p(1 - p) sum_y (a_y - b_y)^2 / (p a_y + (1 - p) b_y), found by
+      golden section in the logit of p. Input pairs are examined in order
+      of decreasing TV distance, one evaluation each; h is at most the TV
+      distance, so the stage stops at the first pair whose TV distance is
+      at or below the best h so far. At the best pair's peak p*, a fixed
+      ladder of 48 steps +-t (24 powers of two, from at most the smaller
+      weight down) is evaluated around p1 = p* e_i + (1 - p*) e_j, with
+      p0 = p1 + t (e_i - e_j), and the first strict maximum kept. For chi^2
+      every step gives h(p*); for KL the ratio tends to h(p*) as t -> 0, so
+      the least admitted step is the closest. The pairs take at most
+      budget - 48 evaluations (at least one), the ladder the rest.
 
     Pairs whose input divergence falls outside (1e-12, 1e12) are skipped,
     matching the 0 < D_f < inf constraint in the coefficient's definition.
     The value is the ratio at its own witnesses, so it is a certified lower
     bound, and by the two-letter reduction above it is at most the best
-    pair's coefficient; it is not claimed to be the channel's. Custom f take
-    the same stages, the ladder evaluated with their own kernel. `seed` is
+    pair's coefficient; it is not claimed to be the channel's. `seed` is
     read by no stage and does not affect the result, which is deterministic
     given `budget`.
 
-    Both stages evaluate one witness form: inputs i and j, a weight u and
-    a step t give p1 = u e_i + (1 - u) e_j and p0 = p1 + t (e_i - e_j), with
+    Both stages evaluate one witness form: inputs i and j, a weight u and a
+    step t give p1 = u e_i + (1 - u) e_j and p0 = p1 + t (e_i - e_j), with
     input (base, diff) = ([u, 1 - u], t [1, -1]) on {i, j} and output
     (base, diff) = (u a + (1 - u) b, t (a - b)) from rows a = w(i) and
     b = w(j), with no matrix product. A pair of point masses is
@@ -340,6 +338,8 @@ def estimate_eta_f(
         budget cannot cover all ordered point-mass pairs.
     ValueError
         If budget is not a whole number (2.5, nan, inf).
+    TypeError
+        If `spec` is not an FKind member.
     """
     if budget < 1:
         raise BudgetTooSmall("budget must be at least 1")
@@ -347,7 +347,7 @@ def estimate_eta_f(
     budget = int(budget)
     k = w.input_size
     n_vertex = k * (k - 1)
-    if spec.kind is FKind.TOTAL_VARIATION and budget < n_vertex:
+    if spec is FKind.TOTAL_VARIATION and budget < n_vertex:
         raise BudgetTooSmall(
             f"total-variation search needs at least {n_vertex} evaluations "
             f"to cover all point-mass pairs, got {budget}"
@@ -376,17 +376,12 @@ def estimate_eta_f(
                     (int(i[c]), int(j[c]), float(u[c, 0]), float(t[c, 0])))
 
     with _quiet():  # the kernels' error state, entered once per search
-        # every pair of point masses has the input divergence f(0) + f'(inf),
-        # so one call decides whether any is admitted (KL and chi^2: none)
-        din = float(pair_div(np.array([0.0, 1.0]), np.array([1.0, -1.0])))
-        if k > 1 and DIV_FLOOR < din < DIV_CEIL:
-            total = min(n_vertex, budget)
-            for start in range(0, total, block):
-                i, j = _off_diagonal(k, np.arange(start, min(total, start + block)))
+        if spec is FKind.TOTAL_VARIATION:
+            for start in range(0, n_vertex, block):
+                i, j = _off_diagonal(k, np.arange(start, min(n_vertex, start + block)))
                 evaluate(i, j, np.zeros(len(i)), np.ones(len(i)))  # p0 = e_i, p1 = e_j
-        # eta_TV is attained at a pair of point masses, so the first stage is exact
-        if spec.kind is not FKind.TOTAL_VARIATION and k > 1 and evals < budget:
-            examined, peak = _best_pair(rows, max(1, budget - evals - 48), block)
+        elif k > 1:
+            examined, peak = _best_pair(rows, max(1, budget - 48), block)
             evals += examined
             if peak is not None and evals < budget:
                 i, j, s = peak

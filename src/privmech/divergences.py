@@ -24,48 +24,29 @@ once per kernel call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 
-from .core import EQ_TOL, Distribution
-from .errors import CustomFNotNormalized, DimensionMismatch
+from .core import Distribution
+from .errors import DimensionMismatch
 
 _LN2 = math.log(2.0)
 _NEXT_ABOVE_MINUS_ONE = math.nextafter(-1.0, 0.0)
 
 
 class FKind(Enum):
+    """The three f-divergences, which bracket any other f's contraction
+    coefficient: eta_chi2 <= eta_f <= eta_TV."""
+
     TOTAL_VARIATION = "total_variation"
     KL = "kl"
     CHI_SQUARED = "chi_squared"
-    CUSTOM = "custom"
 
 
-@dataclass(frozen=True)
-class FDivergenceSpec:
-    """Choice of convex f with f(1) = 0 defining sum_z q(z) f(p(z)/q(z)).
-
-    Built-in kinds carry no callable. CUSTOM requires `custom_f`; its
-    normalization f(1) = 0 is probed at call time, but convexity is the
-    caller's obligation (there is no reliable finite test for it).
-    """
-
-    kind: FKind
-    custom_f: Callable[[float], float] | None = None
-
-    def __post_init__(self):
-        if self.kind is FKind.CUSTOM and self.custom_f is None:
-            raise ValueError("CUSTOM spec requires custom_f")
-        if self.kind is not FKind.CUSTOM and self.custom_f is not None:
-            raise ValueError("built-in kinds take no custom_f")
-
-
-TOTAL_VARIATION = FDivergenceSpec(FKind.TOTAL_VARIATION)
-KL = FDivergenceSpec(FKind.KL)
-CHI_SQUARED = FDivergenceSpec(FKind.CHI_SQUARED)
+TOTAL_VARIATION = FKind.TOTAL_VARIATION
+KL = FKind.KL
+CHI_SQUARED = FKind.CHI_SQUARED
 
 
 def _check_sizes(p: Distribution, q: Distribution):
@@ -146,52 +127,20 @@ def _chi2_pair(base: np.ndarray, diff: np.ndarray) -> np.ndarray:
     return np.add.reduce(np.fmax(np.abs(diff * diff / base), 0.0), axis=-1)
 
 
-def _custom_pair(spec: FDivergenceSpec):
-    """Pair kernel of a custom f, evaluated on the reconstructed pair, so
-    its precision near zero divergence depends on the caller's f. Raises
-    CustomFNotNormalized unless f(1) = 0 within EQ_TOL."""
-    f = spec.custom_f
-    at_one = float(f(1.0))
-    if not abs(at_one) <= EQ_TOL:
-        raise CustomFNotNormalized(f"f(1) = {at_one!r}, expected 0")
-    # probe f(t)/t growth; a convex f has a (possibly infinite) limit slope
-    try:
-        lo, hi = f(1e8) / 1e8, f(1e12) / 1e12
-    except OverflowError:
-        lo = hi = float("inf")
-    if not np.isfinite(hi) or hi > lo * (1.0 + 1e-6) + 1e-12:
-        f_inf = float("inf")
-    else:
-        f_inf = float(hi)
-
-    def pair(base: np.ndarray, diff: np.ndarray) -> np.ndarray:
-        pp = np.clip(base + diff, 0.0, None)
-        qpos = base > 0
-        terms = np.zeros_like(pp)
-        terms[qpos] = base[qpos] * np.array([float(f(t)) for t in pp[qpos] / base[qpos]])
-        total = np.add.reduce(terms, axis=-1)
-        # mass where q vanishes; 0/0 pairs add 0
-        escaped = np.add.reduce(np.where(qpos, 0.0, pp), axis=-1)
-        return np.where(escaped > 0.0, total + escaped * f_inf, total)
-
-    return pair
+_KERNELS = {FKind.TOTAL_VARIATION: _tv_pair, FKind.KL: _kl_pair_bits, FKind.CHI_SQUARED: _chi2_pair}
 
 
-def _pair_divergence(spec: FDivergenceSpec):
+def _pair_divergence(spec: FKind):
     """The kernel D(base + diff || base) of `spec`, as a function of two
     arrays of shape (..., m): one divergence per row, reduced over the last
     axis. Support violations (base = 0 < diff) give +inf for KL and chi^2
     and contribute |diff|/2 for total variation."""
-    if spec.kind is FKind.TOTAL_VARIATION:
-        return _tv_pair
-    if spec.kind is FKind.KL:
-        return _kl_pair_bits
-    if spec.kind is FKind.CHI_SQUARED:
-        return _chi2_pair
-    return _custom_pair(spec)
+    if not isinstance(spec, FKind):
+        raise TypeError(f"spec must be TOTAL_VARIATION, KL or CHI_SQUARED, got {spec!r}")
+    return _KERNELS[spec]
 
 
-def f_divergence(p: Distribution, q: Distribution, spec: FDivergenceSpec) -> float:
+def f_divergence(p: Distribution, q: Distribution, spec: FKind) -> float:
     """sum_z q(z) f(p(z)/q(z)) with the conventions 0/0 := 1 and 1/0 := inf,
     evaluated from the base q and the difference p - q.
 

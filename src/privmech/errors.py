@@ -65,10 +65,6 @@ class DimensionMismatch(PrivmechError, ValueError):
     """Operands defined on incompatible alphabets."""
 
 
-class CustomFNotNormalized(PrivmechError, ValueError):
-    """A user-supplied convex f does not satisfy f(1) = 0."""
-
-
 class BudgetTooSmall(PrivmechError, ValueError):
     """Search budget below the minimum required evaluations."""
 
