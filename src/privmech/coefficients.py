@@ -30,6 +30,11 @@ DIV_CEIL = 1e12
 # evaluated, and summed, as it would be alone.
 _BLOCK_CELLS = 1 << 12
 
+# Most Newton steps `_pair_peaks` takes for a pair, a guard that no search
+# in the tests reaches (they take at most about 15). Bisection alone would
+# shrink the bracket, 46 wide, to the 1e-12 stopping step in 46 halvings.
+_PEAK_STEPS = 64
+
 
 @dataclass(frozen=True)
 class PrivacyReport:
@@ -202,32 +207,64 @@ def _off_diagonal(n: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _pair_peaks(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For each row pair (a, b): the logit s of the weight p on a that
-    maximises h(p) = p(1 - p) sum_y (a_y - b_y)^2 / (p a_y + (1 - p) b_y),
-    the chi^2 contraction coefficient of the two-input channel [a; b], and
-    h there. h is concave in p, so golden section in s over [-23, 23] finds
-    its peak; p stays above 1e-10, where a witness still clears the
-    admission floor. Every pair takes the same fixed steps, so a block gives
-    the results of one-pair calls."""
-    d2 = (a - b) ** 2
+    maximises h(p) = p q sum_y d_y^2 / L_y, with q = 1 - p, d = a - b and
+    L = p a + q b, the chi^2 contraction coefficient of the two-input
+    channel [a; b], and h there. s stays in [-23, 23], so p and q stay above
+    1e-10, where a witness still clears the admission floor.
 
-    def h(s):
-        p, q = 1.0 / (1.0 + np.exp(-s)), 1.0 / (1.0 + np.exp(s))  # q = 1 - p
-        # where both rows are 0 the term is 0/0 (NaN), read as 0
-        return p * q * np.add.reduce(np.fmax(d2 / (p[:, None] * a + q[:, None] * b), 0.0), axis=1)
+    In closed form h'(p) = sum d^2 (q^2 b - p^2 a) / L^2 and
+    h''(p) = -2 sum d^2 a b / L^3 <= 0, so h is concave and its slope falls
+    through 0 once. The slope is first read at the caps s = +-23: a pair
+    whose h still rises outward there peaks at that cap. Every other pair
+    peaks inside the bracket (-23, 23) and takes Newton steps from s = 0 on
+    the slope in s, h' p q, whose own slope is p q (h'' p q + h' (q - p)).
+    Each slope read moves one end of the bracket to s. The midpoint of the
+    bracket replaces a step that leaves it, one taken where that curvature
+    is not negative, and one more than half the step before last (Newton
+    creeps, a step of about 1 at a time, toward a peak far out in s). A
+    pair stops at a step of at most 1e-12 max(1, |s|), or where h' is 0 to
+    within rounding (at most 1e-14 of the sum of its terms' sizes, as on a
+    flat peak), tested before the bracket, and keeps its s from then on: its
+    iterates are those of a one-pair call, so a block gives the results of
+    one-pair calls. h is read at the final s. Call it under `_quiet()`."""
+    d = a - b
+    ab = a * b
+    tiny = np.finfo(float).tiny
 
-    g = (math.sqrt(5.0) - 1.0) / 2.0
-    lo, hi = np.full(len(a), -23.0), np.full(len(a), 23.0)
-    x1, x2 = hi - g * (hi - lo), lo + g * (hi - lo)
-    f1, f2 = h(x1), h(x2)
-    for _ in range(50):
-        up = f1 < f2  # the peak lies in [x1, hi]
-        lo, hi = np.where(up, x1, lo), np.where(up, hi, x2)
-        x = np.where(up, lo + g * (hi - lo), hi - g * (hi - lo))
-        fx = h(x)
-        x1, f1, x2, f2 = (np.where(up, x2, x), np.where(up, f2, fx),
-                          np.where(up, x, x1), np.where(up, fx, f1))
-    up = f1 < f2
-    return np.where(up, x2, x1), np.where(up, f2, f1)
+    def logistic(s):
+        return 1.0 / (1.0 + np.exp(-s)), 1.0 / (1.0 + np.exp(s))  # p, q = 1 - p
+
+    def slope(s):
+        # h'(p), the sum of its terms' sizes and -h''(p) / 2 at p = logistic(s):
+        # d / L is at most 1 / min(p, q) in size, and L's floor reads the 0/0
+        # of a letter where both rows are 0 as 0
+        p, q = logistic(s)
+        L = np.fmax(p[:, None] * a + q[:, None] * b, tiny)
+        u2 = (d / L) ** 2
+        qb, pa = (q * q)[:, None] * b, (p * p)[:, None] * a
+        return (np.add.reduce(u2 * (qb - pa), axis=1), np.add.reduce(u2 * (qb + pa), axis=1),
+                np.add.reduce(u2 * (ab / L), axis=1), p, q)
+
+    cap = np.full(len(a), 23.0)
+    up, down = slope(cap)[0] >= 0.0, slope(-cap)[0] <= 0.0
+    s = np.where(up, cap, np.where(down, -cap, 0.0))
+    done = up | down
+    lo, hi, last, before = -cap, cap, 2.0 * cap, 2.0 * cap
+    for _ in range(_PEAK_STEPS):
+        if done.all():
+            break
+        g1, size, g2, p, q = slope(s)
+        lo, hi = np.where(g1 > 0.0, s, lo), np.where(g1 < 0.0, s, hi)
+        curve = g1 * (q - p) - 2.0 * g2 * p * q  # the slope's slope in s, over p q
+        step = -g1 / curve
+        done |= (np.abs(step) <= 1e-12 * np.fmax(1.0, np.abs(s))) | (np.abs(g1) <= 1e-14 * size)
+        newton = (curve < 0.0) & (lo < s + step) & (s + step < hi) & (np.abs(step) <= 0.5 * before)
+        new = np.where(newton, s + step, 0.5 * (lo + hi))
+        before, last = last, np.abs(new - s)
+        s = np.where(done, s, new)
+    p, q = logistic(s)
+    # where both rows are 0 the term is 0/0 (NaN), read as 0
+    return s, p * q * np.add.reduce(np.fmax((d * d) / (p[:, None] * a + q[:, None] * b), 0.0), axis=1)
 
 
 def _best_pair(
@@ -292,14 +329,17 @@ def estimate_eta_f(
       finite KL or chi^2 divergence. Restricting a channel to two of its
       inputs, rows a and b, cannot raise its contraction coefficient, and
       that two-input channel's eta_chi2 = eta_KL is the peak of the concave
-      h(p) = p(1 - p) sum_y (a_y - b_y)^2 / (p a_y + (1 - p) b_y), found by
-      golden section in the logit of p. Input pairs are examined in order
-      of decreasing TV distance, one evaluation each; h is at most the TV
-      distance, so the stage stops at the first pair whose TV distance is
-      at or below the best h so far. At the best pair's peak p*, a fixed
-      ladder of 48 steps +-t (24 powers of two, from at most the smaller
-      weight down) is evaluated around p1 = p* e_i + (1 - p*) e_j, with
-      p0 = p1 + t (e_i - e_j), and the first strict maximum kept. For chi^2
+      h(p) = p(1 - p) sum_y (a_y - b_y)^2 / (p a_y + (1 - p) b_y), found in
+      the logit s of p, within [-23, 23], from the closed-form h' and h'':
+      at a cap where the slope still points outward, else by Newton steps
+      from s = 0 that the bracket (-23, 23) safeguards (see `_pair_peaks`).
+      Input pairs are examined in order of decreasing TV distance, one
+      evaluation each; h is at most the TV distance, so the stage stops at
+      the first pair whose TV distance is at or below the best h so far.
+      At the best pair's peak p*, a fixed ladder of 48 steps +-t (24
+      powers of two, from at most the smaller weight down) is evaluated
+      around p1 = p* e_i + (1 - p*) e_j, with p0 = p1 + t (e_i - e_j), and
+      the first strict maximum kept. For chi^2
       every step gives h(p*); for KL the ratio tends to h(p*) as t -> 0, so
       the least admitted step is the closest. The pairs take at most
       budget - 48 evaluations (at least one), the ladder the rest.

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -374,20 +375,20 @@ class TestEstimateEtaF:
     # total variation rows stop after the point masses, where eta_TV is
     # attained.
     PINNED = [
-        ("rr", (2, 1.0), KL, 2000, 3, "0x1.c71c71c71b649p-4", 49, "d177f25adda810b2"),
-        ("rand", (2, 5, 0.5, 21), CHI_SQUARED, 1000, 1, "0x1.4c36c07dce1c8p-1", 49, "49ba5d56fb804412"),
-        ("rand", (3, 3, 1.0, 11), KL, 3000, 5, "0x1.1a059e0a4e0d2p-2", 50, "d11911b6f044a4c4"),
-        ("rand", (3, 4, 0.5, 12), CHI_SQUARED, 2500, 6, "0x1.5bebf609414dep-1", 50, "a0c82c2cac3255b5"),
-        ("rand", (3, 3, 1.0, 19), KL, 1237, 4, "0x1.24298895f3b61p-1", 49, "c41a56abfe7712b4"),
+        ("rr", (2, 1.0), KL, 2000, 3, "0x1.c71c71c71b641p-4", 49, "741acce449e0f2eb"),
+        ("rand", (2, 5, 0.5, 21), CHI_SQUARED, 1000, 1, "0x1.4c36c07dce1c8p-1", 49, "88687e3a215298fa"),
+        ("rand", (3, 3, 1.0, 11), KL, 3000, 5, "0x1.1a059e0a4e0cap-2", 50, "c97def4a736490bb"),
+        ("rand", (3, 4, 0.5, 12), CHI_SQUARED, 2500, 6, "0x1.5bebf609414dep-1", 50, "1a2dc358a7ef6663"),
+        ("rand", (3, 3, 1.0, 19), KL, 1237, 4, "0x1.24298895f3b5fp-1", 49, "17641f2ca38d45a3"),
         ("rand", (3, 5, 1.0, 20), TOTAL_VARIATION, 800, 2, "0x1.10afb61252bf9p-1", 6, "6cdc628fb753ec8c"),
-        ("rand", (5, 4, 1.0, 13), KL, 4000, 7, "0x1.0d76b3270777ep-1", 50, "4382420139bcdd80"),
+        ("rand", (5, 4, 1.0, 13), KL, 4000, 7, "0x1.0d76b32707768p-1", 50, "1ad7d24e607622fb"),
         ("rand", (5, 3, 0.5, 14), TOTAL_VARIATION, 1500, 8, "0x1.06f234a42e09ap-1", 20, "ad76d9ce4c3e5652"),
-        ("rand", (8, 8, 1.0, 15), CHI_SQUARED, 5000, 9, "0x1.47e27f9b3afb6p-1", 52, "fb9cc1a75df02e2e"),
-        ("rand", (8, 5, 0.1, 16), KL, 3000, 10, "0x1.fbaf462c2c641p-1", 51, "6062bfdb8df16293"),
-        ("rand", (12, 4, 1.0, 17), KL, 4000, 11, "0x1.4a30c6d85901bp-1", 54, "7aae247deedc8290"),
-        ("rand", (6, 30, 0.5, 18), CHI_SQUARED, 3000, 12, "0x1.4867394df6f9bp-1", 56, "3b8293aac3134680"),
-        ("zeros", None, KL, 3000, 7, "0x1.999999998452ep-1", 41, "21c329de82b2e779"),
-        ("zeros", None, CHI_SQUARED, 2000, 8, "0x1.999999997e852p-1", 41, "42c140c4fcbaf639"),
+        ("rand", (8, 8, 1.0, 15), CHI_SQUARED, 5000, 9, "0x1.47e27f9b3afb6p-1", 52, "c2b92622adb5239a"),
+        ("rand", (8, 5, 0.1, 16), KL, 3000, 10, "0x1.fbaf462c2f1eep-1", 51, "97e67d6c9dfb86bd"),
+        ("rand", (12, 4, 1.0, 17), KL, 4000, 11, "0x1.4a30c6d858ffep-1", 54, "1d6a2f716f03ded8"),
+        ("rand", (6, 30, 0.5, 18), CHI_SQUARED, 3000, 12, "0x1.4867394df6f99p-1", 56, "87462beb40601e6f"),
+        ("zeros", None, KL, 3000, 7, "0x1.9999999984534p-1", 41, "74de6e13f597749b"),
+        ("zeros", None, CHI_SQUARED, 2000, 8, "0x1.999999997e855p-1", 41, "8f2724149b99576f"),
     ]
     ZEROS = [[0.5, 0.5, 0.0], [0.0, 0.3, 0.7], [0.2, 0.0, 0.8], [0.1, 0.2, 0.7]]
 
@@ -416,10 +417,10 @@ class TestEstimateEtaF:
     # As PINNED, for larger channels: at 30 x 30 the pair stage examines 139
     # pairs over several blocks, and at 300 x 3 it stops after 2 of 44 850.
     ROLLING = [
-        ((30, 30, 1.0, 5), KL, 10_000, 2, "0x1.0a085474bb9c8p-1", 187, "1ff35156f77269b5"),
-        ((30, 30, 1.0, 5), CHI_SQUARED, 10_000, 3, "0x1.0a085474bbc56p-1", 187, "990cd83493819df7"),
-        ((300, 3, 1.0, 1), KL, 20_000, 0, "0x1.ebb64ef67ef37p-1", 50, "4d6817333ad76e86"),
-        ((300, 3, 1.0, 1), CHI_SQUARED, 20_000, 4, "0x1.ebb64ef67ef9cp-1", 50, "d64a52a02c2f3296"),
+        ((30, 30, 1.0, 5), KL, 10_000, 2, "0x1.0a085474bb9bcp-1", 187, "71eb7dde5277c1c2"),
+        ((30, 30, 1.0, 5), CHI_SQUARED, 10_000, 3, "0x1.0a085474bbc56p-1", 187, "959e7e9ce4769919"),
+        ((300, 3, 1.0, 1), KL, 20_000, 0, "0x1.ebb64ef67ef2bp-1", 50, "5981cb98da31a642"),
+        ((300, 3, 1.0, 1), CHI_SQUARED, 20_000, 4, "0x1.ebb64ef67ef9ep-1", 50, "9dca8b9529b35bca"),
     ]
 
     @pytest.mark.parametrize("case", ROLLING, ids=lambda c: f"{c[0][0]}x{c[0][1]}-{c[1].value}")
@@ -593,6 +594,104 @@ class TestBinaryInputOracle:
                     if (i, j) not in etas:
                         etas[i, j] = _binary_input_eta(rows[[i, j]])
                     assert etas[i, j] - tol <= est.value, (rows, i, j, spec.value)
+
+
+def _exact_slope(a, b, s) -> tuple[Fraction, Fraction]:
+    """h'(p) = sum d^2 (q^2 b - p^2 a) / L^2 and the sum of its terms'
+    sizes, in exact arithmetic, at the p and q that `_pair_peaks` computes
+    for logit s: both are of degree 0 in (p, q), so they are read at
+    p / (p + q) exactly."""
+    p, q = Fraction(1.0 / (1.0 + np.exp(-s))), Fraction(1.0 / (1.0 + np.exp(s)))
+    slope = size = Fraction(0)
+    for x, y in zip(map(Fraction, a), map(Fraction, b)):
+        if x or y:
+            scale = (x - y) ** 2 / (p * x + q * y) ** 2
+            slope += scale * (q * q * y - p * p * x)
+            size += scale * (q * q * y + p * p * x)
+    return slope, size
+
+
+class TestPairPeaks:
+    """`_pair_peaks` against exact slopes, the binary-input oracle and its
+    own one-pair calls."""
+
+    @staticmethod
+    def _peaks(a, b):
+        with _quiet():
+            return coefficients._pair_peaks(np.asarray(a, float), np.asarray(b, float))
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(_channels())
+    def test_peaks_are_where_the_exact_slope_changes_sign(self, w):
+        rows = w.rows
+        i, j = np.triu_indices(len(rows), 1)
+        s, h = self._peaks(rows[i], rows[j])
+        for n, (a, b) in enumerate(zip(rows[i], rows[j])):
+            step = 1e-12 * max(1.0, abs(s[n]))
+            # the rounding error h' may carry: `_pair_peaks` stops where
+            # |h'| is within 1e-14 of the sum of its terms' sizes
+            slack = 2e-14 * _exact_slope(a, b, s[n])[1]
+            if s[n] == 23.0:  # h still rises outward at the cap
+                assert _exact_slope(a, b, s[n])[0] >= -slack, (a, b)
+            elif s[n] == -23.0:
+                assert _exact_slope(a, b, s[n])[0] <= slack, (a, b)
+            else:
+                assert abs(s[n]) < 23.0
+                assert _exact_slope(a, b, s[n] - step)[0] >= -slack, (a, b, s[n])
+                assert _exact_slope(a, b, s[n] + step)[0] <= slack, (a, b, s[n])
+                ref = _binary_input_eta(np.stack((a, b)))
+                assert abs(h[n] - ref) <= 1e-13 * ref, (a, b, h[n], ref)
+
+    @pytest.mark.parametrize("steps", [None, 0])
+    def test_zeros_rows_peak_at_the_cap(self, monkeypatch, steps):
+        # rows 0 and 2 of ZEROS: h rises to their TV distance, 0.8, as p -> 1;
+        # the slope read at the caps places them, with no Newton step
+        if steps is not None:
+            monkeypatch.setattr(coefficients, "_PEAK_STEPS", steps)
+        rows = np.array(TestEstimateEtaF.ZEROS)
+        s, h = self._peaks(rows[[0, 2]], rows[[2, 0]])
+        assert s.tolist() == [23.0, -23.0]
+        assert h[0] == h[1] and 0.79 < h[0] < 0.8
+
+    def test_a_block_gives_the_results_of_one_pair_calls(self):
+        zeros = np.array(TestEstimateEtaF.ZEROS)
+        rr = np.pad(randomized_response(2, 1.0).rows, ((0, 0), (0, 1)))  # a letter both rows miss
+        a = np.array([zeros[0], rr[0], [1e-11, 0.3, 0.7 - 1e-11], zeros[1]])
+        b = np.array([zeros[2], rr[1], [0.9, 0.1 - 1e-11, 1e-11], zeros[3]])
+        s, h = self._peaks(a, b)
+        for n in range(len(a)):
+            one = self._peaks(a[[n]], b[[n]])
+            assert (s[n].hex(), h[n].hex()) == (one[0][0].hex(), one[1][0].hex()), n
+        # the cap; p = 1/2 exactly, where the slope is exactly 0; a peak far out
+        assert (s[0], s[1]) == (23.0, 0.0)
+        assert h[1] == pytest.approx(1 / 9, rel=1e-15)
+        assert 11.0 < s[2] < 12.0
+
+    def test_no_search_reaches_the_step_cap(self, monkeypatch):
+        # every block the search tests pass to `_pair_peaks` gives the same
+        # results with ten times the steps: no pair stopped at the cap
+        blocks = []
+        real = coefficients._pair_peaks
+
+        def record(a, b):
+            blocks.append((a, b, real(a, b)))
+            return blocks[-1][2]
+
+        monkeypatch.setattr(coefficients, "_pair_peaks", record)
+        channels = [random_channel(*args) for kind, args, *_ in TestEstimateEtaF.PINNED if kind == "rand"]
+        channels += [random_channel(*case[0]) for case in TestEstimateEtaF.ROLLING]
+        channels += [*TestBinaryInputOracle._criterion_05_channels(), random_channel(12, 4, 1.0, 701),
+                     random_channel(30, 30, 1.0, 703), validate_channel(TestEstimateEtaF.ZEROS),
+                     randomized_response(3, 1.0), randomized_response(5, 2.0)]
+        for w in channels:
+            for spec in (KL, CHI_SQUARED):
+                estimate_eta_f(w, spec, budget=20_000, seed=0)
+        monkeypatch.setattr(coefficients, "_pair_peaks", real)
+        monkeypatch.setattr(coefficients, "_PEAK_STEPS", 10 * coefficients._PEAK_STEPS)
+        assert len(blocks) > 200
+        for a, b, (s, h) in blocks:
+            again = self._peaks(a, b)
+            assert np.array_equal(again[0], s) and np.array_equal(again[1], h)
 
 
 class TestContractionProperties:
