@@ -25,7 +25,7 @@ DIV_FLOOR = 1e-12
 DIV_CEIL = 1e12
 
 # Cells per block of pairs in `estimate_eta_f` (pairs times the output
-# alphabet) and per block of row differences in `dobrushin_coefficient`.
+# alphabet) and per block of row differences in `_row_pairs`.
 # The size bounds memory. Neither result depends on it: each pair is
 # evaluated, and summed, as it would be alone.
 _BLOCK_CELLS = 1 << 12
@@ -79,27 +79,32 @@ class ContractionEstimate:
     seed: int
 
 
+def _row_pairs(rows: np.ndarray):
+    """The TV distances of all row pairs, a block of rows at a time: yields
+    (i, tv) with tv[r, c] the distance between rows i + r and i + 1 + c, so
+    tv[r, r:] holds row i + r against every later row. A block of n rows is
+    compared with all rows after the block's first in one broadcast, n chosen
+    so the block has at most _BLOCK_CELLS cells (at least one row), so memory
+    is O(k*m), never O(k*k*m). Each pair is summed in the same order whatever
+    the block, so its distance is that of a row-by-row pass."""
+    k, m = rows.shape
+    i = 0
+    while i < k - 1:
+        n = max(1, _BLOCK_CELLS // ((k - i) * m))
+        block = rows[i:i + n, None]
+        yield i, _tv_pair(block, rows[i + 1:] - block)
+        i += n
+
+
 def dobrushin_coefficient(w: Channel) -> float:
     """Maximum total-variation distance between any two rows of the channel.
 
     Equals the channel's total-variation contraction factor. A single-row
-    channel has coefficient 0 (empty maximum). A block of n rows is compared
-    with all rows after the block's first in one broadcast, n chosen so the
-    block has at most _BLOCK_CELLS cells (at least one row), so memory is
-    O(k*m), never O(k*k*m). Pairs inside a block are compared twice or
-    with themselves (distance 0), and each pair is summed in the same
-    order, so the maximum is that of the row-by-row loop.
+    channel has coefficient 0 (empty maximum). Pairs inside a block of
+    `_row_pairs` are compared twice or with themselves (distance 0), which
+    leaves the maximum that of the row-by-row loop.
     """
-    rows = w.rows
-    k, m = rows.shape
-    gap = 0.0
-    i = 0
-    while i < k - 1:
-        n = max(1, _BLOCK_CELLS // ((k - i) * m))
-        block = rows[i:i + n]
-        gap = max(gap, float(_tv_pair(block, rows[i + 1:, None] - block).max()))
-        i += n
-    return gap
+    return max((float(tv.max()) for _, tv in _row_pairs(w.rows)), default=0.0)
 
 
 def _ratio_bits(hi: np.ndarray, lo: np.ndarray) -> float:
@@ -198,13 +203,6 @@ def privacy_report(w: Channel) -> PrivacyReport:
     return _certificates(w)[0]
 
 
-def _off_diagonal(n: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(row, column) of the t-th off-diagonal cell of an n x n grid in
-    row-major order."""
-    a, j = np.divmod(t, n - 1)
-    return a, j + (j >= a)
-
-
 def _pair_peaks(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For each row pair (a, b): the logit s of the weight p on a that
     maximises h(p) = p q sum_y d_y^2 / L_y, with q = 1 - p, d = a - b and
@@ -267,36 +265,44 @@ def _pair_peaks(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, p * q * np.add.reduce(np.fmax((d * d) / (p[:, None] * a + q[:, None] * b), 0.0), axis=1)
 
 
+def _ranked_pairs(rows: np.ndarray, keep: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first `keep` row pairs i < j in order of decreasing TV distance,
+    ties in (i, j) order, by one stable sort: their TV distances and codes
+    i * k + j. Only about 2 * keep + k pairs are held at a time, so memory is
+    O(min(keep, k^2) + k) beyond a block of `_row_pairs`."""
+    k = len(rows)
+    total = k * (k - 1) // 2
+    keep = min(keep, total)
+    tv = np.empty(min(total, 2 * keep + k))
+    code = np.empty(tv.size, dtype=np.intp)
+    n = 0
+    for i, block in _row_pairs(rows):
+        for a in range(i, i + len(block)):  # row a against rows a + 1, ..., k - 1
+            # rows enter in (i, j) order and a cut keeps its survivors ahead of
+            # all later rows, so a stable sort leaves ties in (i, j) order
+            if n + k - 1 - a > tv.size:  # cut back to the first `keep` in order
+                order = np.argsort(-tv[:n], kind="stable")[:keep]
+                tv[:keep], code[:keep], n = tv[order], code[order], keep
+            tv[n:n + k - 1 - a] = block[a - i, a - i:]
+            code[n:n + k - 1 - a] = np.arange(a * k + a + 1, (a + 1) * k)
+            n += k - 1 - a
+    order = np.argsort(-tv[:n], kind="stable")[:keep]
+    return tv[order], code[order]
+
+
 def _best_pair(
     rows: np.ndarray, budget: int, block: int
 ) -> tuple[int, tuple[int, int, float] | None]:
     """The pair stage: the number of input pairs examined (at most `budget`)
     and, for the first pair of greatest h among them, its inputs (i, j) and
-    the logit of p at its peak (None if none was examined). Pairs go in
-    order of decreasing TV distance, by one stable sort (ties in (i, j)
-    order), and the stage stops at the first whose TV distance is at or
-    below the best h so far: h is at most it. A block's pairs are examined
-    or not as in a pair-by-pair pass. Only the first `budget` pairs in that
-    order are kept, so memory is O(min(budget, k^2) + k)."""
+    the logit of p at its peak (None if none was examined). Pairs go in the
+    order of `_ranked_pairs(rows, budget)`, and the stage stops at the first
+    whose TV distance is at or below the best h so far: h is at most it. A
+    block's pairs are examined or not as in a pair-by-pair pass."""
     k = len(rows)
-    total = k * (k - 1) // 2
-    keep = min(budget, total)
-    tv = np.empty(min(total, 2 * keep + k))
-    code = np.empty(tv.size, dtype=np.intp)  # pair i < j is coded i * k + j
-    n = 0
-    for i in range(k - 1):
-        # rows enter in (i, j) order and a cut keeps its survivors ahead of
-        # all later rows, so a stable sort leaves ties in (i, j) order
-        if n + k - 1 - i > tv.size:  # cut back to the first `keep` in order
-            order = np.argsort(-tv[:n], kind="stable")[:keep]
-            tv[:keep], code[:keep], n = tv[order], code[order], keep
-        tv[n:n + k - 1 - i] = _tv_pair(rows[i], rows[i + 1:] - rows[i])
-        code[n:n + k - 1 - i] = np.arange(i * k + i + 1, (i + 1) * k)
-        n += k - 1 - i
-    order = np.argsort(-tv[:n], kind="stable")[:keep]
-    tv, code = tv[order], code[order]
+    tv, code = _ranked_pairs(rows, budget)
     examined, best_h, peak = 0, 0.0, None
-    for start in range(0, keep, block):
+    for start in range(0, tv.size, block):
         t = tv[start:start + block]
         live = int(np.count_nonzero(t > best_h))  # a prefix, as t decreases
         if not live:
@@ -323,8 +329,10 @@ def estimate_eta_f(
     `spec` is an FKind. The search spends up to `budget` ratio evaluations
     in one stage per kind:
 
-    * total variation: every ordered pair of point masses, where it attains
-      its supremum, so the value is exact, eta_TV, in k(k - 1) evaluations;
+    * total variation: the supremum, eta_TV, is attained at point masses,
+      so the value is exact: the first pair (i, j) of the TV ranking below,
+      p0 = e_i and p1 = e_j, with input divergence 1. The k(k - 1) ordered
+      point-mass pairs count as its evaluations;
     * KL and chi^2: pairs of inputs, since no pair of point masses has a
       finite KL or chi^2 divergence. Restricting a channel to two of its
       inputs, rows a and b, cannot raise its contraction coefficient, and
@@ -352,17 +360,14 @@ def estimate_eta_f(
     read by no stage and does not affect the result, which is deterministic
     given `budget`.
 
-    Both stages evaluate one witness form: inputs i and j, a weight u and a
-    step t give p1 = u e_i + (1 - u) e_j and p0 = p1 + t (e_i - e_j), with
-    input (base, diff) = ([u, 1 - u], t [1, -1]) on {i, j} and output
-    (base, diff) = (u a + (1 - u) b, t (a - b)) from rows a = w(i) and
-    b = w(j), with no matrix product. A pair of point masses is
-    (u, t) = (0, 1), a ladder step (u, t) = (p*, +-t). Pairs go through a
-    block at a time, at most _BLOCK_CELLS cells per block, and each pair's
-    numbers are those of a one-pair pass, so the result does not depend on
-    the block size. The pair stage keeps only the pairs its budget can
-    reach, so memory is O(min(budget, k^2) + k). The kernels run under one
-    `np.errstate` for the whole search.
+    A ladder step is evaluated as (base, diff) = ([p*, 1 - p*], t [1, -1])
+    on {i, j} and, for the images, (p* a + (1 - p*) b, t (a - b)) from rows
+    a = w(i) and b = w(j), with no matrix product. Row pairs are compared,
+    and peaked, a block at a time, at most _BLOCK_CELLS cells per block, and
+    each pair's numbers are those of a one-pair pass, so the result does not
+    depend on the block size. The ranking keeps only the pairs the budget
+    can reach, so memory is O(min(budget, k^2) + k). The kernels run under
+    one `np.errstate` for the whole search.
 
     Returns
     -------
@@ -394,35 +399,20 @@ def estimate_eta_f(
         )
     pair_div = _pair_divergence(spec)
     rows = w.rows
-    block = max(1, _BLOCK_CELLS // w.output_size)
-    evals = 0
-    # ratio, input and output divergence, and (i, j, u, t) of the first strict maximum
-    best = (-1.0, 0.0, 0.0, None)
-
-    def evaluate(i: np.ndarray, j: np.ndarray, u: np.ndarray, t: np.ndarray) -> None:
-        # the pairs p1 = u e_i + (1 - u) e_j, p0 = p1 + t (e_i - e_j): on {i, j}
-        # (base, diff) = ([u, 1 - u], t [1, -1]), and their images
-        # (u a + (1 - u) b, t (a - b)), one kernel call each
-        nonlocal evals, best
-        u, t, a, b = u[:, None], t[:, None], rows[i], rows[j]
-        din = pair_div(np.concatenate((u, 1.0 - u), axis=1), t * [1.0, -1.0])
-        dout = pair_div(u * a + (1.0 - u) * b, t * (a - b))
-        r = dout / din
-        evals += len(r)
-        r = np.where((DIV_FLOOR < din) & (din < DIV_CEIL) & (r > best[0]), r, -np.inf)
-        c = int(r.argmax())
-        if r[c] > best[0]:
-            best = (float(r[c]), float(din[c]), float(dout[c]),
-                    (int(i[c]), int(j[c]), float(u[c, 0]), float(t[c, 0])))
-
+    # ratio, input and output divergence, and (i, j, u, t) of the witnesses
+    value, din, dout, pair, evals = 0.0, 0.0, 0.0, None, 0
     with _quiet():  # the kernels' error state, entered once per search
         if spec is FKind.TOTAL_VARIATION:
-            for start in range(0, n_vertex, block):
-                i, j = _off_diagonal(k, np.arange(start, min(n_vertex, start + block)))
-                evaluate(i, j, np.zeros(len(i)), np.ones(len(i)))  # p0 = e_i, p1 = e_j
+            # every ordered pair of point masses counts as evaluated; the first
+            # of greatest TV distance is the first pair of the TV ranking
+            evals = n_vertex
+            if k > 1:
+                tv, code = _ranked_pairs(rows, 1)
+                i, j = divmod(int(code[0]), k)
+                value, din, dout, pair = float(tv[0]), 1.0, float(tv[0]), (i, j, 0.0, 1.0)
         elif k > 1:
-            examined, peak = _best_pair(rows, max(1, budget - 48), block)
-            evals += examined
+            block = max(1, _BLOCK_CELLS // w.output_size)
+            evals, peak = _best_pair(rows, max(1, budget - 48), block)
             if peak is not None and evals < budget:
                 i, j, s = peak
                 if s > 0.0:  # put the smaller weight, u, on input i
@@ -433,13 +423,21 @@ def estimate_eta_f(
                 # exactly t (e_i - e_j) and its image exactly t (a - b), as evaluated
                 u = math.ldexp(math.floor(math.ldexp(mant, 52)), e - 52)
                 t = np.ldexp(1.0, e - 1 - np.arange(24))
-                t = np.column_stack((t, -t))[t >= 2.0 ** -53].ravel()[: budget - evals]
-                n = len(t)
-                evaluate(np.full(n, i), np.full(n, j), np.full(n, u), t)
-    value, din, dout, pair = best
+                t = np.column_stack((t, -t))[t >= 2.0 ** -53].ravel()[: budget - evals, None]
+                evals += len(t)
+                # p1 = u e_i + (1 - u) e_j and p0 = p1 + t (e_i - e_j): on {i, j}
+                # (base, diff) = ([u, 1 - u], t [1, -1]), and their images
+                # (u a + (1 - u) b, t (a - b)) from rows a = w(i) and b = w(j)
+                a, b = rows[i], rows[j]
+                ins = pair_div(np.full((len(t), 2), [u, 1.0 - u]), t * [1.0, -1.0])
+                outs = pair_div(np.full((len(t), len(a)), u * a + (1.0 - u) * b), t * (a - b))
+                r = np.where((DIV_FLOOR < ins) & (ins < DIV_CEIL), outs / ins, -1.0)
+                c = int(r.argmax())  # the first strict maximum, if a step is admitted
+                if r[c] >= 0.0:
+                    value, din, dout = float(r[c]), float(ins[c]), float(outs[c])
+                    pair = (i, j, u, float(t[c, 0]))
     if pair is None:
         # no admissible pair (e.g. |X| = 1): report 0 with degenerate witnesses
-        value = din = dout = 0.0
         w0 = w1 = Distribution.uniform(k)
     else:
         i, j, u, t = pair

@@ -342,16 +342,21 @@ class TestEstimateEtaF:
         assert 0.99 < est.value <= dobrushin_coefficient(w) + 1e-10
         assert peak < 1e6, peak
 
+    @staticmethod
+    def _repeated_rows():
+        # 400 rows drawn from 4: each TV distance is shared by thousands of pairs
+        rng = np.random.default_rng(4)
+        return rng.dirichlet(np.ones(3), size=4)[rng.integers(4, size=400)]
+
     @pytest.mark.parametrize("block", [7, 1365])
     @pytest.mark.parametrize("budget", [300, 2000])
-    def test_pair_order_across_cuts_is_tv_then_inputs(self, budget, block):
-        # 400 rows drawn from 4: each TV distance is shared by thousands of
-        # pairs, and the buffer of about 2 * budget + k pairs is cut back to
-        # `budget` many times. The reference sorts all 79 800 pairs at once
-        # by (-TV, i, j) and examines them one at a time.
-        rng = np.random.default_rng(4)
-        rows = rng.dirichlet(np.ones(3), size=4)[rng.integers(4, size=400)]
-        got = coefficients._best_pair(rows, budget, block)
+    def test_pair_order_across_cuts_is_tv_then_inputs(self, monkeypatch, budget, block):
+        # the buffer of about 2 * budget + k pairs is cut back to `budget`
+        # many times. The reference sorts all 79 800 pairs at once by
+        # (-TV, i, j) and examines them one at a time. The TV ranking reads
+        # blocks of at least 3 rows at the default cells, and of one row but
+        # for the last 10 at 64 cells.
+        rows = self._repeated_rows()
         tv = {(i, j): 0.5 * float(np.abs(rows[j] - rows[i]).sum())
               for i in range(len(rows)) for j in range(i + 1, len(rows))}
         peaks = {}  # repeated rows have the same peak
@@ -366,7 +371,33 @@ class TestEstimateEtaF:
             examined += 1
             if h[0] > best_h:
                 best_h, peak = float(h[0]), (i, j, float(s[0]))
-        assert got == (examined, peak)
+        for cells in (coefficients._BLOCK_CELLS, 64):
+            monkeypatch.setattr(coefficients, "_BLOCK_CELLS", cells)
+            assert coefficients._best_pair(rows, budget, block) == (examined, peak), cells
+
+    @pytest.mark.parametrize("cells", [None, 64])
+    def test_total_variation_takes_the_first_pair_of_greatest_distance(self, monkeypatch, cells):
+        # of the pairs i < j of greatest TV distance, the first in row-major
+        # order: here one of thousands of tied pairs
+        if cells is not None:
+            monkeypatch.setattr(coefficients, "_BLOCK_CELLS", cells)
+        w = validate_channel(self._repeated_rows())
+        rows, k = w.rows, w.input_size
+        tv = {(i, j): 0.5 * float(np.abs(rows[j] - rows[i]).sum())
+              for i in range(k) for j in range(i + 1, k)}
+        first = min(tv, key=lambda pair: (-tv[pair], *pair))
+        est = estimate_eta_f(w, TOTAL_VARIATION, k * (k - 1), seed=0)
+        assert (est.value, est.input_divergence, est.output_divergence) == (tv[first], 1.0, tv[first])
+        assert est.evaluations == k * (k - 1)
+        assert np.array_equal(est.witness_p0.probs, np.eye(k)[first[0]])
+        assert np.array_equal(est.witness_p1.probs, np.eye(k)[first[1]])
+
+    def test_total_variation_ties_go_to_the_first_inputs(self):
+        # every pair of randomized response's inputs is at the same distance
+        est = estimate_eta_f(randomized_response(5, 1.0), TOTAL_VARIATION, 20, seed=0)
+        assert est.evaluations == 20
+        assert np.array_equal(est.witness_p0.probs, [1.0, 0.0, 0.0, 0.0, 0.0])
+        assert np.array_equal(est.witness_p1.probs, [0.0, 1.0, 0.0, 0.0, 0.0])
 
     # (channel, spec, budget, seed) -> value.hex(), evaluations, and the first
     # 16 hex digits of sha256(witness_p0 bytes + witness_p1 bytes). Cases
@@ -449,9 +480,12 @@ class TestEstimateEtaF:
 
     def test_single_input_alphabet_degenerates_to_zero(self):
         w = validate_channel([[0.2, 0.8]])
-        est = estimate_eta_f(w, KL, budget=10, seed=0)
-        assert est.value == 0.0
-        assert est.input_divergence == est.output_divergence == 0.0
+        for spec in (TOTAL_VARIATION, KL, CHI_SQUARED):
+            est = estimate_eta_f(w, spec, budget=10, seed=0)
+            assert est.value == 0.0, spec
+            assert est.input_divergence == est.output_divergence == 0.0, spec
+            assert est.evaluations == 0, spec
+            assert est.witness_p0.probs.tolist() == est.witness_p1.probs.tolist() == [1.0], spec
 
     @pytest.mark.parametrize("budget", [1, 2, 3, 20, 49, 50, 51])
     def test_small_budgets_cut_the_ladder(self, budget):
@@ -480,11 +514,14 @@ class TestSearchProperties:
     """The search on arbitrary small channels, zeros and tiny entries included."""
 
     @settings(derandomize=True, max_examples=100, deadline=None, database=None)
-    @given(_channels(), st.sampled_from([KL, CHI_SQUARED]))
+    @given(_channels(), st.sampled_from([TOTAL_VARIATION, KL, CHI_SQUARED]))
     def test_certified_within_budget_and_reproducible(self, w, spec):
         est = estimate_eta_f(w, spec, budget=600, seed=5)
         assert 0.0 <= est.value <= dobrushin_coefficient(w) + 1e-10
         assert est.evaluations <= 600
+        if spec is TOTAL_VARIATION:  # exact, from the point masses
+            assert est.value == dobrushin_coefficient(w)
+            assert est.evaluations == w.input_size * (w.input_size - 1)
         if est.input_divergence > 0.0:
             assert est.value == min(est.output_divergence / est.input_divergence, 1.0)
         again = estimate_eta_f(w, spec, budget=600, seed=5)
