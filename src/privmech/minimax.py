@@ -187,13 +187,13 @@ def empirical_risk(cfg: SimulationConfig) -> RiskEstimate:
     """
     lam = staircase_rate(cfg.k, cfg.alpha_bits)
     rng = np.random.default_rng(cfg.seed)
-    risks = _mc_risks(cfg.source, lam, cfg.n, cfg.replicates, rng)
-    mean, var = _mean_var(risks)
+    replicates = int(cfg.replicates)  # 2000.0 is a count too
+    mean, var = _mean_var(_mc_risks(cfg.source, lam, cfg.n, replicates, rng))
     r1 = 2.0 ** cfg.alpha_bits - 1.0
     return RiskEstimate(
         mean_risk=mean,
-        std_error=math.sqrt(var) / math.sqrt(cfg.replicates),
-        replicates=cfg.replicates,
+        std_error=math.sqrt(var) / math.sqrt(replicates),
+        replicates=replicates,
         closed_form=closed_form_risk(cfg.source, cfg.k, cfg.alpha_bits, cfg.n),
         upper_bound=(cfg.k - 1) / (cfg.n * r1),
         lecam_lower=1.0 / (16.0 * cfg.n * r1),
@@ -267,6 +267,7 @@ def lecam_lower_check(
     """
     _check_count("n", n)
     _check_count("replicates", replicates)
+    replicates = int(replicates)  # 2000.0 is a count too
     lam = staircase_rate(k, alpha_bits)  # validates k, alpha and 2**a <= k
     r1 = 2.0 ** alpha_bits - 1.0
     n_min = math.ceil(k * k / r1)

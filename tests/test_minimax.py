@@ -409,6 +409,11 @@ class TestLeCamLowerCheck:
         assert res.lhs == 1.0 / (16 * 2000) == 3.125e-05
         assert "(se 0.000e+00, 1 replicates per point)" in res.note
 
+    def test_whole_valued_float_counts_are_accepted(self):
+        exact = lecam_lower_check(2, 1.0, 10_000, replicates=2000, seed=11)
+        for replicates in (2000.0, np.float64(2000.0)):
+            assert lecam_lower_check(2, 1.0, 10_000.0, replicates, seed=11) == exact
+
     @pytest.mark.parametrize("n", [2.5, 10.5, 1000.5])
     def test_fractional_n_is_rejected_before_the_preconditions(self, n):
         # 2.5 fails pair validity and 10.5 the large-sample condition, and
@@ -475,6 +480,9 @@ class TestScalingSweep:
         with pytest.raises(ValueError):
             scaling_sweep(3, 1.0, [200, 100.7], replicates=10, seed=0)
         assert [r.n for r in scaling_sweep(3, 1.0, [200.0], replicates=10, seed=0)] == [200]
+        # so are whole-valued replicate counts
+        exact = scaling_sweep(3, 1.0, [100, 200], replicates=2000, seed=0)
+        assert scaling_sweep(3, 1.0, [100, 200], replicates=2000.0, seed=0) == exact
 
     def test_normalized_risk_constant_at_closed_form_level(self):
         rows = scaling_sweep(3, 1.0, [100, 200, 400], replicates=2000, seed=7)
@@ -516,3 +524,12 @@ class TestSimulationConfig:
             SimulationConfig(
                 k=3, alpha_bits=1.0, n=5, replicates=0, seed=0, source=Distribution.uniform(3)
             )
+        # a whole-valued float is a count: it draws what the int draws
+        runs = [
+            empirical_risk(SimulationConfig(
+                k=3, alpha_bits=1.0, n=100, replicates=r, seed=0, source=Distribution.uniform(3)
+            ))
+            for r in (2000, 2000.0, np.float64(2000.0))
+        ]
+        assert runs[0] == runs[1] == runs[2]
+        assert all(type(est.replicates) is int for est in runs)
