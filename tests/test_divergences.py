@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from privmech import (
     validate_channel,
     validate_distribution,
 )
-from privmech.divergences import _pair_divergence, _quiet
+from privmech.divergences import _bracket_g, _pair_divergence, _quiet
 from privmech.errors import DimensionMismatch
 
 LN2 = math.log(2.0)
@@ -94,6 +95,24 @@ class TestKlDivergence:
         # (inf at 1e-308), and the double range at 1e-310 (x = inf, NaN)
         got = kl_divergence(dist([0.5, 0.5]), dist([1 - t, t]))
         assert got == pytest.approx(bits, rel=1e-15)
+
+    @_quiet()
+    def test_integrand_meets_an_exact_series_on_both_sides_of_the_cutoff(self):
+        # g(x) = (1 + x) ln(1 + x) - x = sum_{n >= 2} (-x)^n / (n (n - 1)),
+        # summed in rationals at each float x until a term is below 1e-20 of
+        # the sum. The kernel reads its own series to |x| = 0.1 and the log1p
+        # form past it; that form cancels toward 0 (alone it loses 3.4e-12
+        # relative at x = -1.23e-4)
+        grid = np.logspace(-10.0, math.log10(0.5), 201)
+        xs = np.concatenate((grid, -grid, [0.1, -0.1, np.nextafter(0.1, 1.0), np.nextafter(-0.1, -1.0),
+                                           1e-4, -1e-4, -1.23e-4, 1.5e-4]))
+        for x, g in zip(xs, _bracket_g(xs)):
+            t, power, exact, n = Fraction(float(x)), Fraction(float(x)) ** 2, Fraction(0), 2
+            while n == 2 or abs(power) / (n * (n - 1)) > abs(exact) * Fraction(1, 10**20):
+                exact += power / (n * (n - 1)) * (-1) ** n
+                power *= t
+                n += 1
+            assert abs(g - float(exact)) <= 1e-13 * float(exact), x
 
     def test_pinsker_in_bits(self):
         # tv <= sqrt((ln2 / 2) * kl_bits); the ln2 converts bits to nats
@@ -235,8 +254,9 @@ class TestKernelProperties:
     @_quiet()
     @pytest.mark.parametrize("spec", [KL, CHI_SQUARED], ids=["kl", "chi_squared"])
     def test_a_row_that_takes_a_branch_leaves_the_other_rows_bits(self, spec):
-        # seeded full-support rows, with no |x| = |diff/base| <= 1e-4, give
-        # the same bits alone and in a block with one row that takes a branch
+        # seeded full-support rows, with no |x| = |diff/base| <= 1e-4 (12 of
+        # their entries take KL's series, to |x| = 0.1), give the same bits
+        # alone and in a block with one row that takes a branch
         kernel = _pair_divergence(spec)
         rng = np.random.default_rng(15)
         base = rng.dirichlet(np.ones(6), size=30)
@@ -245,7 +265,7 @@ class TestKernelProperties:
         alone = [kernel(base[i], diff[i]) for i in range(30)]
         q = base[0]
         branches = {
-            # 0 < |x| <= 1e-4: KL's series
+            # |x| = 1e-10 or less: KL's series
             "small": (q, 1e-10 * np.array([1, -1, 2, -2, 0.5, -0.5])),
             # x = 0 exactly: the direct form, which is exact there
             "zero diff": (q, np.zeros(6)),
