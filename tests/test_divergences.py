@@ -100,11 +100,11 @@ class TestKlDivergence:
     def test_integrand_meets_an_exact_series_on_both_sides_of_the_cutoff(self):
         # g(x) = (1 + x) ln(1 + x) - x = sum_{n >= 2} (-x)^n / (n (n - 1)),
         # summed in rationals at each float x until a term is below 1e-20 of
-        # the sum. The kernel reads its own series to |x| = 0.1 and the log1p
-        # form past it; that form cancels toward 0 (alone it loses 3.4e-12
-        # relative at x = -1.23e-4)
+        # the sum. The kernel reads its own series to |x| = 1e-2 and the
+        # log1p form past it; that form cancels toward 0 (alone it loses
+        # 3.4e-12 relative at x = -1.23e-4)
         grid = np.logspace(-10.0, math.log10(0.5), 201)
-        xs = np.concatenate((grid, -grid, [0.1, -0.1, np.nextafter(0.1, 1.0), np.nextafter(-0.1, -1.0),
+        xs = np.concatenate((grid, -grid, [1e-2, -1e-2, np.nextafter(1e-2, 1.0), np.nextafter(-1e-2, -1.0),
                                            1e-4, -1e-4, -1.23e-4, 1.5e-4]))
         for x, g in zip(xs, _bracket_g(xs)):
             t, power, exact, n = Fraction(float(x)), Fraction(float(x)) ** 2, Fraction(0), 2
@@ -254,8 +254,8 @@ class TestKernelProperties:
     @_quiet()
     @pytest.mark.parametrize("spec", [KL, CHI_SQUARED], ids=["kl", "chi_squared"])
     def test_a_row_that_takes_a_branch_leaves_the_other_rows_bits(self, spec):
-        # seeded full-support rows, with no |x| = |diff/base| <= 1e-4 (12 of
-        # their entries take KL's series, to |x| = 0.1), give the same bits
+        # seeded full-support rows, with no |x| = |diff/base| <= 1e-4 (2 of
+        # their entries take KL's series, to |x| = 1e-2), give the same bits
         # alone and in a block with one row that takes a branch
         kernel = _pair_divergence(spec)
         rng = np.random.default_rng(15)
