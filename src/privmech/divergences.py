@@ -98,7 +98,6 @@ def _bracket_g(x: np.ndarray) -> np.ndarray:
     # relative of g on both sides of the cutoff (at t = 0 both give 0).
     # Terms to n = 19 with |t| <= 0.1 would give 4e-15, at two numpy calls
     # per term in every search's ladder
-
     g = (1.0 + x) * np.log1p(np.maximum(x, _NEXT_ABOVE_MINUS_ONE)) - x
     ax = np.abs(x)
     if np.minimum.reduce(ax, axis=None) <= _SERIES_CUT:
