@@ -388,8 +388,7 @@ def estimate_eta_f(
     """
     if budget < 1:
         raise BudgetTooSmall("budget must be at least 1")
-    _check_count("budget", budget)
-    budget = int(budget)
+    budget = _check_count("budget", budget)
     k = w.input_size
     n_vertex = k * (k - 1)
     if spec is FKind.TOTAL_VARIATION and budget < n_vertex:

@@ -105,12 +105,14 @@ def _check_entries(arr: np.ndarray):
             raise error(at[-1], float(arr[at]), row=at[0] if arr.ndim == 2 else None)
 
 
-def _check_count(name: str, value) -> None:
-    """Raise ValueError unless `value` is a whole number >= 1. 100.0 passes;
-    2.5, nan and inf do not, since a count taken as floor(value) or used as
-    a loop bound would silently do other work than asked."""
-    if not (value >= 1 and float(value).is_integer()):
-        raise ValueError(f"{name} must be a whole number >= 1, got {value!r}")
+def _check_count(name: str, value) -> int:
+    """`value` as an int if a whole number in [1, 2**63), the int64 range of
+    Generator.multinomial (100.0 is 100), else ValueError, since a count
+    taken as floor(value) or used as a loop bound would silently do other
+    work than asked. The range goes first: 10**400 never reaches float()."""
+    if not (1 <= value < 2**63 and float(value).is_integer()):
+        raise ValueError(f"{name} must be a whole number >= 1 and < 2**63, got {value!r}")
+    return int(value)
 
 
 def _as_floats(x, ragged: type[ValidationError]) -> np.ndarray:

@@ -53,8 +53,8 @@ class SimulationConfig:
 
     def __post_init__(self):
         _check_k_alpha(self.k, self.alpha_bits)
-        _check_count("n", self.n)
-        _check_count("replicates", self.replicates)
+        object.__setattr__(self, "n", _check_count("n", self.n))
+        object.__setattr__(self, "replicates", _check_count("replicates", self.replicates))
         if self.source.alphabet_size != self.k:
             raise DimensionMismatch(
                 f"source alphabet {self.source.alphabet_size} != k = {self.k}"
@@ -109,7 +109,7 @@ def sample_outputs(w: Channel, p: Distribution, n: int, seed) -> np.ndarray:
     count row, in uniformly random order (the law of an i.i.d. sequence
     given its counts). `seed` is anything numpy's default_rng accepts (int,
     SeedSequence, ...); draws are deterministic given the seed."""
-    _check_count("n", n)
+    n = _check_count("n", n)
     q = pushforward(w, p).probs
     rng = np.random.default_rng(seed)
     return rng.permutation(np.repeat(np.arange(q.size), rng.multinomial(n, q)))
@@ -122,7 +122,7 @@ def staircase_estimator(samples, k: int, alpha_bits: float, n: int) -> np.ndarra
     contributes to no coordinate. The result is a raw nonnegative vector:
     coordinates may exceed 1 and need not sum to 1.
     """
-    _check_count("n", n)
+    n = _check_count("n", n)
     lam = staircase_rate(k, alpha_bits)
     arr = _as_floats(samples, RaggedRows)
     if arr.ndim != 1 or len(arr) != n:
@@ -144,7 +144,7 @@ def closed_form_risk(p: Distribution, k: int, alpha_bits: float, n: int) -> floa
     staircase mechanism: (1/(n*lam)) * sum_x p(x) (1 - lam p(x))."""
     if p.alphabet_size != k:
         raise DimensionMismatch(f"source alphabet {p.alphabet_size} != k = {k}")
-    _check_count("n", n)
+    n = _check_count("n", n)
     lam = staircase_rate(k, alpha_bits)
     pp = p.probs
     return float(np.sum(pp * (1.0 - lam * pp)) / (n * lam))
@@ -187,13 +187,12 @@ def empirical_risk(cfg: SimulationConfig) -> RiskEstimate:
     """
     lam = staircase_rate(cfg.k, cfg.alpha_bits)
     rng = np.random.default_rng(cfg.seed)
-    replicates = int(cfg.replicates)  # 2000.0 is a count too
-    mean, var = _mean_var(_mc_risks(cfg.source, lam, cfg.n, replicates, rng))
+    mean, var = _mean_var(_mc_risks(cfg.source, lam, cfg.n, cfg.replicates, rng))
     r1 = 2.0 ** cfg.alpha_bits - 1.0
     return RiskEstimate(
         mean_risk=mean,
-        std_error=math.sqrt(var) / math.sqrt(replicates),
-        replicates=replicates,
+        std_error=math.sqrt(var) / math.sqrt(cfg.replicates),
+        replicates=cfg.replicates,
         closed_form=closed_form_risk(cfg.source, cfg.k, cfg.alpha_bits, cfg.n),
         upper_bound=(cfg.k - 1) / (cfg.n * r1),
         lecam_lower=1.0 / (16.0 * cfg.n * r1),
@@ -218,7 +217,7 @@ def lecam_pair(k: int, alpha_bits: float, n: int, u) -> LeCamPair:
     once n >= k^2/(2**a - 1).
     """
     r1 = _check_k_alpha(k, alpha_bits) - 1.0
-    _check_count("n", n)
+    n = _check_count("n", n)
     uu = _as_floats(u, RaggedRows)
     if uu.shape != (k,):
         raise BadDirectionVector(f"direction must have length {k}, got shape {uu.shape}")
@@ -254,7 +253,7 @@ def lecam_lower_check(
     Preconditions, both reported through PreconditionNotMet with the
     smallest satisfying n:
 
-    * pair validity: n >= k^2/(2**a - 1);
+    * pair validity: n >= k^2/(2**a - 1), sufficient for any u, not tight;
     * large-sample condition: n*(2**a - 1)*KL(p1 || p0) <= 1 + 1e-3,
       with KL in nats. The product approaches k/2 from above as n grows
       (for k = 2 it is 1 + 1/(3n(2**a - 1))), so a strict <= 1 test is
@@ -265,22 +264,22 @@ def lecam_lower_check(
     Carlo estimate of the two-point average risk: `replicates` count rows
     at p0, then `replicates` at p1, all from one default_rng(seed).
     """
-    _check_count("n", n)
-    _check_count("replicates", replicates)
-    replicates = int(replicates)  # 2000.0 is a count too
+    n = _check_count("n", n)
+    replicates = _check_count("replicates", replicates)
     lam = staircase_rate(k, alpha_bits)  # validates k, alpha and 2**a <= k
     r1 = 2.0 ** alpha_bits - 1.0
     n_min = math.ceil(k * k / r1)
     if n < n_min:
         raise PreconditionNotMet(
-            f"two-point pair invalid at n = {n}; smallest valid n is {n_min}",
+            f"pair-validity condition n >= k^2/(2**a - 1) fails at n = {n}; "
+            f"smallest satisfying n is {n_min}",
             condition="pair_validity",
             min_n=n_min,
         )
     u = default_direction(k)
     value = _taylor_value(k, alpha_bits, n, u)
     if value > 1.0 + _TAYLOR_SLACK:
-        min_n = _min_taylor_n(k, alpha_bits, n_min)
+        min_n = _min_taylor_n(k, alpha_bits, n_min, u)
         detail = (
             f"smallest satisfying n is {min_n}"
             if min_n is not None
@@ -310,9 +309,8 @@ def lecam_lower_check(
     )
 
 
-def _min_taylor_n(k, alpha_bits, n_min):
-    """Smallest n >= n_min meeting the large-sample condition, or None."""
-    u = default_direction(k)
+def _min_taylor_n(k, alpha_bits, n_min, u):
+    """Smallest n >= n_min meeting the large-sample condition at u, or None."""
     if k / 2.0 > 1.0 + _TAYLOR_SLACK:
         return None
 
@@ -343,11 +341,8 @@ def scaling_sweep(
     r1 = _check_k_alpha(k, alpha_bits) - 1.0
     if source is None:
         source = Distribution.uniform(k)
-    grid = list(n_grid)
-    for n in grid:
-        _check_count("n", n)
     rows = []
-    for idx, n in enumerate(sorted(int(n) for n in grid)):
+    for idx, n in enumerate(sorted(_check_count("n", n) for n in n_grid)):
         row_seed = int(np.random.SeedSequence([int(seed), idx]).generate_state(1, np.uint64)[0])
         cfg = SimulationConfig(
             k=k, alpha_bits=alpha_bits, n=n, replicates=replicates,

@@ -288,6 +288,27 @@ class TestMalformedInput:
         assert np.array_equal(channel_from_dict(RR21).rows, RR21["rows"])
 
 
+class TestOversizedCount:
+    # 10**23 is past numpy's int64: the count check refuses it before any
+    # draw, where numpy would raise OverflowError and the CLI would exit 1
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--k", "3", "--alpha", "1", "--n", "100000000000000000000000",
+             "--replicates", "10"],
+            ["sweep", "--k", "3", "--alpha", "1", "--n-grid", "100,100000000000000000000000",
+             "--replicates", "10"],
+        ],
+        ids=["simulate", "sweep"],
+    )
+    def test_exits_two_with_one_error_line(self, argv):
+        res = run_cli(*argv)
+        assert res.returncode == 2, res.stderr
+        assert res.stdout == "" and "Traceback" not in res.stderr
+        assert res.stderr.startswith("error: n must be a whole number >= 1")
+        assert res.stderr.count("\n") == 1
+
+
 class TestDeterminismAndEnvironment:
     def test_byte_identical_reruns(self, tmp_path):
         invocations = [

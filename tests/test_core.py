@@ -16,7 +16,7 @@ from privmech import (
     validate_channel,
     validate_distribution,
 )
-from privmech.core import EQ_TOL, INEQ_SLACK, SUM_TOL
+from privmech.core import EQ_TOL, INEQ_SLACK, SUM_TOL, _check_count
 from privmech.errors import (
     DimensionMismatch,
     EmptyMatrix,
@@ -105,6 +105,40 @@ class TestValidateDistribution:
         assert p.probs[2] == 1.0 and p.probs.sum() == 1.0
         u = Distribution.uniform(3)
         assert np.allclose(u.probs, 1 / 3)
+
+    def test_not_a_vector(self):
+        with pytest.raises(ValidationError, match="1-d vector"):
+            validate_distribution([[0.5, 0.5], [0.5, 0.5]])
+
+    def test_helpers_reject_empty_alphabets_and_outside_locations(self):
+        with pytest.raises(EmptyVector):
+            Distribution.uniform(0)
+        with pytest.raises(EmptyVector):
+            Distribution.point_mass(0, 0)
+        with pytest.raises(DimensionMismatch):
+            Distribution.point_mass(3, 3)
+
+
+class TestCheckCount:
+    # a count (sample size, replicates, budget) is a whole number in
+    # [1, 2**63), the int64 range that Generator.multinomial takes
+    @pytest.mark.parametrize(
+        "value",
+        [2**63, np.uint64(2**64 - 1), 10**400, 1e300, float("nan"), 2.5, 0],
+        ids=["2**63", "uint64-max", "10**400", "1e300", "nan", "2.5", "0"],
+    )
+    def test_rejects_with_value_error(self, value):
+        with pytest.raises(ValueError, match="n must be a whole number >= 1"):
+            _check_count("n", value)
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [(2000.0, 2000), (np.float64(2000.0), 2000), (np.int64(5), 5), (2**63 - 1, 2**63 - 1)],
+        ids=["float", "float64", "int64", "int64-max"],
+    )
+    def test_returns_an_int(self, value, expected):
+        got = _check_count("n", value)
+        assert type(got) is int and got == expected
 
 
 class TestValidateChannel:

@@ -130,6 +130,17 @@ class TestMaxlStaircase:
         w = maxl_staircase(k, math.log2(k))
         assert max_leakage(w) == pytest.approx(math.log2(k), abs=1e-12)
 
+    @pytest.mark.parametrize("k", [15, 20, 21])
+    def test_log2_k_rounding_above_k_is_snapped(self, k):
+        # 2**log2(15) = 15.000000000000002 > 15: accepted as the boundary
+        assert 2.0 ** math.log2(k) > k
+        assert staircase_rate(k, math.log2(k)) == 1.0
+        assert np.array_equal(maxl_staircase(k, math.log2(k)).rows[:, k], np.zeros(k))
+
+    def test_snap_is_limited_to_rounding(self):
+        with pytest.raises(AlphaOutOfRange):
+            maxl_staircase(3, math.log2(3) + 1e-8)
+
     def test_parameter_errors(self):
         with pytest.raises(InvalidK):
             maxl_staircase(1, 0.5)

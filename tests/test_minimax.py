@@ -167,6 +167,10 @@ class TestClosedFormRisk:
         with pytest.raises(AlphaOutOfRange):
             closed_form_risk(Distribution.uniform(2), 2, 1.5, 100)
 
+    def test_source_size_must_match(self):
+        with pytest.raises(DimensionMismatch):
+            closed_form_risk(Distribution.uniform(2), 3, 1.0, 100)
+
 
 class TestEmpiricalRisk:
     def test_matches_closed_form_within_monte_carlo_error(self):
@@ -427,6 +431,20 @@ class TestLeCamLowerCheck:
         assert exc.value.condition == "pair_validity"
         assert exc.value.min_n == 16
 
+    def test_pair_validity_message_names_the_sufficient_condition(self):
+        # n >= k^2/(2**a - 1) is sufficient, not tight: the default pair is
+        # already valid at n = 10, so the message must not call it invalid
+        with pytest.raises(PreconditionNotMet) as exc:
+            lecam_lower_check(4, 1.0, 10, replicates=10, seed=0)
+        assert "invalid" not in str(exc.value)
+        assert "n >= k^2/(2**a - 1) fails at n = 10" in str(exc.value)
+        assert lecam_pair(4, 1.0, 10, default_direction(4)).valid
+
+    def test_whole_valued_float_n_is_echoed_as_an_int(self):
+        with pytest.raises(PreconditionNotMet) as exc:
+            lecam_lower_check(2, 1.0, 2.0, 10, 0)
+        assert "n = 2;" in str(exc.value) and "2.0" not in str(exc.value)
+
     def test_large_sample_precondition_reports_minimal_n(self):
         # at k=2, a=1 the condition value is 1 + 1/(3n) + O(1/n^2); with slack
         # 1e-3 direct evaluation puts the threshold at n = 335
@@ -507,6 +525,13 @@ class TestScalingSweep:
 
 
 class TestSimulationConfig:
+    def test_counts_are_stored_as_ints(self):
+        cfg = SimulationConfig(
+            k=3, alpha_bits=1.0, n=100.0, replicates=2000.0, seed=0, source=Distribution.uniform(3)
+        )
+        assert type(cfg.n) is int and type(cfg.replicates) is int
+        assert (cfg.n, cfg.replicates) == (100, 2000)
+
     def test_source_size_must_match(self):
         with pytest.raises(DimensionMismatch):
             SimulationConfig(
