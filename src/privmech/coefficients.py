@@ -15,14 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Channel, Distribution, _check_count, json_float, validate_distribution
-from .divergences import FKind, _pair_divergence, _quiet, _tv_pair
+from .divergences import FKind, _chi2_pair, _pair_divergence, _quiet, _tv_pair
 from .errors import BudgetTooSmall, DimensionMismatch
 
-# Admission window for ratio denominators: pairs with divergence outside
-# (DIV_FLOOR, DIV_CEIL) are skipped, mirroring the 0 < D < inf constraint
-# in the contraction coefficient's definition.
+# Admission floor for ladder steps: a step whose input divergence is at or
+# below it is skipped (the 0 < D of the coefficient's definition). No ceiling
+# is needed: a step's input is [u, 1 - u] moved by |t| <= u <= 1/2, so its
+# chi^2 is at most 1 and its KL at most 1 bit.
 DIV_FLOOR = 1e-12
-DIV_CEIL = 1e12
 
 # Cells per block of pairs in `estimate_eta_f` (pairs times the output
 # alphabet) and per block of row differences in `_row_pairs`.
@@ -63,10 +63,10 @@ class ContractionEstimate:
     """Best ratio found by `estimate_eta_f`, with the witnessing pair.
 
     `value` is a lower bound on the contraction coefficient of the FKind
-    `spec`: `output_divergence / input_divergence`, the divergences of the
-    witnesses and of their images as the search evaluated them, clamped to
-    [0, 1] (both divergences are 0 when no pair was admitted). `seed` is
-    the seed the search was called with; it does not affect the result.
+    `spec`: for KL and chi^2 the ratio `output_divergence / input_divergence`
+    as the search evaluated them, capped at 1; for total variation eta_TV.
+    Both divergences are 0 when no pair was admitted. `seed` is the seed
+    the search was called with; it does not affect the result.
     """
 
     spec: FKind
@@ -261,8 +261,7 @@ def _pair_peaks(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         before, last = last, np.abs(new - s)
         s = np.where(done, s, new)
     p, q = logistic(s)
-    # where both rows are 0 the term is 0/0 (NaN), read as 0
-    return s, p * q * np.add.reduce(np.fmax((d * d) / (p[:, None] * a + q[:, None] * b), 0.0), axis=1)
+    return s, p * q * _chi2_pair(p[:, None] * a + q[:, None] * b, d)
 
 
 def _ranked_pairs(rows: np.ndarray, keep: int) -> tuple[np.ndarray, np.ndarray]:
@@ -290,16 +289,15 @@ def _ranked_pairs(rows: np.ndarray, keep: int) -> tuple[np.ndarray, np.ndarray]:
     return tv[order], code[order]
 
 
-def _best_pair(
-    rows: np.ndarray, budget: int, block: int
-) -> tuple[int, tuple[int, int, float] | None]:
+def _best_pair(rows: np.ndarray, budget: int) -> tuple[int, tuple[int, int, float] | None]:
     """The pair stage: the number of input pairs examined (at most `budget`)
     and, for the first pair of greatest h among them, its inputs (i, j) and
     the logit of p at its peak (None if none was examined). Pairs go in the
     order of `_ranked_pairs(rows, budget)`, and the stage stops at the first
     whose TV distance is at or below the best h so far: h is at most it. A
     block's pairs are examined or not as in a pair-by-pair pass."""
-    k = len(rows)
+    k, m = rows.shape
+    block = max(1, _BLOCK_CELLS // m)
     tv, code = _ranked_pairs(rows, budget)
     examined, best_h, peak = 0, 0.0, None
     for start in range(0, tv.size, block):
@@ -330,9 +328,10 @@ def estimate_eta_f(
     in one stage per kind:
 
     * total variation: the supremum, eta_TV, is attained at point masses,
-      so the value is exact: the first pair (i, j) of the TV ranking below,
-      p0 = e_i and p1 = e_j, with input divergence 1. The k(k - 1) ordered
-      point-mass pairs count as its evaluations;
+      so the value is exact and uncapped, `dobrushin_coefficient`: the first
+      pair (i, j) of the TV ranking below, p0 = e_i and p1 = e_j, with input
+      divergence 1. The k(k - 1) ordered point-mass pairs count as its
+      evaluations;
     * KL and chi^2: pairs of inputs, since no pair of point masses has a
       finite KL or chi^2 divergence. Restricting a channel to two of its
       inputs, rows a and b, cannot raise its contraction coefficient, and
@@ -352,13 +351,13 @@ def estimate_eta_f(
       the least admitted step is the closest. The pairs take at most
       budget - 48 evaluations (at least one), the ladder the rest.
 
-    Pairs whose input divergence falls outside (1e-12, 1e12) are skipped,
-    matching the 0 < D_f < inf constraint in the coefficient's definition.
-    The value is the ratio at its own witnesses, so it is a certified lower
-    bound, and by the two-letter reduction above it is at most the best
-    pair's coefficient; it is not claimed to be the channel's. `seed` is
-    read by no stage and does not affect the result, which is deterministic
-    given `budget`.
+    A ladder step is admitted by the floor alone, an input divergence above
+    1e-12 (the 0 < D_f of the definition; it is at most 1). The KL or chi^2
+    value is the ratio at its own witnesses, capped at 1, so it is a
+    certified lower bound, and by the two-letter reduction above it is at
+    most the best pair's coefficient; it is not claimed to be the channel's.
+    `seed` is read by no stage and does not affect the result, which is
+    deterministic given `budget`.
 
     A ladder step is evaluated as (base, diff) = ([p*, 1 - p*], t [1, -1])
     on {i, j} and, for the images, (p* a + (1 - p*) b, t (a - b)) from rows
@@ -410,8 +409,7 @@ def estimate_eta_f(
                 i, j = divmod(int(code[0]), k)
                 value, din, dout, pair = float(tv[0]), 1.0, float(tv[0]), (i, j, 0.0, 1.0)
         elif k > 1:
-            block = max(1, _BLOCK_CELLS // w.output_size)
-            evals, peak = _best_pair(rows, max(1, budget - 48), block)
+            evals, peak = _best_pair(rows, max(1, budget - 48))
             if peak is not None and evals < budget:
                 i, j, s = peak
                 if s > 0.0:  # put the smaller weight, u, on input i
@@ -430,10 +428,10 @@ def estimate_eta_f(
                 a, b = rows[i], rows[j]
                 ins = pair_div(np.full((len(t), 2), [u, 1.0 - u]), t * [1.0, -1.0])
                 outs = pair_div(np.full((len(t), len(a)), u * a + (1.0 - u) * b), t * (a - b))
-                r = np.where((DIV_FLOOR < ins) & (ins < DIV_CEIL), outs / ins, -1.0)
+                r = np.where(DIV_FLOOR < ins, outs / ins, -1.0)
                 c = int(r.argmax())  # the first strict maximum, if a step is admitted
                 if r[c] >= 0.0:
-                    value, din, dout = float(r[c]), float(ins[c]), float(outs[c])
+                    value, din, dout = min(float(r[c]), 1.0), float(ins[c]), float(outs[c])
                     pair = (i, j, u, float(t[c, 0]))
     if pair is None:
         # no admissible pair (e.g. |X| = 1): report 0 with degenerate witnesses
@@ -445,7 +443,6 @@ def estimate_eta_f(
         p0 = p1.copy()
         p0[i] += t
         p0[j] -= t
-        value = min(max(value, 0.0), 1.0)
         w0, w1 = validate_distribution(p0), validate_distribution(p1)
     return ContractionEstimate(
         spec=spec,

@@ -111,7 +111,9 @@ def _check_count(name: str, value) -> int:
     taken as floor(value) or used as a loop bound would silently do other
     work than asked. The range goes first: 10**400 never reaches float()."""
     if not (1 <= value < 2**63 and float(value).is_integer()):
-        raise ValueError(f"{name} must be a whole number >= 1 and < 2**63, got {value!r}")
+        big = isinstance(value, int) and value.bit_length() > 128  # echo its size, not its digits
+        got = f"an int of {value.bit_length()} bits" if big else repr(value)
+        raise ValueError(f"{name} must be a whole number >= 1 and < 2**63, got {got}")
     return int(value)
 
 

@@ -343,7 +343,7 @@ def scaling_sweep(
         source = Distribution.uniform(k)
     rows = []
     for idx, n in enumerate(sorted(_check_count("n", n) for n in n_grid)):
-        row_seed = int(np.random.SeedSequence([int(seed), idx]).generate_state(1, np.uint64)[0])
+        row_seed = int(np.random.SeedSequence([seed, idx]).generate_state(1, np.uint64)[0])
         cfg = SimulationConfig(
             k=k, alpha_bits=alpha_bits, n=n, replicates=replicates,
             seed=row_seed, source=source,

@@ -348,14 +348,15 @@ class TestEstimateEtaF:
         rng = np.random.default_rng(4)
         return rng.dirichlet(np.ones(3), size=4)[rng.integers(4, size=400)]
 
-    @pytest.mark.parametrize("block", [7, 1365])
+    @pytest.mark.parametrize("cells", [21, 64, 4096], ids=["7", "21", "1365"])
     @pytest.mark.parametrize("budget", [300, 2000])
-    def test_pair_order_across_cuts_is_tv_then_inputs(self, monkeypatch, budget, block):
+    def test_pair_order_across_cuts_is_tv_then_inputs(self, monkeypatch, budget, cells):
         # the buffer of about 2 * budget + k pairs is cut back to `budget`
         # many times. The reference sorts all 79 800 pairs at once by
-        # (-TV, i, j) and examines them one at a time. The TV ranking reads
-        # blocks of at least 3 rows at the default cells, and of one row but
-        # for the last 10 at 64 cells.
+        # (-TV, i, j) and examines them one at a time. The ids name the pair
+        # blocks `_best_pair` peaks at m = 3. The TV ranking reads blocks of
+        # one row but for the last 3 at 21 cells and the last 10 at 64, and
+        # of at least 3 rows at 4096, the default.
         rows = self._repeated_rows()
         tv = {(i, j): 0.5 * float(np.abs(rows[j] - rows[i]).sum())
               for i in range(len(rows)) for j in range(i + 1, len(rows))}
@@ -371,9 +372,8 @@ class TestEstimateEtaF:
             examined += 1
             if h[0] > best_h:
                 best_h, peak = float(h[0]), (i, j, float(s[0]))
-        for cells in (coefficients._BLOCK_CELLS, 64):
-            monkeypatch.setattr(coefficients, "_BLOCK_CELLS", cells)
-            assert coefficients._best_pair(rows, budget, block) == (examined, peak), cells
+        monkeypatch.setattr(coefficients, "_BLOCK_CELLS", cells)
+        assert coefficients._best_pair(rows, budget) == (examined, peak)
 
     @pytest.mark.parametrize("cells", [None, 64])
     def test_total_variation_takes_the_first_pair_of_greatest_distance(self, monkeypatch, cells):
@@ -391,6 +391,41 @@ class TestEstimateEtaF:
         assert est.evaluations == k * (k - 1)
         assert np.array_equal(est.witness_p0.probs, np.eye(k)[first[0]])
         assert np.array_equal(est.witness_p1.probs, np.eye(k)[first[1]])
+
+    def test_total_variation_is_dobrushin_past_one(self):
+        # the validator admits a row sum 5e-10 above 1, and eta_TV is then
+        # 1.00000000025: the exact search reports it, uncapped
+        w = validate_channel([[1 + 5e-10, 0], [0, 1]])
+        est = estimate_eta_f(w, TOTAL_VARIATION, 2, 0)
+        assert est.value == dobrushin_coefficient(w) > 1.0
+
+    def test_ladder_inputs_are_at_most_one(self, monkeypatch):
+        # a ladder step's input is [u, 1 - u] moved by |t| <= u <= 1/2, so its
+        # chi^2 is at most 1 and its KL at most 1 bit: the admission test
+        # needs no ceiling. A search's first kernel call is the ladder's inputs.
+        calls = []
+        real = coefficients._pair_divergence
+
+        def recording(spec):
+            kernel = real(spec)
+
+            def record(base, diff):
+                calls.append(kernel(base, diff))
+                return calls[-1]
+            return record
+
+        monkeypatch.setattr(coefficients, "_pair_divergence", recording)
+        channels = [randomized_response(*args) if kind == "rr" else random_channel(*args)
+                    for kind, args, *_ in self.PINNED if kind != "zeros"]
+        channels += [validate_channel(self.ZEROS), *(random_channel(*case[0]) for case in self.ROLLING)]
+        inputs = []
+        for w in channels:
+            for spec in (KL, CHI_SQUARED):
+                calls.clear()
+                estimate_eta_f(w, spec, 20_000, 0)
+                inputs.append(calls[0])  # then the images of the inputs
+        # binary randomized response reaches the bound, at u = t = 1/2
+        assert np.concatenate(inputs).max() <= 1.0
 
     def test_total_variation_ties_go_to_the_first_inputs(self):
         # every pair of randomized response's inputs is at the same distance

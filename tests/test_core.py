@@ -140,6 +140,15 @@ class TestCheckCount:
         got = _check_count("n", value)
         assert type(got) is int and got == expected
 
+    @pytest.mark.parametrize("value", [10**5000, 10**400], ids=["10**5000", "10**400"])
+    def test_a_huge_int_is_named_by_its_size(self, value):
+        # 10**5000 is past Python's 4300-digit limit on int-to-str conversion
+        with pytest.raises(ValueError) as info:
+            _check_count("n", value)
+        message = str(info.value)
+        assert message.startswith("n must be a whole number >= 1 and < 2**63, got ")
+        assert len(message) < 120, message
+
 
 class TestValidateChannel:
     def test_identity(self):

@@ -523,6 +523,17 @@ class TestScalingSweep:
         b = scaling_sweep(3, 1.0, [100, 200], replicates=100, seed=3)
         assert a == b
 
+    def test_seed_is_taken_as_given(self):
+        # int() would run seed 2.5 as seed 2; empirical_risk refuses it too
+        with pytest.raises(TypeError, match="seed must be integer"):
+            scaling_sweep(3, 1.0, [10, 20], replicates=5, seed=2.5)
+        exact = scaling_sweep(3, 1.0, [10, 20], replicates=5, seed=5)
+        for seed in (np.int64(5), np.uint32(5)):
+            assert scaling_sweep(3, 1.0, [10, 20], replicates=5, seed=seed) == exact
+        assert scaling_sweep(3, 1.0, [10, 20], replicates=5, seed=True) == scaling_sweep(
+            3, 1.0, [10, 20], replicates=5, seed=1
+        )
+
 
 class TestSimulationConfig:
     def test_counts_are_stored_as_ints(self):
