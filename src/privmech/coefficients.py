@@ -210,57 +210,54 @@ def _pair_peaks(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     channel [a; b], and h there. s stays in [-23, 23], so p and q stay above
     1e-10, where a witness still clears the admission floor.
 
-    In closed form h'(p) = sum d^2 (q^2 b - p^2 a) / L^2 and
     h''(p) = -2 sum d^2 a b / L^3 <= 0, so h is concave and its slope falls
-    through 0 once. The slope is first read at the caps s = +-23: a pair
-    whose h still rises outward there peaks at that cap. Every other pair
-    peaks inside the bracket (-23, 23) and takes Newton steps from s = 0 on
-    the slope in s, h' p q, whose own slope is p q (h'' p q + h' (q - p)).
-    Each slope read moves one end of the bracket to s. The midpoint of the
-    bracket replaces a step that leaves it, one taken where that curvature
-    is not negative, and one more than half the step before last (Newton
-    creeps, a step of about 1 at a time, toward a peak far out in s). A
-    pair stops at a step of at most 1e-12 max(1, |s|), or where h' is 0 to
-    within rounding (at most 1e-14 of the sum of its terms' sizes, as on a
-    flat peak), tested before the bracket, and keeps its s from then on: its
-    iterates are those of a one-pair call, so a block gives the results of
+    through 0 once. At r = p / q = e^s and D = r a + b, h'(p) is
+    G = sum d^2 (b - r^2 a) / D^2 (the factors 1 + r cancel), its terms'
+    sizes sum to sum d^2 (b + r^2 a) / D^2, and C = sum d^2 a b / D^3: a read
+    costs one exp. One stacked read at s = 23, -23 and 0 serves the caps and
+    the first Newton step. A pair peaks at a cap where its slope points
+    outward by more than the flat test below, so a flat pair (h constant)
+    stays at s = 0. Every other pair takes Newton steps from s = 0 on the
+    slope in s, h' r / (1 + r)^2, of G (1 + r) / den, with
+    den = 2 r (1 + r)^2 C - G (1 - r). Each read moves one end of the bracket
+    (-23, 23) to s; its midpoint replaces a step that leaves it, one where
+    den <= 0 and one over half the step before last (Newton creeps toward a
+    peak far out in s). A pair stops at a step of at most 1e-12 max(1, |s|)
+    or where |h'| is at most 1e-14 of its terms' sizes (a flat peak), tested
+    before the bracket, and keeps its s: a block gives the results of
     one-pair calls. h is read at the final s. Call it under `_quiet()`."""
-    d = a - b
-    ab = a * b
-    tiny = np.finfo(float).tiny
-
-    def logistic(s):
-        return 1.0 / (1.0 + np.exp(-s)), 1.0 / (1.0 + np.exp(s))  # p, q = 1 - p
+    d, ab, tiny = a - b, a * b, np.finfo(float).tiny
 
     def slope(s):
-        # h'(p), the sum of its terms' sizes and -h''(p) / 2 at p = logistic(s):
-        # d / L is at most 1 / min(p, q) in size, and L's floor reads the 0/0
-        # of a letter where both rows are 0 as 0
-        p, q = logistic(s)
-        L = np.fmax(p[:, None] * a + q[:, None] * b, tiny)
-        u2 = (d / L) ** 2
-        qb, pa = (q * q)[:, None] * b, (p * p)[:, None] * a
-        return (np.add.reduce(u2 * (qb - pa), axis=1), np.add.reduce(u2 * (qb + pa), axis=1),
-                np.add.reduce(u2 * (ab / L), axis=1), p, q)
+        # G, its terms' sizes, C and r at s; D's floor reads 0/0 (both rows 0) as 0
+        r = np.exp(s)
+        ra = r[..., None] * a
+        D = np.fmax(ra + b, tiny)
+        u2 = (d / D) ** 2
+        rra = r[..., None] * ra
+        return (np.add.reduce(u2 * (b - rra), axis=-1), np.add.reduce(u2 * (b + rra), axis=-1),
+                np.add.reduce(u2 * (ab / D), axis=-1), r)
 
     cap = np.full(len(a), 23.0)
-    up, down = slope(cap)[0] >= 0.0, slope(-cap)[0] <= 0.0
-    s = np.where(up, cap, np.where(down, -cap, 0.0))
-    done = up | down
+    g, size, c, r = slope(np.stack((cap, -cap, 0.0 * cap)))  # rows s = 23, -23, 0
+    up, down = g[0] > 1e-14 * size[0], g[1] < -1e-14 * size[1]
+    s, done = np.where(up, cap, np.where(down, -cap, 0.0)), up | down
     lo, hi, last, before = -cap, cap, 2.0 * cap, 2.0 * cap
-    for _ in range(_PEAK_STEPS):
+    for n in range(_PEAK_STEPS):
         if done.all():
             break
-        g1, size, g2, p, q = slope(s)
-        lo, hi = np.where(g1 > 0.0, s, lo), np.where(g1 < 0.0, s, hi)
-        curve = g1 * (q - p) - 2.0 * g2 * p * q  # the slope's slope in s, over p q
-        step = -g1 / curve
-        done |= (np.abs(step) <= 1e-12 * np.fmax(1.0, np.abs(s))) | (np.abs(g1) <= 1e-14 * size)
-        newton = (curve < 0.0) & (lo < s + step) & (s + step < hi) & (np.abs(step) <= 0.5 * before)
-        new = np.where(newton, s + step, 0.5 * (lo + hi))
+        g, size, c, r = slope(s) if n else (g[2], size[2], c[2], r[2])
+        lo, hi = np.where(g > 0.0, s, lo), np.where(g < 0.0, s, hi)
+        rp = 1.0 + r
+        den = 2.0 * r * rp ** 2 * c - g * (1.0 - r)
+        step = g * rp / den
+        new, length = s + step, np.abs(step)
+        done |= (length <= 1e-12 * np.fmax(1.0, np.abs(s))) | (np.abs(g) <= 1e-14 * size)
+        newton = (den > 0.0) & (lo < new) & (new < hi) & (length <= 0.5 * before)
+        new = np.where(newton, new, 0.5 * (lo + hi))
         before, last = last, np.abs(new - s)
         s = np.where(done, s, new)
-    p, q = logistic(s)
+    p, q = 1.0 / (1.0 + np.exp(-s)), 1.0 / (1.0 + np.exp(s))
     return s, p * q * _chi2_pair(p[:, None] * a + q[:, None] * b, d)
 
 
@@ -337,19 +334,19 @@ def estimate_eta_f(
       inputs, rows a and b, cannot raise its contraction coefficient, and
       that two-input channel's eta_chi2 = eta_KL is the peak of the concave
       h(p) = p(1 - p) sum_y (a_y - b_y)^2 / (p a_y + (1 - p) b_y), found in
-      the logit s of p, within [-23, 23], from the closed-form h' and h'':
-      at a cap where the slope still points outward, else by Newton steps
-      from s = 0 that the bracket (-23, 23) safeguards (see `_pair_peaks`).
+      the logit s of p, within [-23, 23], from h' and h'' read at r = e^s:
+      at a cap where the slope points outward by more than rounding, else
+      by safeguarded Newton steps from s = 0 (see `_pair_peaks`).
       Input pairs are examined in order of decreasing TV distance, one
       evaluation each; h is at most the TV distance, so the stage stops at
       the first pair whose TV distance is at or below the best h so far.
       At the best pair's peak p*, a fixed ladder of 48 steps +-t (24
       powers of two, from at most the smaller weight down) is evaluated
       around p1 = p* e_i + (1 - p*) e_j, with p0 = p1 + t (e_i - e_j), and
-      the first strict maximum kept. For chi^2
-      every step gives h(p*); for KL the ratio tends to h(p*) as t -> 0, so
-      the least admitted step is the closest. The pairs take at most
-      budget - 48 evaluations (at least one), the ladder the rest.
+      the first strict maximum kept. For chi^2 every step gives h(p*); for
+      KL the ratio tends to h(p*) as t -> 0, so the least admitted step is
+      the closest. The pairs take at most budget - 48 evaluations (at least
+      one), the ladder the rest.
 
     A ladder step is admitted by the floor alone, an input divergence above
     1e-12 (the 0 < D_f of the definition; it is at most 1). The KL or chi^2

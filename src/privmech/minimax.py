@@ -335,10 +335,12 @@ def scaling_sweep(
     normalized_risk = mean_risk * n * (2**a - 1).
 
     Rows are ordered by n; each row runs on its own seed substream derived
-    from (seed, row index). An empty grid gives an empty table; k and
-    alpha_bits are checked even then.
+    from (seed, row index). An empty grid gives an empty table; k,
+    alpha_bits and the seed's type are checked even then.
     """
     r1 = _check_k_alpha(k, alpha_bits) - 1.0
+    if not isinstance(seed, (int, np.integer)):  # as default_rng: "2" is no seed
+        raise TypeError(f"seed must be integer, got {seed!r}")
     if source is None:
         source = Distribution.uniform(k)
     rows = []

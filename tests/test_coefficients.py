@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from privmech import (
@@ -23,11 +23,13 @@ from privmech import (
     ldp_level,
     map_adversary_gain,
     max_leakage,
+    maxl_staircase,
     min_entry,
     privacy_report,
     pushforward,
     random_channel,
     randomized_response,
+    staircase_rate,
     total_variation,
     validate_channel,
     validate_distribution,
@@ -442,17 +444,17 @@ class TestEstimateEtaF:
     # attained.
     PINNED = [
         ("rr", (2, 1.0), KL, 2000, 3, "0x1.c71c71c71b642p-4", 49, "741acce449e0f2eb"),
-        ("rand", (2, 5, 0.5, 21), CHI_SQUARED, 1000, 1, "0x1.4c36c07dce1c8p-1", 49, "88687e3a215298fa"),
-        ("rand", (3, 3, 1.0, 11), KL, 3000, 5, "0x1.1a059e0a4e0cap-2", 50, "c97def4a736490bb"),
-        ("rand", (3, 4, 0.5, 12), CHI_SQUARED, 2500, 6, "0x1.5bebf609414dep-1", 50, "1a2dc358a7ef6663"),
-        ("rand", (3, 3, 1.0, 19), KL, 1237, 4, "0x1.24298895f3b5ep-1", 49, "0c3823411ad5402a"),
+        ("rand", (2, 5, 0.5, 21), CHI_SQUARED, 1000, 1, "0x1.4c36c07dce1c9p-1", 49, "8005bbce976975a7"),
+        ("rand", (3, 3, 1.0, 11), KL, 3000, 5, "0x1.1a059e0a4e0cbp-2", 50, "1f3065aadcceb149"),
+        ("rand", (3, 4, 0.5, 12), CHI_SQUARED, 2500, 6, "0x1.5bebf609414dep-1", 50, "052a234116f30a2c"),
+        ("rand", (3, 3, 1.0, 19), KL, 1237, 4, "0x1.24298895f3b5fp-1", 49, "5f60c7dc4a83b5f9"),
         ("rand", (3, 5, 1.0, 20), TOTAL_VARIATION, 800, 2, "0x1.10afb61252bf9p-1", 6, "6cdc628fb753ec8c"),
         ("rand", (5, 4, 1.0, 13), KL, 4000, 7, "0x1.0d76b32707768p-1", 50, "1ad7d24e607622fb"),
         ("rand", (5, 3, 0.5, 14), TOTAL_VARIATION, 1500, 8, "0x1.06f234a42e09ap-1", 20, "ad76d9ce4c3e5652"),
         ("rand", (8, 8, 1.0, 15), CHI_SQUARED, 5000, 9, "0x1.47e27f9b3afb6p-1", 52, "c2b92622adb5239a"),
-        ("rand", (8, 5, 0.1, 16), KL, 3000, 10, "0x1.fbaf462c2c185p-1", 51, "276c3da37ac8960b"),
-        ("rand", (12, 4, 1.0, 17), KL, 4000, 11, "0x1.4a30c6d858ffdp-1", 54, "1d6a2f716f03ded8"),
-        ("rand", (6, 30, 0.5, 18), CHI_SQUARED, 3000, 12, "0x1.4867394df6f99p-1", 56, "87462beb40601e6f"),
+        ("rand", (8, 5, 0.1, 16), KL, 3000, 10, "0x1.fbaf462c2c184p-1", 51, "2b2645bec2607318"),
+        ("rand", (12, 4, 1.0, 17), KL, 4000, 11, "0x1.4a30c6d858ffdp-1", 54, "b73406f60d60ea52"),
+        ("rand", (6, 30, 0.5, 18), CHI_SQUARED, 3000, 12, "0x1.4867394df6f99p-1", 56, "d90d12dc6263dea2"),
         ("zeros", None, KL, 3000, 7, "0x1.9999999984534p-1", 41, "74de6e13f597749b"),
         ("zeros", None, CHI_SQUARED, 2000, 8, "0x1.999999997e855p-1", 41, "8f2724149b99576f"),
     ]
@@ -485,8 +487,8 @@ class TestEstimateEtaF:
     ROLLING = [
         ((30, 30, 1.0, 5), KL, 10_000, 2, "0x1.0a085474bb9bdp-1", 187, "2a11d1c6e635682f"),
         ((30, 30, 1.0, 5), CHI_SQUARED, 10_000, 3, "0x1.0a085474bbc56p-1", 187, "959e7e9ce4769919"),
-        ((300, 3, 1.0, 1), KL, 20_000, 0, "0x1.ebb64ef67ef28p-1", 50, "5981cb98da31a642"),
-        ((300, 3, 1.0, 1), CHI_SQUARED, 20_000, 4, "0x1.ebb64ef67ef9ep-1", 50, "9dca8b9529b35bca"),
+        ((300, 3, 1.0, 1), KL, 20_000, 0, "0x1.ebb64ef67ef27p-1", 50, "d9f4018af27e5b0d"),
+        ((300, 3, 1.0, 1), CHI_SQUARED, 20_000, 4, "0x1.ebb64ef67ef9dp-1", 50, "328673ef2fcdb0cf"),
     ]
 
     @pytest.mark.parametrize("case", ROLLING, ids=lambda c: f"{c[0][0]}x{c[0][1]}-{c[1].value}")
@@ -704,8 +706,14 @@ class TestPairPeaks:
         with _quiet():
             return coefficients._pair_peaks(np.asarray(a, float), np.asarray(b, float))
 
+    # the strategy's k, m <= 6 seldom reach them: at 8 x 8 and concentration
+    # 0.1, peaks sit at |s| of 5 to 15, where the creeping guard and the
+    # bracket's midpoint take over from Newton
     @settings(derandomize=True, max_examples=100, deadline=None, database=None)
     @given(_channels())
+    @example(random_channel(8, 8, 0.1, 6))
+    @example(random_channel(8, 8, 0.1, 9))
+    @example(random_channel(8, 8, 0.1, 15))
     def test_peaks_are_where_the_exact_slope_changes_sign(self, w):
         rows = w.rows
         i, j = np.triu_indices(len(rows), 1)
@@ -736,6 +744,20 @@ class TestPairPeaks:
         s, h = self._peaks(rows[[0, 2]], rows[[2, 0]])
         assert s.tolist() == [23.0, -23.0]
         assert h[0] == h[1] and 0.79 < h[0] < 0.8
+
+    @pytest.mark.parametrize("k, alpha", [(8, 2.0), (16, 1.0), (5, 2.0)])
+    def test_flat_pairs_stay_at_one_half(self, k, alpha):
+        # every pair of the staircase has h = lam at every p: no slope points
+        # outward at a cap by more than rounding, so each pair stops at s = 0,
+        # and the search examines one pair and admits the whole ladder
+        w = maxl_staircase(k, alpha)
+        i, j = np.triu_indices(k, 1)
+        s, h = self._peaks(w.rows[i], w.rows[j])
+        assert np.all(s == 0.0) and np.all(h == staircase_rate(k, alpha))
+        for spec in (KL, CHI_SQUARED):
+            est = estimate_eta_f(w, spec, budget=5000, seed=0)
+            assert est.evaluations == 49, spec.value
+            assert sorted(est.witness_p1.probs[est.witness_p1.probs > 0.0]) == [0.5, 0.5]
 
     def test_a_block_gives_the_results_of_one_pair_calls(self):
         zeros = np.array(TestEstimateEtaF.ZEROS)

@@ -527,6 +527,9 @@ class TestScalingSweep:
         # int() would run seed 2.5 as seed 2; empirical_risk refuses it too
         with pytest.raises(TypeError, match="seed must be integer"):
             scaling_sweep(3, 1.0, [10, 20], replicates=5, seed=2.5)
+        # a seed sequence would read "2" as seed 2; default_rng refuses it
+        with pytest.raises(TypeError, match="seed must be integer"):
+            scaling_sweep(3, 1.0, [10, 20], replicates=5, seed="2")
         exact = scaling_sweep(3, 1.0, [10, 20], replicates=5, seed=5)
         for seed in (np.int64(5), np.uint32(5)):
             assert scaling_sweep(3, 1.0, [10, 20], replicates=5, seed=seed) == exact
