@@ -524,12 +524,12 @@ class TestScalingSweep:
         assert a == b
 
     def test_seed_is_taken_as_given(self):
-        # int() would run seed 2.5 as seed 2; empirical_risk refuses it too
-        with pytest.raises(TypeError, match="seed must be integer"):
-            scaling_sweep(3, 1.0, [10, 20], replicates=5, seed=2.5)
-        # a seed sequence would read "2" as seed 2; default_rng refuses it
-        with pytest.raises(TypeError, match="seed must be integer"):
-            scaling_sweep(3, 1.0, [10, 20], replicates=5, seed="2")
+        # int() would run seed 2.5 as seed 2, and a seed sequence reads "2"
+        # as seed 2; empirical_risk refuses both. An empty grid is checked too
+        for seed in (2.5, "2"):
+            for grid in ([10, 20], []):
+                with pytest.raises(TypeError, match="seed must be integer"):
+                    scaling_sweep(3, 1.0, grid, replicates=5, seed=seed)
         exact = scaling_sweep(3, 1.0, [10, 20], replicates=5, seed=5)
         for seed in (np.int64(5), np.uint32(5)):
             assert scaling_sweep(3, 1.0, [10, 20], replicates=5, seed=seed) == exact
