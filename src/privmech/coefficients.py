@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Channel, Distribution, _check_count, json_float, validate_distribution
+from .core import Channel, Distribution, _check_count, json_float
 from .divergences import FKind, _chi2_pair, _pair_divergence, _quiet, _tv_pair
 from .errors import BudgetTooSmall, DimensionMismatch
 
@@ -161,9 +161,12 @@ def _column_certificates(rows: np.ndarray) -> tuple[float, float, float, int]:
     one column max (hi) and min (lo): a column's largest contrast is that of
     hi and lo, and its z zeros make z(z-1)/2 pairs of contrast 0/0, skipped."""
     col_max, col_min = rows.max(axis=0), rows.min(axis=0)
-    if col_min.all():  # full support: every column is live and no minimum is 0
+    least = col_min.min()
+    if least > 0.0:  # full support: every column is live and no minimum is 0
         hi, lo, skipped = col_max, col_min, 0
-        bits = _ratio_bits(hi, lo)
+        # from a least minimum of 2**-1000 on, hi / lo < 2**1001 cannot overflow
+        # (a validated channel's entries are at most 1 + SUM_TOL): no np.errstate
+        bits = float(np.log2((hi / lo).max())) if least >= 2.0 ** -1000 else _ratio_bits(hi, lo)
     else:
         live = col_max > 0.0  # an all-zero column has no ratio and no contrast
         hi, lo = col_max[live], col_min[live]
@@ -440,7 +443,7 @@ def estimate_eta_f(
         p0 = p1.copy()
         p0[i] += t
         p0[j] -= t
-        w0, w1 = validate_distribution(p0), validate_distribution(p1)
+        w0, w1 = Distribution(p0, k), Distribution(p1, k)
     return ContractionEstimate(
         spec=spec,
         value=value,

@@ -117,6 +117,17 @@ def _check_count(name: str, value) -> int:
     return int(value)
 
 
+def _check_seed(seed) -> int:
+    """`seed` as an int if an int or numpy integer >= 0, as default_rng takes
+    it: "2" or 2.5 is a TypeError, as there, and a negative one a ValueError
+    that names the seed."""
+    if not isinstance(seed, (int, np.integer)):
+        raise TypeError(f"seed must be integer, got {seed!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed!r}")
+    return int(seed)
+
+
 def _as_floats(x, ragged: type[ValidationError]) -> np.ndarray:
     """`x` as a float array: the one parse of raw input. An entry that is no
     real number (a string, an object, null, an integer past the double
@@ -179,9 +190,9 @@ def validate_channel(m) -> Channel:
         raise ValidationError(f"expected a 2-d matrix, got shape {arr.shape}")
     _check_entries(arr)
     sums = arr.sum(axis=1)
-    off = ~(np.abs(sums - 1.0) <= SUM_TOL)
-    if off.any():
-        r = int(np.where(off)[0][0])
+    off = np.abs(sums - 1.0)
+    if not off.max() <= SUM_TOL:  # the first bad row is looked for only here
+        r = int(np.argmax(~(off <= SUM_TOL)))
         raise RowSumOutOfTolerance(r, float(sums[r]), SUM_TOL)
     return Channel(arr, arr.shape[0], arr.shape[1])
 

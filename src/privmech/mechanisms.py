@@ -1,5 +1,10 @@
 """Constructors for the named privacy mechanisms and a seeded random-channel
-generator for property sweeps."""
+generator for property sweeps.
+
+The named mechanisms build their `Channel` directly: their parameters, the
+input from outside, are checked here, and their matrices are stochastic by
+construction (a property test feeds each one back through `validate_channel`).
+"""
 from __future__ import annotations
 
 import numpy as np
@@ -48,7 +53,7 @@ def randomized_response(k: int, alpha_bits: float) -> Channel:
     r = _check_k_alpha(k, alpha_bits, allow_zero=True)
     denom = r + k - 1.0
     rows = np.full((k, k), 1.0 / denom) + np.eye(k) * ((r - 1.0) / denom)
-    return validate_channel(rows)
+    return Channel(rows, *rows.shape)
 
 
 def z_channel(alpha_bits: float) -> Channel:
@@ -62,7 +67,7 @@ def z_channel(alpha_bits: float) -> Channel:
         raise AlphaOutOfRange(f"alpha_bits must lie in [0, 1], got {alpha_bits!r}")
     r = 2.0 ** float(alpha_bits)
     rows = np.array([[r - 1.0, 2.0 - r], [0.0, 1.0]])
-    return validate_channel(rows)
+    return Channel(rows, *rows.shape)
 
 
 def staircase_rate(k: int, alpha_bits: float) -> float:
@@ -95,7 +100,7 @@ def maxl_staircase(k: int, alpha_bits: float) -> Channel:
     idx = np.arange(k)
     rows[idx, idx] = lam
     rows[:, k] = 1.0 - lam
-    return validate_channel(rows)
+    return Channel(rows, *rows.shape)
 
 
 def random_channel(

@@ -21,8 +21,8 @@ import numpy as np
 
 from .bounds import BoundCheckResult, _verdict
 from .core import (
-    EQ_TOL, Channel, Distribution, _as_floats, _check_count, _readonly, pushforward,
-    validate_distribution,
+    EQ_TOL, Channel, Distribution, _as_floats, _check_count, _check_seed, _readonly,
+    pushforward, validate_distribution,
 )
 from .divergences import _LN2, _kl_pair_bits, _quiet
 from .errors import (
@@ -55,6 +55,7 @@ class SimulationConfig:
         _check_k_alpha(self.k, self.alpha_bits)
         object.__setattr__(self, "n", _check_count("n", self.n))
         object.__setattr__(self, "replicates", _check_count("replicates", self.replicates))
+        object.__setattr__(self, "seed", _check_seed(self.seed))
         if self.source.alphabet_size != self.k:
             raise DimensionMismatch(
                 f"source alphabet {self.source.alphabet_size} != k = {self.k}"
@@ -266,6 +267,7 @@ def lecam_lower_check(
     """
     n = _check_count("n", n)
     replicates = _check_count("replicates", replicates)
+    seed = _check_seed(seed)
     lam = staircase_rate(k, alpha_bits)  # validates k, alpha and 2**a <= k
     r1 = 2.0 ** alpha_bits - 1.0
     n_min = math.ceil(k * k / r1)
@@ -336,11 +338,10 @@ def scaling_sweep(
 
     Rows are ordered by n; each row runs on its own seed substream derived
     from (seed, row index). An empty grid gives an empty table; k,
-    alpha_bits and the seed's type are checked even then.
+    alpha_bits and the seed are checked even then.
     """
     r1 = _check_k_alpha(k, alpha_bits) - 1.0
-    if not isinstance(seed, (int, np.integer)):  # as default_rng: "2" is no seed
-        raise TypeError(f"seed must be integer, got {seed!r}")
+    seed = _check_seed(seed)
     if source is None:
         source = Distribution.uniform(k)
     rows = []

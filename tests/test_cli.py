@@ -288,6 +288,23 @@ class TestMalformedInput:
         assert np.array_equal(channel_from_dict(RR21).rows, RR21["rows"])
 
 
+class TestNegativeSeed:
+    # numpy refused it with "expected non-negative integer", not naming the seed
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--k", "3", "--alpha", "1", "--n", "10", "--replicates", "10"],
+            ["sweep", "--k", "3", "--alpha", "1", "--n-grid", "10", "--replicates", "10"],
+            ["sweep", "--k", "3", "--alpha", "1", "--n-grid", "", "--replicates", "10"],
+        ],
+        ids=["simulate", "sweep", "sweep-empty-grid"],
+    )
+    def test_exits_two_naming_the_seed(self, capsys, argv):
+        assert cli.main([*argv, "--seed", "-1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: seed must be >= 0, got -1\n"
+
+
 class TestOversizedCount:
     # 10**23 is past numpy's int64: the count check refuses it before any
     # draw, where numpy would raise OverflowError and the CLI would exit 1

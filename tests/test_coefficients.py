@@ -124,6 +124,46 @@ class TestLdpLevel:
             assert (w.rows.max(axis=0) <= bound * w.rows.min(axis=0) + 1e-12).all()
 
 
+class TestColumnPassDivision:
+    """A least column minimum at or above 2**-1000 divides hi / lo outright
+    (a column maximum is at most 1 + SUM_TOL, so the ratio cannot overflow);
+    a smaller one goes through `_ratio_bits` and its `np.errstate`. pytest
+    turns an overflow warning into an error, so a division that overflowed
+    outside the guard would fail here."""
+
+    SAFE = 2.0 ** -1000
+
+    @staticmethod
+    def _routed(monkeypatch, least):
+        calls = []
+        real = coefficients._ratio_bits
+
+        def recording(hi, lo):
+            calls.append(real(hi, lo))
+            return calls[-1]
+
+        monkeypatch.setattr(coefficients, "_ratio_bits", recording)
+        w = validate_channel([[1.0 - least, least], [least, 1.0 - least]])
+        assert w.rows.min(axis=0).min() == least
+        return ldp_level(w), real(w.rows.max(axis=0), w.rows.min(axis=0)), calls
+
+    @pytest.mark.parametrize("least", [SAFE, math.nextafter(SAFE, 1.0), 0.25])
+    def test_at_and_above_the_bound_divides_outright(self, monkeypatch, least):
+        bits, guarded, calls = self._routed(monkeypatch, least)
+        assert calls == [] and bits.hex() == guarded.hex()
+
+    @pytest.mark.parametrize("least", [math.nextafter(SAFE, 0.0), 2.0 ** -1001])
+    def test_below_the_bound_goes_through_the_guard(self, monkeypatch, least):
+        bits, guarded, calls = self._routed(monkeypatch, least)
+        assert len(calls) == 1 and bits.hex() == guarded.hex() == calls[0].hex()
+
+    def test_an_overflowing_ratio_is_a_difference_of_logs(self, monkeypatch):
+        # 1 / 1e-310 overflows a double: the guard takes log2(hi) - log2(lo)
+        bits, guarded, calls = self._routed(monkeypatch, 1e-310)
+        assert len(calls) == 1 and bits == guarded == -math.log2(1e-310)
+        assert privacy_report(validate_channel([[1.0, 1e-310], [1e-310, 1.0]])).ldp_level_bits == bits
+
+
 class TestMaxLeakage:
     @pytest.mark.parametrize("k", [2, 4, 8])
     def test_identity(self, k):
@@ -490,6 +530,22 @@ class TestEstimateEtaF:
         ((300, 3, 1.0, 1), KL, 20_000, 0, "0x1.ebb64ef67ef27p-1", 50, "d9f4018af27e5b0d"),
         ((300, 3, 1.0, 1), CHI_SQUARED, 20_000, 4, "0x1.ebb64ef67ef9dp-1", 50, "328673ef2fcdb0cf"),
     ]
+
+    def test_witnesses_pass_validation_unchanged(self):
+        # the search builds its witnesses as Distribution(p, k), unvalidated
+        channels = [randomized_response(*args) if kind == "rr" else random_channel(*args)
+                    for kind, args, *_ in self.PINNED if kind != "zeros"]
+        channels += [validate_channel(self.ZEROS), *(random_channel(*case[0]) for case in self.ROLLING)]
+        rng = np.random.default_rng(27)
+        channels += [random_channel(int(k), int(m), float(a), int(seed))
+                     for k, m, seed in rng.integers(2, 9, (40, 3)) for a in (0.1, 1.0, 10.0)]
+        for w in channels:
+            for spec in (TOTAL_VARIATION, KL, CHI_SQUARED):
+                est = estimate_eta_f(w, spec, max(200, w.input_size ** 2), 0)
+                for p in (est.witness_p0, est.witness_p1):
+                    v = validate_distribution(p.probs)
+                    assert v.probs.tobytes() == p.probs.tobytes()
+                    assert v.alphabet_size == p.alphabet_size == w.input_size
 
     @pytest.mark.parametrize("case", ROLLING, ids=lambda c: f"{c[0][0]}x{c[0][1]}-{c[1].value}")
     def test_larger_channels_are_pinned(self, case):

@@ -165,6 +165,13 @@ class TestValidateChannel:
         assert exc.value.row == 0
         assert exc.value.actual_sum == pytest.approx(1.1)
 
+    def test_row_sum_error_names_the_first_bad_row(self):
+        # not the worst one: row 3 is further off than row 1
+        rows = [[0.5, 0.5], [0.3, 0.7 + 3e-9], [0.2, 0.8 + 1e-10], [0.5, 0.9]]
+        with pytest.raises(RowSumOutOfTolerance) as exc:
+            validate_channel(rows)
+        assert exc.value.row == 1 and exc.value.actual_sum == sum(rows[1])
+
     def test_negative_entry_reports_position(self):
         with pytest.raises(NegativeEntry) as exc:
             validate_channel([[0.5, 0.5], [1.2, -0.2]])

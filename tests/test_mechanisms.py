@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from privmech import (
     Distribution,
@@ -17,6 +19,7 @@ from privmech import (
     randomized_response,
     staircase_rate,
     total_variation,
+    validate_channel,
     validate_distribution,
     z_channel,
 )
@@ -160,6 +163,59 @@ class TestMaxlStaircase:
             q = pushforward(w, p)
             assert np.abs(q.probs[:k] - lam * p.probs).max() <= 1e-12
             assert q.probs[k] == pytest.approx(1.0 - lam, abs=1e-12)
+
+
+@st.composite
+def _named(draw):
+    """(kind, k, alpha) across each named mechanism's whole domain, k in 2-64."""
+    kind, k = draw(st.sampled_from(["rr", "staircase", "z"])), draw(st.integers(2, 64))
+    if kind == "rr":
+        return kind, k, draw(st.floats(0.0, 1023.0))
+    if kind == "z":
+        return kind, 2, draw(st.floats(0.0, 1.0))
+    top = math.log2(k)  # 2**top may round past k, and is snapped to it
+    return kind, k, draw(st.floats(1e-15, math.nextafter(top, math.inf)))
+
+
+class TestStochasticByConstruction:
+    """The named mechanisms build their Channel without `validate_channel`:
+    every matrix they build must pass it unchanged, byte for byte."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(_named())
+    # alpha 0, and a tiny alpha where 2**alpha rounds to 1 (r - 1 = 0)
+    @example(("rr", 2, 0.0))
+    @example(("rr", 64, 1e-300))
+    @example(("z", 2, 0.0))
+    @example(("z", 2, 1e-300))
+    @example(("z", 2, 1.0))
+    # alpha 1023: 2**a + k - 1 rounds to 2**a, the off-diagonal is 2**-1023
+    @example(("rr", 2, 1023.0))
+    @example(("rr", 64, 1023.0))
+    # the log2(k) snap: 2**log2(15) = 15.000000000000002 is taken as 15
+    @example(("staircase", 2, 1.0))
+    @example(("staircase", 15, math.log2(15)))
+    @example(("staircase", 64, 6.0))
+    @example(("staircase", 3, math.nextafter(math.log2(3), math.inf)))
+    @example(("staircase", 64, 1e-15))
+    def test_validation_accepts_every_output_unchanged(self, case):
+        kind, k, alpha = case
+        if kind == "rr":
+            w = randomized_response(k, alpha)
+        elif kind == "z":
+            w = z_channel(alpha)
+        else:
+            w = maxl_staircase(k, alpha)
+        v = validate_channel(w.rows)
+        assert v.rows.tobytes() == w.rows.tobytes() and v.rows.shape == w.rows.shape
+        assert (v.input_size, v.output_size) == (w.input_size, w.output_size)
+        assert type(w.input_size) is int and type(w.output_size) is int
+        assert not w.rows.flags.writeable
+
+    def test_numpy_k_gives_int_sizes(self):
+        # the sizes are read off the matrix, so a numpy k still reports plain ints
+        for w in (randomized_response(np.int64(3), 1.0), maxl_staircase(np.int64(3), 1.0)):
+            assert type(w.input_size) is int and type(w.output_size) is int
 
 
 class TestRandomChannel:

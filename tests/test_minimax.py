@@ -538,6 +538,47 @@ class TestScalingSweep:
         )
 
 
+class TestSeedCheck:
+    """Every entry point that draws from a seed checks it through one rule,
+    before any draw and before the sweep's grid: an int or numpy integer
+    >= 0. A negative one is a ValueError that names the seed (numpy's own
+    message, "expected non-negative integer", did not), and "2" or 2.5 a
+    TypeError."""
+
+    @staticmethod
+    def _entries(seed):
+        return {
+            "empirical_risk": lambda: empirical_risk(SimulationConfig(
+                k=3, alpha_bits=1.0, n=10, replicates=5, seed=seed, source=Distribution.uniform(3)
+            )),
+            "lecam_lower_check": lambda: lecam_lower_check(2, 1.0, 10_000, 5, seed),
+            "scaling_sweep": lambda: scaling_sweep(3, 1.0, [10], 5, seed),
+            "scaling_sweep, empty grid": lambda: scaling_sweep(3, 1.0, [], 5, seed),
+            "scaling_sweep, bad grid": lambda: scaling_sweep(3, 1.0, [2.5], 5, seed),
+        }
+
+    @pytest.mark.parametrize("seed", [-1, np.int64(-3), -(2**70)])
+    def test_negative_seed_is_named(self, seed):
+        for call in self._entries(seed).values():
+            with pytest.raises(ValueError, match=r"^seed must be >= 0, got "):
+                call()
+
+    @pytest.mark.parametrize("seed", ["2", 2.5, 2.0, None])
+    def test_non_integer_seed_is_a_type_error(self, seed):
+        for call in self._entries(seed).values():
+            with pytest.raises(TypeError, match=r"^seed must be integer, got "):
+                call()
+
+    def test_integer_seeds_draw_as_their_int(self):
+        for seed in (np.int64(7), np.uint32(7), 7):
+            cfg = SimulationConfig(
+                k=3, alpha_bits=1.0, n=10, replicates=5, seed=seed, source=Distribution.uniform(3)
+            )
+            assert type(cfg.seed) is int and cfg.seed == 7
+            assert lecam_lower_check(2, 1.0, 10_000, 5, seed) == lecam_lower_check(2, 1.0, 10_000, 5, 7)
+        assert len(scaling_sweep(3, 1.0, [10], 5, 2**70)) == 1  # default_rng takes any int >= 0
+
+
 class TestSimulationConfig:
     def test_counts_are_stored_as_ints(self):
         cfg = SimulationConfig(
