@@ -17,6 +17,7 @@ from .bounds import run_all_checks
 from .coefficients import privacy_report
 from .core import (
     Distribution,
+    _check_seed,
     channel_from_dict,
     channel_to_dict,
     distribution_from_dict,
@@ -228,6 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_seed(args.seed)  # one rule for every subcommand, also those that only echo it
         return args.func(args)
     except (PrivmechError, json.JSONDecodeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

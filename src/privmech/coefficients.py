@@ -104,7 +104,12 @@ def dobrushin_coefficient(w: Channel) -> float:
     `_row_pairs` are compared twice or with themselves (distance 0), which
     leaves the maximum that of the row-by-row loop.
     """
-    return max((float(tv.max()) for _, tv in _row_pairs(w.rows)), default=0.0)
+    eta = 0.0
+    for i, tv in _row_pairs(w.rows):
+        top = float(np.maximum.reduce(tv, axis=None))
+        if i == 0 or top > eta:  # as max() takes them: the first block's, then a larger
+            eta = top
+    return eta
 
 
 def _ratio_bits(hi: np.ndarray, lo: np.ndarray) -> float:
@@ -112,8 +117,10 @@ def _ratio_bits(hi: np.ndarray, lo: np.ndarray) -> float:
     minimum is positive; a ratio that overflows (a minimum near 1e-310) is
     taken as a difference of logs, so the level stays finite."""
     with np.errstate(over="ignore"):
-        worst = (hi / lo).max()  # >= 1, since hi >= lo
-    return float(np.log2(worst) if worst < np.inf else np.max(np.log2(hi) - np.log2(lo)))
+        worst = np.maximum.reduce(hi / lo)  # >= 1, since hi >= lo
+    if worst < np.inf:
+        return float(np.log2(worst))
+    return float(np.maximum.reduce(np.log2(hi) - np.log2(lo)))
 
 
 def ldp_level(w: Channel) -> float:
@@ -138,7 +145,7 @@ def max_leakage(w: Channel) -> float:
 
 def min_entry(w: Channel) -> float:
     """Smallest entry of the channel matrix."""
-    return float(w.rows.min())
+    return float(np.minimum.reduce(w.rows, axis=None))
 
 
 def map_adversary_gain(w: Channel, px: Distribution) -> float:
@@ -160,21 +167,24 @@ def _column_certificates(rows: np.ndarray) -> tuple[float, float, float, int]:
     row-pair contrast |a - b|/(a + b) with its count of zero-zero pairs, from
     one column max (hi) and min (lo): a column's largest contrast is that of
     hi and lo, and its z zeros make z(z-1)/2 pairs of contrast 0/0, skipped."""
-    col_max, col_min = rows.max(axis=0), rows.min(axis=0)
-    least = col_min.min()
+    col_max, col_min = np.maximum.reduce(rows), np.minimum.reduce(rows)
+    least = np.minimum.reduce(col_min)
     if least > 0.0:  # full support: every column is live and no minimum is 0
         hi, lo, skipped = col_max, col_min, 0
         # from a least minimum of 2**-1000 on, hi / lo < 2**1001 cannot overflow
         # (a validated channel's entries are at most 1 + SUM_TOL): no np.errstate
-        bits = float(np.log2((hi / lo).max())) if least >= 2.0 ** -1000 else _ratio_bits(hi, lo)
+        if least >= 2.0 ** -1000:
+            bits = float(np.log2(np.maximum.reduce(hi / lo)))
+        else:
+            bits = _ratio_bits(hi, lo)
     else:
         live = col_max > 0.0  # an all-zero column has no ratio and no contrast
         hi, lo = col_max[live], col_min[live]
         zeros = np.count_nonzero(rows == 0.0, axis=0)
         bits = float("inf") if (lo == 0.0).any() else _ratio_bits(hi, lo)  # 0 in a live column
-        skipped = int((zeros * (zeros - 1) // 2).sum())
-    contrast = float(((hi - lo) / (hi + lo)).max())  # >= 0, since hi >= lo
-    return bits, float(np.log2(col_max.sum())), contrast, skipped
+        skipped = int(np.add.reduce(zeros * (zeros - 1) // 2))
+    contrast = float(np.maximum.reduce((hi - lo) / (hi + lo)))  # >= 0, since hi >= lo
+    return bits, float(np.log2(np.add.reduce(col_max))), contrast, skipped
 
 
 def _certificates(w: Channel) -> tuple[PrivacyReport, float, int]:

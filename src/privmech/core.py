@@ -96,7 +96,12 @@ class Channel:
 def _check_entries(arr: np.ndarray):
     """Raise on the first non-finite entry, else on the first negative one
     (row-major order), before any sum is formed."""
-    if arr.min() >= 0.0 and arr.max() < math.inf:  # NaN fails both tests
+    # reductions here and in `coefficients` are ufunc calls, not the ndarray
+    # methods min/max/sum, which add a Python frame per call
+    if (  # NaN fails both tests
+        np.minimum.reduce(arr, axis=None) >= 0.0
+        and np.maximum.reduce(arr, axis=None) < math.inf
+    ):
         return
     for mask, error in ((~np.isfinite(arr), NonFiniteEntry), (arr < 0, NegativeEntry)):
         hits = np.argwhere(mask)
@@ -189,9 +194,9 @@ def validate_channel(m) -> Channel:
     if arr.ndim != 2:
         raise ValidationError(f"expected a 2-d matrix, got shape {arr.shape}")
     _check_entries(arr)
-    sums = arr.sum(axis=1)
+    sums = np.add.reduce(arr, axis=1)
     off = np.abs(sums - 1.0)
-    if not off.max() <= SUM_TOL:  # the first bad row is looked for only here
+    if not np.maximum.reduce(off) <= SUM_TOL:  # the first bad row is looked for only here
         r = int(np.argmax(~(off <= SUM_TOL)))
         raise RowSumOutOfTolerance(r, float(sums[r]), SUM_TOL)
     return Channel(arr, arr.shape[0], arr.shape[1])

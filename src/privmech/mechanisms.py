@@ -52,7 +52,9 @@ def randomized_response(k: int, alpha_bits: float) -> Channel:
     """
     r = _check_k_alpha(k, alpha_bits, allow_zero=True)
     denom = r + k - 1.0
-    rows = np.full((k, k), 1.0 / denom) + np.eye(k) * ((r - 1.0) / denom)
+    rows = np.full((k, k), 1.0 / denom)
+    # the diagonal in place, through a view of the fresh contiguous array
+    rows.reshape(-1)[:: k + 1] += (r - 1.0) / denom
     return Channel(rows, *rows.shape)
 
 

@@ -1,7 +1,9 @@
+import copy
 import gc
 import hashlib
 import json
 import math
+import pickle
 import tracemalloc
 import warnings
 import weakref
@@ -350,6 +352,27 @@ class TestRunAllChecks:
         assert list(res.to_dict()) == ["name", "lhs", "rhs", "margin", "passed", "applicable", "note"]
         lecam = lecam_lower_check(2, 1.0, 400, 50, 0)
         assert type(lecam) is BoundCheckResult
+
+    # records are built by tuple.__new__, not the named tuple's constructor
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: run_all_checks(random_channel(4, 5, 1.0, 3)),
+         lambda: run_all_checks(maxl_staircase(3, 1.0)),
+         lambda: run_all_checks(validate_channel(np.eye(2))),
+         lambda: [lecam_lower_check(2, 1.0, 400, 50, 0)]],
+        ids=["full-support", "staircase", "identity", "lecam"],
+    )
+    def test_records_match_constructor_built_ones(self, make):
+        for res in make():
+            twin = BoundCheckResult(*res)
+            assert type(res) is BoundCheckResult and res._fields == twin._fields
+            assert res == twin and hash(res) == hash(twin) and repr(res) == repr(twin)
+            assert res._asdict() == twin._asdict() and res.to_dict() == twin.to_dict()
+            assert res._replace(note="x") == twin._replace(note="x")
+            assert pickle.dumps(res) == pickle.dumps(twin)
+            # a NaN margin (inf - inf) equals only itself, so copies compare by repr
+            for copied in (pickle.loads(pickle.dumps(res)), copy.deepcopy(res)):
+                assert type(copied) is BoundCheckResult and repr(copied) == repr(twin)
 
     def test_to_dict_round_trips_through_json(self):
         for res in run_all_checks(validate_channel(np.eye(2))):

@@ -83,6 +83,18 @@ class TestAnalyze:
         assert run_cli("analyze", str(path)).returncode == 0
         assert run_cli("analyze", "-", stdin=json.dumps(RR21)).returncode == 0
 
+    # the minimum over the whole matrix, not the least column minimum, which
+    # reads -0.0 on the first channel
+    @pytest.mark.parametrize(
+        "rows, text",
+        [([[1.0, -0.0], [0.0, 1.0]], '"min_entry": 0.0,'),
+         ([[-0.0, 1.0], [0.5, 0.5]], '"min_entry": -0.0,')],
+        ids=["positive", "negative"],
+    )
+    def test_min_entry_keeps_the_sign_of_zero(self, capsys, rows, text):
+        cli.main(["analyze", json.dumps({"rows": rows})])
+        assert text in capsys.readouterr().out
+
 
 class TestConstruct:
     def test_rr_three(self):
@@ -296,8 +308,12 @@ class TestNegativeSeed:
             ["simulate", "--k", "3", "--alpha", "1", "--n", "10", "--replicates", "10"],
             ["sweep", "--k", "3", "--alpha", "1", "--n-grid", "10", "--replicates", "10"],
             ["sweep", "--k", "3", "--alpha", "1", "--n-grid", "", "--replicates", "10"],
+            # these only echo the seed, and echoed -1 with exit 0
+            ["construct", "rr", "--k", "3", "--alpha", "1"],
+            ["analyze", json.dumps(RR21)],
+            ["bounds-check", json.dumps(RR21)],
         ],
-        ids=["simulate", "sweep", "sweep-empty-grid"],
+        ids=["simulate", "sweep", "sweep-empty-grid", "construct", "analyze", "bounds-check"],
     )
     def test_exits_two_naming_the_seed(self, capsys, argv):
         assert cli.main([*argv, "--seed", "-1"]) == 2

@@ -195,6 +195,15 @@ class TestMinEntry:
     def test_constant(self):
         assert min_entry(CONSTANT) == 0.3
 
+    # the whole-matrix minimum: the least column minimum of the first is -0.0
+    @pytest.mark.parametrize(
+        "rows, sign", [([[1.0, -0.0], [0.0, 1.0]], 1.0), ([[-0.0, 1.0], [0.5, 0.5]], -1.0)]
+    )
+    def test_keeps_the_sign_of_zero(self, rows, sign):
+        w = validate_channel(rows)
+        for value in (min_entry(w), privacy_report(w).min_entry):
+            assert value == 0.0 and math.copysign(1.0, value) == sign
+
 
 class TestMapAdversaryGain:
     def test_uniform_prior_recovers_max_leakage(self):

@@ -42,6 +42,16 @@ class TestRandomizedResponse:
             w = randomized_response(k, 0.0)
             assert np.allclose(w.rows, 1.0 / k, atol=1e-15)
 
+    # the diagonal is added in place: the bytes of the dense eye form
+    @pytest.mark.parametrize("alpha", [0.0, 1e-300, 0.5, 1.0, "log2k", 30.0, 1023.0])
+    def test_bytes_match_the_eye_form(self, alpha):
+        for k in range(2, 65):
+            a = math.log2(k) if alpha == "log2k" else alpha
+            r = 2.0 ** a
+            denom = r + k - 1.0
+            want = np.full((k, k), 1.0 / denom) + np.eye(k) * ((r - 1.0) / denom)
+            assert randomized_response(k, a).rows.tobytes() == want.tobytes(), (k, a)
+
     def test_ternary_one_bit(self):
         w = randomized_response(3, 1.0)
         assert np.allclose(np.diag(w.rows), 0.5, atol=1e-15)
