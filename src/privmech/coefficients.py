@@ -96,20 +96,31 @@ def _row_pairs(rows: np.ndarray):
         i += n
 
 
+def _farthest_pair(rows: np.ndarray) -> tuple[float, tuple[int, int] | None]:
+    """eta_TV, the greatest TV distance between two rows, and the first pair
+    (i, j), i < j, in (i, j) order at that distance (None for a single row):
+    `dobrushin_coefficient` and the total-variation search both read it. A
+    block's argmax is row-major, and an entry the block holds twice, or a row
+    against itself (distance 0), comes after the pair's own entry, so the
+    argmax is the block's first maximum in (i, j) order. Blocks are kept as
+    max() takes them: the first, then a strictly larger one."""
+    eta, pair = 0.0, None
+    for i, tv in _row_pairs(rows):
+        c = tv.argmax()
+        if i == 0 or tv.item(c) > eta:
+            r, c = divmod(int(c), tv.shape[1])
+            eta, pair = tv.item(r, c), (i + r, i + 1 + c)
+    return eta, pair
+
+
 def dobrushin_coefficient(w: Channel) -> float:
     """Maximum total-variation distance between any two rows of the channel.
 
     Equals the channel's total-variation contraction factor. A single-row
-    channel has coefficient 0 (empty maximum). Pairs inside a block of
-    `_row_pairs` are compared twice or with themselves (distance 0), which
-    leaves the maximum that of the row-by-row loop.
+    channel has coefficient 0 (empty maximum). The value is that of
+    `_farthest_pair`, whose pair is the total-variation search's witness.
     """
-    eta = 0.0
-    for i, tv in _row_pairs(w.rows):
-        top = float(np.maximum.reduce(tv, axis=None))
-        if i == 0 or top > eta:  # as max() takes them: the first block's, then a larger
-            eta = top
-    return eta
+    return _farthest_pair(w.rows)[0]
 
 
 def _ratio_bits(hi: np.ndarray, lo: np.ndarray) -> float:
@@ -278,7 +289,9 @@ def _ranked_pairs(rows: np.ndarray, keep: int) -> tuple[np.ndarray, np.ndarray]:
     """The first `keep` row pairs i < j in order of decreasing TV distance,
     ties in (i, j) order, by one stable sort: their TV distances and codes
     i * k + j. Only about 2 * keep + k pairs are held at a time, so memory is
-    O(min(keep, k^2) + k) beyond a block of `_row_pairs`."""
+    O(min(keep, k^2) + k) beyond a block of `_row_pairs`. The KL and chi^2
+    pair stage, `_best_pair`, is its one caller; the total-variation search
+    needs only the first pair, `_farthest_pair`."""
     k = len(rows)
     total = k * (k - 1) // 2
     keep = min(keep, total)
@@ -338,10 +351,11 @@ def estimate_eta_f(
     in one stage per kind:
 
     * total variation: the supremum, eta_TV, is attained at point masses,
-      so the value is exact and uncapped, `dobrushin_coefficient`: the first
-      pair (i, j) of the TV ranking below, p0 = e_i and p1 = e_j, with input
-      divergence 1. The k(k - 1) ordered point-mass pairs count as its
-      evaluations;
+      so the value is exact and uncapped, `dobrushin_coefficient`, read with
+      its witness from `_farthest_pair`: of the pairs i < j at the greatest
+      TV distance the first in (i, j) order, p0 = e_i and p1 = e_j, with
+      input divergence 1. The k(k - 1) ordered point-mass pairs count as
+      its evaluations;
     * KL and chi^2: pairs of inputs, since no pair of point masses has a
       finite KL or chi^2 divergence. Restricting a channel to two of its
       inputs, rows a and b, cannot raise its contraction coefficient, and
@@ -374,9 +388,9 @@ def estimate_eta_f(
     a = w(i) and b = w(j), with no matrix product. Row pairs are compared,
     and peaked, a block at a time, at most _BLOCK_CELLS cells per block, and
     each pair's numbers are those of a one-pair pass, so the result does not
-    depend on the block size. The ranking keeps only the pairs the budget
-    can reach, so memory is O(min(budget, k^2) + k). The kernels run under
-    one `np.errstate` for the whole search.
+    depend on the block size. The KL and chi^2 ranking keeps only the pairs
+    the budget can reach, so memory is O(min(budget, k^2) + k). The kernels
+    run under one `np.errstate` for the whole search.
 
     Returns
     -------
@@ -411,13 +425,12 @@ def estimate_eta_f(
     value, din, dout, pair, evals = 0.0, 0.0, 0.0, None, 0
     with _quiet():  # the kernels' error state, entered once per search
         if spec is FKind.TOTAL_VARIATION:
-            # every ordered pair of point masses counts as evaluated; the first
-            # of greatest TV distance is the first pair of the TV ranking
+            # every ordered pair of point masses counts as evaluated; eta_TV is
+            # attained at the farthest pair's point masses
             evals = n_vertex
-            if k > 1:
-                tv, code = _ranked_pairs(rows, 1)
-                i, j = divmod(int(code[0]), k)
-                value, din, dout, pair = float(tv[0]), 1.0, float(tv[0]), (i, j, 0.0, 1.0)
+            value, ij = _farthest_pair(rows)
+            if ij is not None:
+                din, dout, pair = 1.0, value, (*ij, 0.0, 1.0)
         elif k > 1:
             evals, peak = _best_pair(rows, max(1, budget - 48))
             if peak is not None and evals < budget:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -337,21 +337,20 @@ def scaling_sweep(
     normalized_risk = mean_risk * n * (2**a - 1).
 
     Rows are ordered by n; each row runs on its own seed substream derived
-    from (seed, row index). An empty grid gives an empty table; k,
-    alpha_bits and the seed are checked even then.
+    from (seed, row index). An empty grid gives an empty table; every
+    argument but the grid (k, alpha_bits, replicates, the seed and the
+    source's size) is checked even then, by one `SimulationConfig` whose
+    n = 1 is a placeholder that each row replaces.
     """
     r1 = _check_k_alpha(k, alpha_bits) - 1.0
-    seed = _check_seed(seed)
-    if source is None:
-        source = Distribution.uniform(k)
+    base = SimulationConfig(
+        k=k, alpha_bits=alpha_bits, n=1, replicates=replicates, seed=seed,
+        source=Distribution.uniform(k) if source is None else source,
+    )
     rows = []
     for idx, n in enumerate(sorted(_check_count("n", n) for n in n_grid)):
-        row_seed = int(np.random.SeedSequence([seed, idx]).generate_state(1, np.uint64)[0])
-        cfg = SimulationConfig(
-            k=k, alpha_bits=alpha_bits, n=n, replicates=replicates,
-            seed=row_seed, source=source,
-        )
-        est = empirical_risk(cfg)
+        row_seed = int(np.random.SeedSequence([base.seed, idx]).generate_state(1, np.uint64)[0])
+        est = empirical_risk(replace(base, n=n, seed=row_seed))
         rows.append(
             SweepRow(
                 n=n,

@@ -279,6 +279,8 @@ class TestMalformedInput:
             ["simulate", "--k", "3", "--alpha", "2000", "--n", "10", "--replicates", "10"],
             ["simulate", "--k", "3", "--alpha", "1e-20", "--n", "10", "--replicates", "10"],
             ["sweep", "--k", "3", "--alpha", "1e-20", "--n-grid", "10", "--replicates", "10"],
+            # an empty grid: replicates is checked before the grid
+            ["sweep", "--k", "3", "--alpha", "1", "--n-grid", ",", "--replicates", "0"],
         ],
     )
     def test_exits_two_with_one_error_line(self, capsys, argv):

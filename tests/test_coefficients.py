@@ -96,11 +96,36 @@ class TestDobrushinCoefficient:
                 rows /= rows.sum(axis=1, keepdims=True)
             channels.append(rows)
         for rows in channels:
-            gap = 0.0
-            for i in range(len(rows)):
-                for j in range(i + 1, len(rows)):
-                    gap = max(gap, float(np.abs(rows[j] - rows[i]).sum()))
-            assert dobrushin_coefficient(validate_channel(rows)) == 0.5 * gap, rows
+            k, gap, first = len(rows), 0.0, None
+            for i in range(k):
+                for j in range(i + 1, k):
+                    d = float(np.abs(rows[j] - rows[i]).sum())
+                    if first is None or d > gap:
+                        gap, first = d, (i, j)
+            w = validate_channel(rows)
+            assert dobrushin_coefficient(w) == 0.5 * gap, rows
+            # the TV search's witnesses are the first farthest pair, in (i, j) order
+            if first is not None:
+                est = estimate_eta_f(w, TOTAL_VARIATION, k * (k - 1), 0)
+                assert np.array_equal(est.witness_p0.probs, np.eye(k)[first[0]]), rows
+                assert np.array_equal(est.witness_p1.probs, np.eye(k)[first[1]]), rows
+
+    @pytest.mark.parametrize("cells", [2, 20, None])
+    def test_block_maximum_is_the_pairs_own_entry(self, monkeypatch, cells):
+        # the only farthest pair is (3, 4). At 20 cells the blocks are rows
+        # {0, 1} and {2, 3, 4}, so the second holds (3, 4) and, later in
+        # row-major order, its duplicate (4, 3); at 2 cells each block is one
+        # row, and by default one block holds every row
+        if cells is not None:
+            monkeypatch.setattr(coefficients, "_BLOCK_CELLS", cells)
+        rows = [[0.5, 0.5], [0.45, 0.55], [0.55, 0.45], [0.1, 0.9], [0.9, 0.1]]
+        w = validate_channel(rows)
+        tv = 0.5 * float(np.abs(w.rows[4] - w.rows[3]).sum())
+        assert dobrushin_coefficient(w) == tv
+        est = estimate_eta_f(w, TOTAL_VARIATION, 20, 0)
+        assert est.value == tv
+        assert np.array_equal(est.witness_p0.probs, np.eye(5)[3])
+        assert np.array_equal(est.witness_p1.probs, np.eye(5)[4])
 
 
 class TestLdpLevel:

@@ -488,6 +488,12 @@ class TestLeCamLowerCheck:
 class TestScalingSweep:
     def test_empty_grid(self):
         assert scaling_sweep(3, 1.0, [], replicates=10, seed=0) == []
+        # every argument but the grid is checked before the grid
+        for grid in ([], [10]):
+            with pytest.raises(ValueError, match="^replicates must be"):
+                scaling_sweep(3, 1.0, grid, replicates=-5, seed=0)
+            with pytest.raises(DimensionMismatch, match="^source alphabet 4 != k = 3"):
+                scaling_sweep(3, 1.0, grid, 5, 0, Distribution.uniform(4))
 
     def test_rows_sorted_by_n(self):
         rows = scaling_sweep(3, 1.0, [400, 100, 200], replicates=50, seed=1)
