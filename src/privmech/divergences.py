@@ -28,15 +28,18 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Distribution
+from .core import Distribution, _readonly
 from .errors import DimensionMismatch
 
 _LN2 = math.log(2.0)
-_NEXT_ABOVE_MINUS_ONE = math.nextafter(-1.0, 0.0)
-# g's Taylor coefficients (-1)^n / (n (n - 1)), from n = 9 down to n = 2,
-# and the |t| up to which `_bracket_g` reads them
-_SERIES = [(-1.0) ** n / (n * (n - 1)) for n in range(9, 1, -1)]
-_SERIES_CUT = 1e-2
+# The kernels' scalar operands, as read-only 0-d arrays, cheaper per numpy
+# call than Python floats (see `coefficients._pair_peaks`, which shares _ZERO
+# and _ONE). g's Taylor coefficients (-1)^n / (n (n - 1)), from n = 9 down
+# to n = 2, and the |t| up to which `_bracket_g` reads them
+_ZERO, _ONE, _MINUS_ONE, _INF = _readonly(0.0), _readonly(1.0), _readonly(-1.0), _readonly(np.inf)
+_NEXT_ABOVE_MINUS_ONE = _readonly(math.nextafter(-1.0, 0.0))
+_SERIES = tuple(_readonly((-1.0) ** n / (n * (n - 1))) for n in range(9, 1, -1))
+_SERIES_CUT = _readonly(1e-2)
 
 
 class FKind(Enum):
@@ -97,22 +100,22 @@ def _bracket_g(x: np.ndarray) -> np.ndarray:
     # sum_{n >= 2} (-t)^n / (n (n - 1)) to n = 9 by Horner: within 5e-14
     # relative of g on both sides of the cutoff (at t = 0 both give 0).
     # Terms to n = 19 with |t| <= 0.1 would give 4e-15, at two numpy calls
-    # per term in every search's ladder
-    g = (1.0 + x) * np.log1p(np.maximum(x, _NEXT_ABOVE_MINUS_ONE)) - x
+    # per term in every search's ladder. The series is formed on every entry
+    # and picked by one np.where; where it overflows (|t| from about 3e34) it
+    # is discarded, under the callers' `_quiet()`
+    g = (_ONE + x) * np.log1p(np.maximum(x, _NEXT_ABOVE_MINUS_ONE)) - x
     ax = np.abs(x)
     if np.minimum.reduce(ax, axis=None) <= _SERIES_CUT:
-        small = ax <= _SERIES_CUT
-        t = x[small]
-        series = np.full_like(t, _SERIES[0])
-        for c in _SERIES[1:]:
-            series = series * t + c
-        g[small] = t * t * series
+        series = x * _SERIES[0] + _SERIES[1]
+        for c in _SERIES[2:]:
+            series = series * x + c
+        g = np.where(ax <= _SERIES_CUT, x * x * series, g)
     return g
 
 
 def _kl_pair_bits(base: np.ndarray, diff: np.ndarray) -> np.ndarray:
-    live = base > 0.0
-    x = np.maximum(diff / np.where(live, base, 1.0), -1.0)
+    live = base > _ZERO
+    x = np.maximum(diff / np.where(live, base, _ONE), _MINUS_ONE)
     terms = base * _bracket_g(x)
     if not np.maximum.reduce(terms, axis=None) < np.inf:
         # (1 + x) log1p(x) overflows once x passes ~1e306, and x itself past
@@ -122,7 +125,7 @@ def _kl_pair_bits(base: np.ndarray, diff: np.ndarray) -> np.ndarray:
         b, d = base[over], diff[over]
         terms[over] = (b + d) * (np.log(b + d) - np.log(b)) - d
     # mass where the base has none makes the divergence infinite
-    terms = np.where(live | (diff == 0.0), terms, np.inf)
+    terms = np.where(live | (diff == _ZERO), terms, _INF)
     return np.add.reduce(terms, axis=-1) / _LN2
 
 
@@ -133,7 +136,7 @@ def _tv_pair(base: np.ndarray, diff: np.ndarray) -> np.ndarray:
 def _chi2_pair(base: np.ndarray, diff: np.ndarray) -> np.ndarray:
     # where the base is 0 (or -0), diff^2/base is 0/0 (NaN, read as 0) or
     # +-inf (mass where the base has none: infinite)
-    return np.add.reduce(np.fmax(np.abs(diff * diff / base), 0.0), axis=-1)
+    return np.add.reduce(np.fmax(np.abs(diff * diff / base), _ZERO), axis=-1)
 
 
 _KERNELS = {FKind.TOTAL_VARIATION: _tv_pair, FKind.KL: _kl_pair_bits, FKind.CHI_SQUARED: _chi2_pair}

@@ -475,6 +475,20 @@ class TestEstimateEtaF:
         est = estimate_eta_f(w, TOTAL_VARIATION, 2, 0)
         assert est.value == dobrushin_coefficient(w) > 1.0
 
+    def test_ladder_steps_are_the_column_stack_construction(self):
+        # the ladder scales a template of +-2^-n by 2^(e-1) and keeps t >= 2^-53;
+        # it must equal, bit for bit and in order, the steps built per search as
+        # t = 2^(e-1-n), column-stacked with -t, masked and cut to the budget,
+        # for every exponent of u = p(s) that s in [-23, 23] reaches
+        exponents = range(math.frexp(1.0 / (1.0 + math.exp(23.0)))[1], math.frexp(0.5)[1] + 1)
+        assert (exponents.start, exponents.stop) == (-33, 1)
+        for e in exponents:
+            t = np.ldexp(1.0, e - 1 - np.arange(24))
+            steps = np.column_stack((t, -t))[t >= 2.0 ** -53].ravel()
+            for most in [*range(1, 50), 9_999]:
+                got, want = coefficients._ladder_steps(e, most), steps[:most, None]
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (e, most)
+
     def test_ladder_inputs_are_at_most_one(self, monkeypatch):
         # a ladder step's input is [u, 1 - u] moved by |t| <= u <= 1/2, so its
         # chi^2 is at most 1 and its KL at most 1 bit: the admission test
@@ -862,6 +876,21 @@ class TestPairPeaks:
         assert (s[0], s[1]) == (23.0, 0.0)
         assert h[1] == pytest.approx(1 / 9, rel=1e-15)
         assert 11.0 < s[2] < 12.0
+
+    def test_constants_are_read_only_and_calls_repeat(self):
+        # the constants are shared by every call: writing to one must raise,
+        # where an in-place op would silently change every later search
+        consts = [v for v in vars(coefficients).values() if isinstance(v, np.ndarray)]
+        assert len(consts) >= 12
+        for c in consts:
+            assert not c.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                c += 1.0
+        # a call updates only its own arrays: the same block twice, the same bytes
+        rows = np.vstack((random_channel(8, 3, 0.1, 6).rows, TestEstimateEtaF.ZEROS))  # caps too
+        i, j = np.triu_indices(len(rows), 1)
+        first, second = self._peaks(rows[i], rows[j]), self._peaks(rows[i], rows[j])
+        assert [x.tobytes() for x in first] == [x.tobytes() for x in second]
 
     def test_no_search_reaches_the_step_cap(self, monkeypatch):
         # every block the search tests pass to `_pair_peaks` gives the same

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,8 @@ from privmech import (
     validate_channel,
     validate_distribution,
 )
-from privmech.divergences import _bracket_g, _pair_divergence, _quiet
+from privmech import divergences
+from privmech.divergences import _bracket_g, _kl_pair_bits, _pair_divergence, _quiet
 from privmech.errors import DimensionMismatch
 
 LN2 = math.log(2.0)
@@ -113,6 +115,52 @@ class TestKlDivergence:
                 power *= t
                 n += 1
             assert abs(g - float(exact)) <= 1e-13 * float(exact), x
+
+    def test_integrand_picks_its_series_as_the_gather_form_did(self):
+        # `_bracket_g` forms the series on every entry and picks it by
+        # np.where; the gather form summed it on |x| <= 1e-2 alone and
+        # scattered it back. Both sides of the cut, both zeros, x = -1 and the
+        # next float up, and 1e306 and 1e308, where the series overflows and
+        # is discarded, must give the same bits and no warning under _quiet()
+        cut, below = 1e-2, math.nextafter(-1.0, 0.0)
+        coeffs = [(-1.0) ** n / (n * (n - 1)) for n in range(9, 1, -1)]
+
+        def gather(x):
+            g = (1.0 + x) * np.log1p(np.maximum(x, below)) - x
+            if np.abs(x).min() <= cut:
+                small = np.abs(x) <= cut
+                t = x[small]
+                series = np.full_like(t, coeffs[0])
+                for c in coeffs[1:]:
+                    series = series * t + c
+                g[small] = t * t * series
+            return g
+
+        edges = [c for e in (1e-2, -1e-2) for c in (e, np.nextafter(e, 0.0), np.nextafter(e, 2 * e))]
+        grid = np.array(edges + [1e-4, -1e-4, 0.0, -0.0, -1.0, below, 1e306, 1e308, 0.5, -0.5, 3.0, 1e-300])
+        far = np.array([-1.0, below, 0.5, 1e306, 1e308])  # no entry reads the series
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with _quiet():
+                for x in (grid, far, grid.reshape(3, -1), np.linspace(-0.05, 0.05, 1001)):
+                    assert _bracket_g(x).tobytes() == gather(x).tobytes(), x
+                # x = 1e306 and 1e308: base * g overflows, and `_kl_pair_bits`
+                # takes the log-difference branch
+                base, diff = np.array([1e-2, 1e-2, 0.5]), np.array([1e304, 1e306, 1e-4])
+                got = _kl_pair_bits(base, diff)
+                b, d = base[:2], diff[:2]
+                terms = np.append((b + d) * (np.log(b + d) - np.log(b)) - d, base[2] * gather(diff[2:] / base[2]))
+                assert got == np.add.reduce(terms) / LN2
+        assert caught == []
+
+    def test_kernel_constants_are_read_only(self):
+        consts = [v for v in vars(divergences).values() if isinstance(v, np.ndarray)]
+        consts += divergences._SERIES
+        assert len(consts) >= 14
+        for c in consts:
+            assert c.ndim == 0 and not c.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                c += 1.0
 
     def test_pinsker_in_bits(self):
         # tv <= sqrt((ln2 / 2) * kl_bits); the ln2 converts bits to nats
