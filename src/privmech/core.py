@@ -23,6 +23,7 @@ from .errors import (
     DimensionMismatch,
     EmptyMatrix,
     EmptyVector,
+    InvalidSize,
     NegativeEntry,
     NonFiniteEntry,
     RaggedRows,
@@ -46,51 +47,50 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Distribution:
-    """Probability vector on a finite alphabet of size `alphabet_size`.
+    """Probability vector on a finite alphabet; `alphabet_size` is its length.
 
     Construct through `validate_distribution` (or the `uniform` /
     `point_mass` helpers); direct construction skips validation.
     """
 
     probs: np.ndarray
-    alphabet_size: int
+    alphabet_size: int = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "probs", _readonly(self.probs))
+        object.__setattr__(self, "alphabet_size", self.probs.size)
 
     @classmethod
     def uniform(cls, k: int) -> "Distribution":
-        if k < 1:
-            raise EmptyVector("alphabet size must be at least 1")
-        return cls(np.full(k, 1.0 / k), k)
+        _check_alphabet(k)
+        return cls(np.full(k, 1.0 / k))
 
     @classmethod
     def point_mass(cls, k: int, x: int) -> "Distribution":
-        if k < 1:
-            raise EmptyVector("alphabet size must be at least 1")
-        if not 0 <= x < k:
-            raise DimensionMismatch(f"point-mass location {x} outside [0, {k})")
-        probs = np.zeros(k)
-        probs[x] = 1.0
-        return cls(probs, k)
+        _check_alphabet(k)
+        if not (isinstance(x, (int, np.integer)) and 0 <= x < k):
+            raise DimensionMismatch(f"point-mass location x = {x!r} is no integer in [0, {k})")
+        return cls(np.arange(k) == x)  # 1.0 at x, 0.0 elsewhere
 
 
 @dataclass(frozen=True, eq=False)
 class Channel:
-    """Row-stochastic |X| x |Y| matrix; rows[x, y] is the probability of
-    emitting output y on input x. Construct through `validate_channel`.
+    """Row-stochastic matrix of shape (input_size, output_size): rows[x, y] is
+    the probability of output y on input x. Construct through `validate_channel`.
 
     `rows` is a read-only copy of the array given, so the exact certificates
     are kept on the object (`_certificates`) from the first request on.
     """
 
     rows: np.ndarray
-    input_size: int
-    output_size: int
+    input_size: int = field(init=False)
+    output_size: int = field(init=False)
     _certificates: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "rows", _readonly(self.rows))
+        object.__setattr__(self, "input_size", self.rows.shape[0])
+        object.__setattr__(self, "output_size", self.rows.shape[1])
 
 
 def _check_entries(arr: np.ndarray):
@@ -120,6 +120,14 @@ def _check_count(name: str, value) -> int:
         got = f"an int of {value.bit_length()} bits" if big else repr(value)
         raise ValueError(f"{name} must be a whole number >= 1 and < 2**63, got {got}")
     return int(value)
+
+
+def _check_alphabet(k):
+    """The alphabet size k of `uniform` and `point_mass`: an int or numpy integer >= 1."""
+    if not isinstance(k, (int, np.integer)):
+        raise InvalidSize(f"alphabet size k must be an integer, got {k!r}")
+    if k < 1:
+        raise EmptyVector("alphabet size must be at least 1")
 
 
 def _check_seed(seed) -> int:
@@ -174,7 +182,7 @@ def validate_distribution(p) -> Distribution:
     total = float(arr.sum())
     if not abs(total - 1.0) <= SUM_TOL:
         raise SumOutOfTolerance(total, SUM_TOL)
-    return Distribution(arr, arr.size)
+    return Distribution(arr)
 
 
 def validate_channel(m) -> Channel:
@@ -199,7 +207,7 @@ def validate_channel(m) -> Channel:
     if not np.maximum.reduce(off) <= SUM_TOL:  # the first bad row is looked for only here
         r = int(np.argmax(~(off <= SUM_TOL)))
         raise RowSumOutOfTolerance(r, float(sums[r]), SUM_TOL)
-    return Channel(arr, arr.shape[0], arr.shape[1])
+    return Channel(arr)
 
 
 def pushforward(w: Channel, p: Distribution) -> Distribution:
@@ -208,7 +216,7 @@ def pushforward(w: Channel, p: Distribution) -> Distribution:
         raise DimensionMismatch(
             f"distribution size {p.alphabet_size} != channel input size {w.input_size}"
         )
-    return Distribution(p.probs @ w.rows, w.output_size)
+    return Distribution(p.probs @ w.rows)
 
 
 def compose(w1: Channel, w2: Channel) -> Channel:
@@ -217,7 +225,7 @@ def compose(w1: Channel, w2: Channel) -> Channel:
         raise DimensionMismatch(
             f"first output size {w1.output_size} != second input size {w2.input_size}"
         )
-    return Channel(w1.rows @ w2.rows, w1.input_size, w2.output_size)
+    return Channel(w1.rows @ w2.rows)
 
 
 def json_float(x: float):

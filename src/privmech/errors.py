@@ -82,7 +82,7 @@ class AlphaOutOfRange(PrivmechError, ValueError):
 
 
 class InvalidSize(PrivmechError, ValueError):
-    """Channel dimensions must be positive integers."""
+    """Channel dimensions and alphabet sizes must be positive integers."""
 
 
 class InvalidConcentration(PrivmechError, ValueError):

@@ -55,7 +55,7 @@ def randomized_response(k: int, alpha_bits: float) -> Channel:
     rows = np.full((k, k), 1.0 / denom)
     # the diagonal in place, through a view of the fresh contiguous array
     rows.reshape(-1)[:: k + 1] += (r - 1.0) / denom
-    return Channel(rows, *rows.shape)
+    return Channel(rows)
 
 
 def z_channel(alpha_bits: float) -> Channel:
@@ -69,7 +69,7 @@ def z_channel(alpha_bits: float) -> Channel:
         raise AlphaOutOfRange(f"alpha_bits must lie in [0, 1], got {alpha_bits!r}")
     r = 2.0 ** float(alpha_bits)
     rows = np.array([[r - 1.0, 2.0 - r], [0.0, 1.0]])
-    return Channel(rows, *rows.shape)
+    return Channel(rows)
 
 
 def staircase_rate(k: int, alpha_bits: float) -> float:
@@ -102,7 +102,7 @@ def maxl_staircase(k: int, alpha_bits: float) -> Channel:
     idx = np.arange(k)
     rows[idx, idx] = lam
     rows[:, k] = 1.0 - lam
-    return Channel(rows, *rows.shape)
+    return Channel(rows)
 
 
 def random_channel(

@@ -81,15 +81,18 @@ class RiskEstimate:
 class LeCamPair:
     """Two-point family: uniform p0 and its unit perturbation p1.
 
-    `p1` is None when the perturbed vector leaves [0, 1] (valid=False);
-    when valid, the squared l2 distance between the two points is exactly
-    1/(n * (2**a - 1)).
+    `p1` is None when the perturbed vector leaves [0, 1], and the pair is
+    then not `valid`; when valid, the squared l2 distance between the two
+    points is exactly 1/(n * (2**a - 1)).
     """
 
     p0: Distribution
     p1: Distribution | None
     u: np.ndarray
-    valid: bool
+
+    @property
+    def valid(self) -> bool:
+        return self.p1 is not None
 
 
 @dataclass(frozen=True)
@@ -233,7 +236,7 @@ def lecam_pair(k: int, alpha_bits: float, n: int, u) -> LeCamPair:
     p1_raw = 1.0 / k + uu / scale
     valid = bool((p1_raw >= 0.0).all() and (p1_raw <= 1.0).all())
     p1 = validate_distribution(p1_raw) if valid else None
-    return LeCamPair(p0=p0, p1=p1, u=_readonly(uu), valid=valid)
+    return LeCamPair(p0=p0, p1=p1, u=_readonly(uu))
 
 
 def _taylor_value(k, alpha_bits, n, u) -> float:
@@ -293,7 +296,7 @@ def lecam_lower_check(
             min_n=min_n,
         )
     pair = lecam_pair(k, alpha_bits, n, u)
-    assert pair.valid and pair.p1 is not None
+    assert pair.p1 is not None  # valid
     rng = np.random.default_rng(seed)
     m0, v0 = _mean_var(_mc_risks(pair.p0, lam, n, replicates, rng))
     m1, v1 = _mean_var(_mc_risks(pair.p1, lam, n, replicates, rng))

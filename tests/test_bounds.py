@@ -434,7 +434,7 @@ class TestCertificatesOncePerChannel:
             lambda: maxl_staircase(3, 1.0),
             lambda: random_channel(3, 3, 0.5, 7),
             lambda: channel_from_dict({"rows": [[0.5, 0.5], [0.25, 0.75]]}),
-            lambda: Channel(np.array([[0.6, 0.4], [0.1, 0.9]]), 2, 2),
+            lambda: Channel(np.array([[0.6, 0.4], [0.1, 0.9]])),
         ],
         ids=["validate", "compose", "rr", "z", "staircase", "random", "from-dict", "direct"],
     )
@@ -457,8 +457,8 @@ class TestCertificatesOncePerChannel:
             shown, shown_probs = rows.view(), probs.view()
             shown.setflags(write=False)
             shown_probs.setflags(write=False)
-        w = Channel(shown, 2, 2)
-        p = Distribution(shown_probs, 2)
+        w = Channel(shown)
+        p = Distribution(shown_probs)
         report = privacy_report(w)
         checks = [c.to_dict() for c in run_all_checks(w)]
         rows[:] = np.eye(2)

@@ -5,24 +5,36 @@ import pytest
 
 import privmech
 from privmech import (
+    KL,
+    TOTAL_VARIATION,
     Channel,
     Distribution,
     channel_from_dict,
     channel_to_dict,
     compose,
+    default_direction,
     distribution_from_dict,
     distribution_to_dict,
+    estimate_eta_f,
+    lecam_pair,
+    maxl_staircase,
     pushforward,
+    random_channel,
+    randomized_response,
+    run_all_checks,
     validate_channel,
     validate_distribution,
+    z_channel,
 )
 from privmech.core import EQ_TOL, INEQ_SLACK, SUM_TOL, _check_count
 from privmech.errors import (
     DimensionMismatch,
     EmptyMatrix,
     EmptyVector,
+    InvalidSize,
     NegativeEntry,
     NonFiniteEntry,
+    PrivmechError,
     RaggedRows,
     RowSumOutOfTolerance,
     SumOutOfTolerance,
@@ -118,6 +130,21 @@ class TestValidateDistribution:
         with pytest.raises(DimensionMismatch):
             Distribution.point_mass(3, 3)
 
+    def test_helpers_name_a_size_or_location_that_is_no_integer(self):
+        # numpy's IndexError and TypeError before; Python and numpy integers pass
+        for bad in (2.5, 3.0, "3", None):
+            with pytest.raises(InvalidSize, match="alphabet size k must be an integer"):
+                Distribution.uniform(bad)
+            with pytest.raises(InvalidSize, match="alphabet size k must be an integer"):
+                Distribution.point_mass(bad, 0)
+        for bad in (1.0, 0.5, "1", None):
+            with pytest.raises(DimensionMismatch, match=r"location x = .* is no integer in \[0, 3\)"):
+                Distribution.point_mass(3, bad)
+        assert issubclass(InvalidSize, PrivmechError) and issubclass(DimensionMismatch, PrivmechError)
+        assert Distribution.uniform(np.int64(3)).probs.tolist() == [1 / 3] * 3
+        assert Distribution.point_mass(np.int32(3), np.int64(1)).probs.tolist() == [0.0, 1.0, 0.0]
+        assert Distribution.point_mass(3, 2).probs.tolist() == [0.0, 0.0, 1.0]
+
 
 class TestCheckCount:
     # a count (sample size, replicates, budget) is a whole number in
@@ -201,6 +228,66 @@ class TestValidateChannel:
     def test_degenerate_sizes_are_legal(self):
         assert validate_channel([[0.2, 0.3, 0.5]]).input_size == 1
         assert validate_channel([[1.0], [1.0]]).output_size == 1
+
+
+class TestSizesAreTheArraysShape:
+    """`Channel` and `Distribution` take the array alone and read their
+    sizes from the read-only copy they keep, so no size can disagree with it."""
+
+    CHANNELS = {
+        "validate": lambda: validate_channel([[0.6, 0.4, 0.0], [0.1, 0.2, 0.7]]),
+        "from-dict": lambda: channel_from_dict({"rows": [[0.5, 0.5], [0.25, 0.75]]}),
+        "compose": lambda: compose(random_channel(3, 4, 1.0, 1), random_channel(4, 2, 1.0, 2)),
+        "rr": lambda: randomized_response(np.int64(4), 1.0),
+        "z": lambda: z_channel(0.5),
+        "staircase": lambda: maxl_staircase(3, 1.0),
+        "random": lambda: random_channel(5, 2, 0.5, 7),
+        "direct": lambda: Channel(np.full((2, 5), 0.2)),
+        "one-row": lambda: Channel([[0.2, 0.3, 0.5]]),
+    }
+
+    @pytest.mark.parametrize("make", CHANNELS.values(), ids=CHANNELS.keys())
+    def test_channel_sizes_are_its_shape(self, make):
+        w = make()
+        assert (w.input_size, w.output_size) == w.rows.shape
+        assert type(w.input_size) is int and type(w.output_size) is int
+
+    def test_distribution_sizes_are_its_length(self):
+        w = random_channel(4, 3, 1.0, 5)
+        made = [
+            validate_distribution([0.2, 0.8]),
+            distribution_from_dict({"probs": [0.1, 0.2, 0.7]}),
+            Distribution.uniform(np.int64(5)),
+            Distribution.point_mass(6, 2),
+            pushforward(w, Distribution.uniform(4)),
+            Distribution(np.full(7, 1 / 7)),
+            lecam_pair(3, 1.0, 400, default_direction(3)).p1,
+        ]
+        for spec in (TOTAL_VARIATION, KL):
+            est = estimate_eta_f(w, spec, 200, 0)
+            made += [est.witness_p0, est.witness_p1]
+        for p in made:
+            assert p.alphabet_size == p.probs.shape[0] == p.probs.size
+            assert type(p.alphabet_size) is int
+
+    def test_identity_built_directly_is_three_by_three_and_passes_every_verdict(self):
+        # given as Channel(np.eye(3), 2, 3), it was 2 x 3 and failed thm4, 3 against 2
+        w = Channel(np.eye(3))
+        assert (w.input_size, w.output_size) == (3, 3)
+        checks = run_all_checks(w)
+        assert len(checks) == 9 and all(c.passed for c in checks), [c for c in checks if not c.passed]
+        est = estimate_eta_f(w, KL, 200, 0)
+        assert est.witness_p0.alphabet_size == est.witness_p1.alphabet_size == 3
+
+    def test_sizes_cannot_be_given(self):
+        with pytest.raises(TypeError):
+            Channel(np.eye(3), 2, 3)
+        with pytest.raises(TypeError):
+            Channel(np.eye(3), input_size=3, output_size=3)
+        with pytest.raises(TypeError):
+            Distribution(np.full(2, 0.5), 3)
+        with pytest.raises(TypeError):
+            Distribution(np.full(2, 0.5), alphabet_size=2)
 
 
 class TestPushforward:

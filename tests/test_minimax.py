@@ -379,6 +379,16 @@ class TestLeCamPair:
         pair = lecam_pair(2, 1.0, 1, default_direction(2))
         assert not pair.valid and pair.p1 is None
 
+    def test_validity_is_whether_p1_exists(self):
+        # `valid` is read from p1, so the two cannot disagree, and it cannot be given
+        args = [(2, 1.0, 100), (2, 1.0, 1), (3, 0.5, 400), (5, 2.0, 100), (4, 1.0, 10), (3, 0.5, 1)]
+        pairs = [lecam_pair(k, a, n, default_direction(k)) for k, a, n in args]
+        assert [pair.valid for pair in pairs] == [True, False, True, True, True, False]
+        for pair in pairs:
+            assert pair.valid == (pair.p1 is not None)
+        with pytest.raises(TypeError):
+            minimax.LeCamPair(p0=pairs[0].p0, p1=None, u=pairs[0].u, valid=True)
+
     def test_bad_direction_vectors(self):
         with pytest.raises(BadDirectionVector):
             lecam_pair(2, 1.0, 100, np.array([1.0, -1.0]))  # squared norm 2
