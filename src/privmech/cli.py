@@ -16,7 +16,6 @@ from . import __version__
 from .bounds import run_all_checks
 from .coefficients import privacy_report
 from .core import (
-    Distribution,
     _check_seed,
     channel_from_dict,
     channel_to_dict,
@@ -48,10 +47,9 @@ def _load_channel(text: str):
     return channel_from_dict(_read_json(text))
 
 
-def _load_source(text: str, k: int) -> Distribution:
-    if text == "uniform":
-        return Distribution.uniform(k)
-    return distribution_from_dict(_read_json(text))
+def _load_source(text: str):
+    # None for "uniform": SimulationConfig makes it once k has passed its check
+    return None if text == "uniform" else distribution_from_dict(_read_json(text))
 
 
 def _emit(text: str, output: str):
@@ -125,14 +123,13 @@ def cmd_bounds_check(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    source = _load_source(args.source, args.k)
     cfg = SimulationConfig(
         k=args.k,
         alpha_bits=args.alpha,
         n=args.n,
         replicates=args.replicates,
         seed=args.seed,
-        source=source,
+        source=_load_source(args.source),
     )
     est = empirical_risk(cfg)
     payload = {
@@ -142,7 +139,7 @@ def cmd_simulate(args) -> int:
         "alpha_bits": args.alpha,
         "n": args.n,
         "replicates": args.replicates,
-        "source": distribution_to_dict(source)["probs"],
+        "source": distribution_to_dict(cfg.source)["probs"],
         **est.to_dict(),
     }
     _emit(json.dumps(payload, indent=2), args.output)
@@ -151,7 +148,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     grid = [int(tok) for tok in args.n_grid.split(",") if tok.strip()]
-    source = _load_source(args.source, args.k)
+    source = _load_source(args.source)
     rows = scaling_sweep(args.k, args.alpha, grid, args.replicates, args.seed, source)
     if args.format == "json":
         payload = {
@@ -184,8 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"privmech {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0, help="seed echoed into the output (default 0)")
+    def common(p, seed_help="echoed into the output; no computation reads it"):
+        p.add_argument("--seed", type=int, default=0, help=f"{seed_help} (default 0)")
         p.add_argument("-o", "--output", default="-", help="output path (default stdout)")
 
     p = sub.add_parser("analyze", help="privacy certificates plus all bound checks for a channel")
@@ -211,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="samples per replicate")
     p.add_argument("--replicates", type=int, required=True)
     p.add_argument("--source", default="uniform", help="'uniform', a path, or inline distribution JSON")
-    common(p)
+    common(p, "seed of the Monte Carlo draws, echoed into the output")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="risk scaling across sample sizes (CSV by default)")
@@ -221,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicates", type=int, required=True)
     p.add_argument("--source", default="uniform", help="'uniform', a path, or inline distribution JSON")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    common(p)
+    common(p, "seed of the Monte Carlo draws, echoed into the output")
     p.set_defaults(func=cmd_sweep)
     return parser
 

@@ -70,14 +70,15 @@ class PrivacyReport:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContractionEstimate:
     """Best ratio found by `estimate_eta_f`, with the witnessing pair.
 
     `value` is a lower bound on the contraction coefficient of the FKind
     `spec`: for KL and chi^2 the ratio `output_divergence / input_divergence`
     as the search evaluated them, capped at 1; for total variation eta_TV.
-    Both divergences are 0 when no pair was admitted.
+    Both divergences are 0 when no pair was admitted. Estimates compare by
+    identity, as their witness `Distribution`s do.
     """
 
     spec: FKind

@@ -38,25 +38,34 @@ _BLOCK_CELLS = 1 << 16
 _TAYLOR_SLACK = 1e-3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimulationConfig:
     """One Monte Carlo configuration: `replicates` count rows of `n`
-    privatized samples each, drawn from one generator seeded by `seed`.
-    Identical configs give bit-identical results."""
+    privatized samples each of `source` (uniform on k letters by default),
+    drawn from one generator seeded by `seed`. Identical configs give
+    bit-identical results; configs compare by identity.
+
+    It is the one check of a study's arguments, in this order: k and
+    alpha_bits on the staircase domain 1 < 2**a <= k (`staircase_rate`),
+    n, replicates, the seed, then the source's size. It holds alpha_bits as
+    a float and the counts and seed as ints."""
 
     k: int
     alpha_bits: float
     n: int
     replicates: int
     seed: int
-    source: Distribution
+    source: Distribution | None = None
 
     def __post_init__(self):
-        _check_k_alpha(self.k, self.alpha_bits)
+        staircase_rate(self.k, self.alpha_bits)
+        object.__setattr__(self, "alpha_bits", float(self.alpha_bits))
         object.__setattr__(self, "n", _check_count("n", self.n))
         object.__setattr__(self, "replicates", _check_count("replicates", self.replicates))
         object.__setattr__(self, "seed", _check_seed(self.seed))
-        if self.source.alphabet_size != self.k:
+        if self.source is None:
+            object.__setattr__(self, "source", Distribution.uniform(self.k))
+        elif self.source.alphabet_size != self.k:
             raise DimensionMismatch(
                 f"source alphabet {self.source.alphabet_size} != k = {self.k}"
             )
@@ -77,13 +86,13 @@ class RiskEstimate:
         return asdict(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LeCamPair:
     """Two-point family: uniform p0 and its unit perturbation p1.
 
     `p1` is None when the perturbed vector leaves [0, 1], and the pair is
     then not `valid`; when valid, the squared l2 distance between the two
-    points is exactly 1/(n * (2**a - 1)).
+    points is exactly 1/(n * (2**a - 1)). Pairs compare by identity.
     """
 
     p0: Distribution
@@ -183,11 +192,6 @@ def empirical_risk(cfg: SimulationConfig) -> RiskEstimate:
     Replicate i is the i-th count row drawn from default_rng(cfg.seed), so
     growing `replicates` keeps the earlier replicates. The standard error is
     the sample standard deviation over replicates divided by sqrt(replicates).
-
-    Raises
-    ------
-    AlphaOutOfRange
-        When 2**alpha_bits > k, where the staircase mechanism is undefined.
     """
     lam = staircase_rate(cfg.k, cfg.alpha_bits)
     rng = np.random.default_rng(cfg.seed)
@@ -268,10 +272,9 @@ def lecam_lower_check(
     Carlo estimate of the two-point average risk: `replicates` count rows
     at p0, then `replicates` at p1, all from one default_rng(seed).
     """
-    n = _check_count("n", n)
-    replicates = _check_count("replicates", replicates)
-    seed = _check_seed(seed)
-    lam = staircase_rate(k, alpha_bits)  # validates k, alpha and 2**a <= k
+    cfg = SimulationConfig(k, alpha_bits, n, replicates, seed)
+    alpha_bits, n, replicates = cfg.alpha_bits, cfg.n, cfg.replicates
+    lam = staircase_rate(k, alpha_bits)
     r1 = 2.0 ** alpha_bits - 1.0
     n_min = math.ceil(k * k / r1)
     if n < n_min:
@@ -297,7 +300,7 @@ def lecam_lower_check(
         )
     pair = lecam_pair(k, alpha_bits, n, u)
     assert pair.p1 is not None  # valid
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.seed)
     m0, v0 = _mean_var(_mc_risks(pair.p0, lam, n, replicates, rng))
     m1, v1 = _mean_var(_mc_risks(pair.p1, lam, n, replicates, rng))
     s_value = 0.5 * (m0 + m1)
@@ -341,15 +344,13 @@ def scaling_sweep(
 
     Rows are ordered by n; each row runs on its own seed substream derived
     from (seed, row index). An empty grid gives an empty table; every
-    argument but the grid (k, alpha_bits, replicates, the seed and the
-    source's size) is checked even then, by one `SimulationConfig` whose
-    n = 1 is a placeholder that each row replaces.
+    argument but the grid (k and alpha_bits on the staircase domain
+    1 < 2**a <= k, replicates, the seed and the source's size) is checked
+    even then, by one `SimulationConfig` whose n = 1 is a placeholder that
+    each row replaces.
     """
-    r1 = _check_k_alpha(k, alpha_bits) - 1.0
-    base = SimulationConfig(
-        k=k, alpha_bits=alpha_bits, n=1, replicates=replicates, seed=seed,
-        source=Distribution.uniform(k) if source is None else source,
-    )
+    base = SimulationConfig(k, alpha_bits, 1, replicates, seed, source)
+    r1 = 2.0 ** base.alpha_bits - 1.0
     rows = []
     for idx, n in enumerate(sorted(_check_count("n", n) for n in n_grid)):
         row_seed = int(np.random.SeedSequence([base.seed, idx]).generate_state(1, np.uint64)[0])

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import subprocess
@@ -321,6 +322,38 @@ class TestNegativeSeed:
         assert cli.main([*argv, "--seed", "-1"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err == "error: seed must be >= 0, got -1\n"
+
+
+class TestStudyArguments:
+    # SimulationConfig checks every study's arguments, k first: the uniform
+    # source was built from --k before it, and an empty grid skipped the domain
+    def test_empty_grid_with_vacuous_alpha_exits_two(self, capsys):
+        argv = ["sweep", "--k", "3", "--alpha", "2", "--n-grid", "", "--replicates", "10"]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and "exceeds k" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--k", "0", "--alpha", "1", "--n", "10", "--replicates", "10"],
+            ["sweep", "--k", "0", "--alpha", "1", "--n-grid", "10", "--replicates", "10"],
+        ],
+        ids=["simulate", "sweep"],
+    )
+    def test_k_zero_is_refused_as_k(self, capsys, argv):
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: k must be an integer >= 2, got 0\n"
+
+    def test_seed_help_says_what_reads_it(self):
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        for name, p in sub.choices.items():
+            (seed,) = [a for a in p._actions if "--seed" in a.option_strings]
+            draws = name in ("simulate", "sweep")
+            assert ("Monte Carlo draws" in seed.help) is draws, name
+            assert ("no computation reads it" in seed.help) is not draws, name
 
 
 class TestOversizedCount:

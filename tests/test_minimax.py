@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -5,18 +6,21 @@ import numpy as np
 import pytest
 
 from privmech import (
+    KL,
     Distribution,
     SimulationConfig,
     closed_form_risk,
     default_direction,
     dobrushin_coefficient,
     empirical_risk,
+    estimate_eta_f,
     kl_divergence,
     l2_distance_sq,
     lecam_lower_check,
     lecam_pair,
     maxl_staircase,
     pushforward,
+    randomized_response,
     sample_outputs,
     scaling_sweep,
     staircase_estimator,
@@ -629,3 +633,102 @@ class TestSimulationConfig:
         ]
         assert runs[0] == runs[1] == runs[2]
         assert all(type(est.replicates) is int for est in runs)
+
+    def test_source_defaults_to_uniform(self):
+        # the uniform source is made after k has passed, and draws the same bits
+        for k, alpha in ((2, 1.0), (3, 1.5), (5, 2.0)):
+            default = SimulationConfig(k, alpha, 100, 300, 4)
+            given = SimulationConfig(k, alpha, 100, 300, 4, Distribution.uniform(k))
+            assert np.array_equal(default.source.probs, given.source.probs)
+            assert empirical_risk(default).to_dict() == empirical_risk(given).to_dict()
+
+    def test_alpha_is_held_as_a_float(self):
+        # 2.0 ** np.float32(a) is a float32, so the bounds and the sweep's
+        # normalized risk came out in single precision
+        a = np.float32(0.9)
+        cfg = SimulationConfig(3, a, 100, 50, 0)
+        assert type(cfg.alpha_bits) is float and cfg.alpha_bits == float(a)
+        runs = [
+            (empirical_risk(SimulationConfig(3, alpha, 100, 50, 0)).to_dict(),
+             [dataclasses.asdict(r) for r in scaling_sweep(3, alpha, [100], 50, 0)],
+             lecam_lower_check(2, alpha, 1000, 50, 0).to_dict())
+            for alpha in (a, float(a))
+        ]
+        assert repr(runs[0]) == repr(runs[1])
+
+
+def _raised(call):
+    """The type of the exception `call` raises, or None."""
+    try:
+        call()
+    except Exception as exc:
+        return type(exc)
+    return None
+
+
+class TestStaircaseDomain:
+    """`SimulationConfig` decides the staircase domain 1 < 2**a <= k for every
+    Monte Carlo entry point, through `staircase_rate`: each refuses exactly
+    what `staircase_rate` refuses, with its error type, and a sweep on an
+    empty grid as on a full one. 2**a is snapped to k within one part in 1e9."""
+
+    @pytest.mark.parametrize(
+        "k, alpha",
+        [
+            (3, math.log2(3 * (1 + 2e-9))),
+            (3, math.log2(3)),
+            (3, math.nextafter(math.log2(3), math.inf)),
+            (3, 0.0),
+            (3, 1e-20),
+            (3, -1.0),
+            (3, math.nan),
+            (3, math.inf),
+            (3, 1024.0),
+            (1, 1.0),
+            (2.5, 1.0),
+            ("3", 1.0),
+        ],
+        ids=[
+            "past-snap", "log2k", "log2k-ulp", "zero", "tiny", "negative", "nan", "inf",
+            "1024", "k1", "k2.5", "k-str",
+        ],
+    )
+    def test_entry_points_refuse_what_staircase_rate_refuses(self, k, alpha):
+        expected = _raised(lambda: staircase_rate(k, alpha))
+        calls = {
+            "config": lambda: SimulationConfig(k, alpha, 10, 5, 0),
+            "config, fixed source": lambda: SimulationConfig(k, alpha, 10, 5, 0, Distribution.uniform(2)),
+            "sweep, empty grid": lambda: scaling_sweep(k, alpha, [], 5, 0),
+            "sweep": lambda: scaling_sweep(k, alpha, [10], 5, 0),
+            "lecam_lower_check": lambda: lecam_lower_check(k, alpha, 10_000, 5, 0),
+        }
+        for name, call in calls.items():
+            got = _raised(call)
+            if expected is None:
+                # inside the domain: the source's size or Le Cam's preconditions may fail
+                assert got in (None, DimensionMismatch, PreconditionNotMet), (name, got)
+            else:
+                assert got is expected, (name, got)
+
+    def test_domain_is_checked_before_the_counts(self):
+        # lecam_lower_check checked n, replicates and the seed first
+        with pytest.raises(AlphaOutOfRange, match="exceeds k = 2"):
+            lecam_lower_check(2, 2.0, 0, 0, -1)
+
+
+class TestRecordsCompareByIdentity:
+    """Records with a `Distribution` field compare and hash by identity, as
+    `Distribution` does: a generated __eq__ called two bit-identical records
+    unequal, and LeCamPair's generated __hash__ raised TypeError on `u`."""
+
+    def test_each_hashes_and_equals_itself(self):
+        w = randomized_response(2, 1.0)
+        twice = {
+            "ContractionEstimate": [estimate_eta_f(w, KL, 100, 0) for _ in range(2)],
+            "LeCamPair": [lecam_pair(2, 1.0, 100, default_direction(2)) for _ in range(2)],
+            "SimulationConfig": [SimulationConfig(3, 1.0, 10, 5, 0) for _ in range(2)],
+        }
+        for name, (a, b) in twice.items():
+            assert hash(a) == object.__hash__(a), name
+            assert a == a and a != b, name
+            assert len({a, b, a}) == 2, name
