@@ -16,6 +16,7 @@ from . import __version__
 from .bounds import run_all_checks
 from .coefficients import privacy_report
 from .core import (
+    _check_count,
     _check_seed,
     channel_from_dict,
     channel_to_dict,
@@ -146,8 +147,22 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _grid_count(tok: str) -> int:
+    """An --n-grid token as a sample size, by the library's count rule: a
+    token that spells an integer is read exactly, however many digits, any
+    other as a float, so 100.0 is the count 100 and 100.5 is refused as n."""
+    try:
+        value = int(tok)
+    except ValueError:
+        try:
+            value = float(tok)
+        except ValueError:
+            raise ValueError(f"n must be a whole number >= 1 and < 2**63, got {tok.strip()!r}") from None
+    return _check_count("n", value)
+
+
 def cmd_sweep(args) -> int:
-    grid = [int(tok) for tok in args.n_grid.split(",") if tok.strip()]
+    grid = [_grid_count(tok) for tok in args.n_grid.split(",") if tok.strip()]
     source = _load_source(args.source)
     rows = scaling_sweep(args.k, args.alpha, grid, args.replicates, args.seed, source)
     if args.format == "json":

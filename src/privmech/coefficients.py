@@ -47,6 +47,28 @@ _STEP, _FLAT, _MINUS_FLAT = _readonly(1e-12), _readonly(1e-14), _readonly(-1e-14
 _LADDER = _readonly([[sign * 2.0 ** -n] for n in range(24) for sign in (1.0, -1.0)])
 _PLUS_MINUS = _readonly([1.0, -1.0])
 
+# The margins that make `_pair_bounds`' float low and high bracket
+# `_pair_peaks`' float h, low <= h <= high. Relative, with unit roundoff
+# u = 2^-53, one rounding per elementwise op and `exp` within a few ulp:
+# numpy's pairwise sum rounds each of m terms at most D <= 25 +
+# log2(max(1, m / 128)) times, so a sum is off by at most D u times the sum
+# of its terms' sizes. h's p and q are off by at most 6u each and its
+# letters by 12u, so h <= (1 + (D + 26)u) h*, h* the exact peak over [0, 1].
+# The bounds' letters carry 9u; h'(1/2) sums terms of both signs, but their
+# sizes sum to at most 2 h(1/2) (|d| <= a + b), so the tangent bound is low
+# by at most (2D + 19)u and the TV part, TV + |sum d|/2, by (2D + 3)u:
+# together under (3D + 45)u, below 2^-45 for any m < 2^36. h(1/2) is high
+# by at most (D + 9)u, and h is at least h(1/2)(1 - (D + 26)u) where the
+# peak search ends at or above h(1/2). A slack of 2^-40 leaves 32 times
+# that, at the cost of peaking the few pairs whose bound is within about
+# 1e-12 of the best h. Absolute: a result that underflows is off by at most
+# 2^-1075 per op, and `_pair_peaks` squares d, which for |d| < 2^-537 gives
+# 0 or 2^-1074, off by at most |d| from that letter's share of h. A floor of
+# 2^-500 covers m < 2^36 such letters, so only pairs whose h is below about
+# 1e-150 are never skipped.
+_SLACK_UP, _SLACK_DOWN = _readonly(1.0 + 2.0 ** -40), _readonly(1.0 - 2.0 ** -40)
+_BOUND_FLOOR = _readonly(2.0 ** -500)
+
 
 @dataclass(frozen=True)
 class PrivacyReport:
@@ -335,34 +357,81 @@ def _ranked_pairs(rows: np.ndarray, keep: int) -> tuple[np.ndarray, np.ndarray]:
     return tv[order], code[order]
 
 
+def _pair_bounds(a: np.ndarray, b: np.ndarray, tv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each row pair (a, b) at TV distance tv: floats low and high with
+    low <= h <= high for `_pair_peaks`' h. h is concave on [0, 1] (see
+    `_pair_peaks`), so its peak is at most h(1/2) + |h'(1/2)|/2, and each
+    letter's p q d^2 / L is at most q d where d > 0 and p |d| where d < 0, so
+    the peak is at most max(sum d+, sum d-) = tv + |sum d|/2: tv itself where
+    the rows' sums agree. low is h(1/2) = sum u^2 (a + b) / 2 and high the
+    lesser bound, h'(1/2) being -sum u^2 d, both from u = d / (a + b) in
+    [-1, 1] (0/0 read as 0), which cannot overflow; each is moved by the
+    slack and floor above. Call it under `_quiet()`."""
+    d, ab = a - b, a + b
+    u = d / np.fmax(ab, _TINY)
+    u2 = u * u
+    half = _HALF * np.add.reduce(u2 * ab, axis=-1)
+    tangent = half + _HALF * np.abs(np.add.reduce(u2 * d, axis=-1))
+    high = np.fmin(tv + _HALF * np.abs(np.add.reduce(d, axis=-1)), tangent)
+    return half * _SLACK_DOWN - _BOUND_FLOOR, high * _SLACK_UP + _BOUND_FLOOR
+
+
 def _best_pair(rows: np.ndarray, budget: int) -> tuple[int, tuple[int, int, float] | None]:
     """The pair stage: the number of input pairs examined (at most `budget`)
     and, for the first pair of greatest h among them, its inputs (i, j) and
     the logit of p at its peak (None if none was examined). Pairs go in the
-    order of `_ranked_pairs(rows, budget)`, and the stage stops at the first
-    whose TV distance is at or below the best h so far: h is at most it. A
-    block's pairs are examined or not as in a pair-by-pair pass."""
+    order of `_ranked_pairs(rows, budget)`, and each pair's floor is the
+    greatest of the h of the pairs examined before it and `_pair_bounds`'
+    low of every pair before it, each at most some pair's h. The stage stops
+    at the first pair whose TV distance is at or below its floor, since h is
+    at most it, and skips a pair whose high is at or below its floor, since
+    its h cannot beat the best; it examines every other pair. The first pair
+    is always examined (its floor is 0), and a stage of one pair computes no
+    bound, as it has nothing to skip.
+
+    A block's bounds are computed at once, and one `_pair_peaks` call peaks
+    the pairs whose high exceeds the floor that the lows alone give: a
+    superset of those examined. The pairs are then taken one at a time, so
+    the result, and the count, do not depend on the block size."""
     k, m = rows.shape
     block = max(1, _BLOCK_CELLS // m)
     tv, code = _ranked_pairs(rows, budget)
-    examined, best_h, peak = 0, 0.0, None
+    if tv.size == 1:
+        if not tv[0] > 0.0:  # two equal rows
+            return 0, None
+        i, j = divmod(int(code[0]), k)
+        s, h = _pair_peaks(rows[[i]], rows[[j]])
+        return 1, ((i, j, float(s[0])) if h[0] > 0.0 else None)
+    examined, best, lows, peak = 0, 0.0, 0.0, None  # lows: the greatest low of earlier blocks
     for start in range(0, tv.size, block):
         t = tv[start:start + block]
-        live = int(np.count_nonzero(t > best_h))  # a prefix, as t decreases
-        if not live:
+        t = t[:int(np.count_nonzero(t > max(best, lows)))]  # a prefix, as t decreases
+        if not t.size:
             break
-        i, j = np.divmod(code[start:start + live], k)
-        s, h = _pair_peaks(rows[i], rows[j])
-        # a pair is examined while its TV distance exceeds the best h before it;
-        # the first (t[0] > best_h) always is
-        before = np.maximum(np.maximum.accumulate(h[:-1]), best_h)
-        n = 1 + int(np.count_nonzero(t[1:live] > before))
-        examined += n
-        c = int(h[:n].argmax())
-        if h[c] > best_h:
-            best_h, peak = float(h[c]), (int(i[c]), int(j[c]), float(s[c]))
-        if n < t.size:
+        i, j = np.divmod(code[start:start + t.size], k)
+        a, b = rows[i], rows[j]
+        low, high = _pair_bounds(a, b, t)
+        floor = np.empty_like(low)  # each pair's floor from the lows alone
+        floor[0] = max(best, lows)
+        np.maximum.accumulate(low[:-1], out=floor[1:])
+        np.maximum(floor, floor[0], out=floor)
+        n = int(np.count_nonzero(t > floor))  # a prefix: t falls as the floor rises
+        pick = np.flatnonzero(high[:n] > floor[:n])
+        if pick.size:
+            s, h = _pair_peaks(a[pick], b[pick])
+            for c, p in enumerate(pick.tolist()):  # one pair at a time
+                if p >= n:
+                    break
+                if high[p] <= max(floor[p], best):
+                    continue
+                examined += 1
+                if h[c] > best:
+                    best, peak = float(h[c]), (int(i[p]), int(j[p]), float(s[c]))
+                    # the first later pair at or below the new best stops the stage
+                    n = min(n, max(p + 1, int(np.count_nonzero(t > best))))
+        if n < block:
             break
+        lows = max(lows, float(np.maximum.reduce(low)))
     return examined, peak
 
 
@@ -395,9 +464,13 @@ def estimate_eta_f(
       the logit s of p, within [-23, 23], from h' and h'' read at r = e^s:
       at a cap where the slope points outward by more than rounding, else
       by safeguarded Newton steps from s = 0 (see `_pair_peaks`).
-      Input pairs are examined in order of decreasing TV distance, one
-      evaluation each; h is at most the TV distance, so the stage stops at
-      the first pair whose TV distance is at or below the best h so far.
+      Input pairs are taken in order of decreasing TV distance. h is at
+      most the TV distance, and, being concave, at most h(1/2) +
+      |h'(1/2)|/2, so the stage stops at the first pair whose TV distance
+      is at or below the best h so far, and skips a pair whose bound,
+      with a slack for rounding, is at or below it (see `_best_pair`): the
+      best pair is the one a pass without the bound would find. Each pair
+      examined is one evaluation; a skipped pair is none.
       At the best pair's peak p*, a fixed ladder of 48 steps +-t (24
       powers of two, from at most the smaller weight down) is evaluated
       around p1 = p* e_i + (1 - p*) e_j, with p0 = p1 + t (e_i - e_j), and

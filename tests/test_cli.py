@@ -207,6 +207,39 @@ class TestSweep:
         payload = json.loads(res.stdout)
         assert len(payload["rows"]) == 1 and payload["rows"][0]["n"] == 50
 
+    # grid tokens follow the library's count rule: int("100.0") refused 100.0
+    # with a message that named neither n nor the rule
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_whole_float_tokens_are_counts(self, capsys, fmt):
+        outs = []
+        for grid in ("50,100", "50.0,1e2", " 50 , 100.000 "):
+            argv = ["sweep", "--k", "3", "--alpha", "1", "--n-grid", grid, "--replicates", "20",
+                    "--seed", "5", "--format", fmt]
+            assert cli.main(argv) == 0
+            out, err = capsys.readouterr()
+            assert err == ""
+            outs.append(out)
+        assert outs[1] == outs[0] and outs[2] == outs[0]
+
+    @pytest.mark.parametrize(
+        "token, got",
+        [("100.5", "100.5"), ("0.0", "0.0"), ("-3", "-3"), ("inf", "inf"), ("nan", "nan"),
+         ("1e19", "1e+19"), ("abc", "'abc'"),
+         # an integer token is read exactly, not rounded through float
+         ("12345678901234567891", "12345678901234567891")],
+    )
+    def test_other_tokens_exit_two_naming_n(self, capsys, token, got):
+        argv = ["sweep", "--k", "3", "--alpha", "1", "--n-grid", f"10,{token}", "--replicates", "10"]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: n must be a whole number >= 1 and < 2**63, got {got}\n"
+
+    def test_integer_tokens_stay_exact(self):
+        # 2**53 + 1 is not a double: through float it would be 2**53
+        assert cli._grid_count("9007199254740993") == 2**53 + 1
+        assert cli._grid_count("9007199254740992.0") == 2**53
+
 
 class TestFailedVerdict:
     # one applicable and one inapplicable failing verdict: only the first

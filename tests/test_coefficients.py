@@ -37,7 +37,7 @@ from privmech import (
     z_channel,
 )
 from privmech import coefficients
-from privmech.divergences import _pair_divergence, _quiet
+from privmech.divergences import _pair_divergence, _quiet, _tv_pair
 from privmech.errors import BudgetTooSmall, DimensionMismatch
 
 CONSTANT = validate_channel([[0.3, 0.7], [0.3, 0.7]])
@@ -381,9 +381,10 @@ class TestEstimateEtaF:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # 13 of the 28 input pairs before the TV bound stops the pair stage,
-        # then the 48 steps of the ladder
-        assert est.evaluations == 61 <= 100_000
+        # the TV bound stops the pair stage at the 14th of the 28 input pairs;
+        # of the 13 before it, the concavity bound skips 10 and 3 are peaked.
+        # Then the 48 steps of the ladder
+        assert est.evaluations == 51 <= 100_000
         assert peak < 1e6, peak
 
     def test_point_mass_stage_runs_only_where_pairs_are_admissible(self):
@@ -391,7 +392,7 @@ class TestEstimateEtaF:
         # to the input pairs, not to 89 700 skipped point-mass pairs
         w = random_channel(300, 3, 1.0, 1)
         est = estimate_eta_f(w, KL, budget=20_000, seed=0)
-        assert est.evaluations == 50 <= 20_000
+        assert est.evaluations == 49 <= 20_000
         assert 0.0 < est.value <= dobrushin_coefficient(w) + 1e-10
         # total variation runs it, and it alone: 0.5 * sum |a - b| in the
         # order dobrushin_coefficient sums it, whatever the budget
@@ -403,7 +404,8 @@ class TestEstimateEtaF:
 
     def test_peak_memory_is_bounded_at_three_hundred_inputs(self):
         # the pair stage keeps the first 19 952 of the 44 850 input pairs in
-        # order of TV distance, and evaluates its pairs a block at a time
+        # order of TV distance, and bounds its pairs a block at a time: it
+        # peaks the first, skips the second and stops at the third
         w = random_channel(300, 3, 1.0, 1)
         tracemalloc.start()
         try:
@@ -411,7 +413,7 @@ class TestEstimateEtaF:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert est.evaluations == 50 <= 20_000
+        assert est.evaluations == 49 <= 20_000
         assert peak < 2e6, peak
 
     def test_peak_memory_follows_the_budget_not_the_pairs_of_inputs(self):
@@ -440,22 +442,29 @@ class TestEstimateEtaF:
     def test_pair_order_across_cuts_is_tv_then_inputs(self, monkeypatch, budget, cells):
         # the buffer of about 2 * budget + k pairs is cut back to `budget`
         # many times. The reference sorts all 79 800 pairs at once by
-        # (-TV, i, j) and examines them one at a time. The ids name the pair
-        # blocks `_best_pair` peaks at m = 3. The TV ranking reads blocks of
-        # one row but for the last 3 at 21 cells and the last 10 at 64, and
-        # of at least 3 rows at 4096, the default.
+        # (-TV, i, j) and takes them one at a time, stopping at a TV distance
+        # at or below the floor and skipping a pair whose high is at or below
+        # it. The ids name the pair blocks `_best_pair` bounds at m = 3. The
+        # TV ranking reads blocks of one row but for the last 3 at 21 cells
+        # and the last 10 at 64, and of at least 3 rows at 4096, the default.
         rows = self._repeated_rows()
         tv = {(i, j): 0.5 * float(np.abs(rows[j] - rows[i]).sum())
               for i in range(len(rows)) for j in range(i + 1, len(rows))}
-        peaks = {}  # repeated rows have the same peak
-        examined, best_h, peak = 0, 0.0, None
+        peaks = {}  # repeated rows have the same peak and bounds
+        examined, best_h, lows, peak = 0, 0.0, 0.0, None
         for i, j in sorted(tv, key=lambda pair: (-tv[pair], *pair))[:budget]:
-            if tv[i, j] <= best_h:
+            floor = max(best_h, lows)
+            if tv[i, j] <= floor:
                 break
             key = (rows[i].tobytes(), rows[j].tobytes())
             if key not in peaks:
-                peaks[key] = coefficients._pair_peaks(rows[[i]], rows[[j]])
-            s, h = peaks[key]
+                with _quiet():
+                    peaks[key] = (*coefficients._pair_peaks(rows[[i]], rows[[j]]),
+                                  *coefficients._pair_bounds(rows[[i]], rows[[j]], np.array([tv[i, j]])))
+            s, h, low, high = peaks[key]
+            lows = max(lows, float(low[0]))
+            if high[0] <= floor:
+                continue
             examined += 1
             if h[0] > best_h:
                 best_h, peak = float(h[0]), (i, j, float(s[0]))
@@ -538,22 +547,24 @@ class TestEstimateEtaF:
     # (channel, spec, budget, seed) -> value.hex(), evaluations, and the first
     # 16 hex digits of sha256(witness_p0 bytes + witness_p1 bytes). Cases
     # cover k = 2, 3, 5, 8, 12 and a 6 x 30 channel, and a channel with exact
-    # zeros, whose best pair peaks at the end of the logit range. The two
-    # total variation rows read eta_TV, attained at point masses, and count
-    # the k(k - 1)/2 row pairs compared.
+    # zeros, whose best pair peaks at the end of the logit range. A KL or
+    # chi^2 row counts the pairs the stage examines, those its concavity
+    # bound does not skip, plus the ladder's steps. The two total variation
+    # rows read eta_TV, attained at point masses, and count the k(k - 1)/2
+    # row pairs compared.
     PINNED = [
         ("rr", (2, 1.0), KL, 2000, 3, "0x1.c71c71c71b642p-4", 49, "741acce449e0f2eb"),
         ("rand", (2, 5, 0.5, 21), CHI_SQUARED, 1000, 1, "0x1.4c36c07dce1c9p-1", 49, "8005bbce976975a7"),
         ("rand", (3, 3, 1.0, 11), KL, 3000, 5, "0x1.1a059e0a4e0cbp-2", 50, "1f3065aadcceb149"),
-        ("rand", (3, 4, 0.5, 12), CHI_SQUARED, 2500, 6, "0x1.5bebf609414dep-1", 50, "052a234116f30a2c"),
+        ("rand", (3, 4, 0.5, 12), CHI_SQUARED, 2500, 6, "0x1.5bebf609414dep-1", 49, "052a234116f30a2c"),
         ("rand", (3, 3, 1.0, 19), KL, 1237, 4, "0x1.24298895f3b5fp-1", 49, "5f60c7dc4a83b5f9"),
         ("rand", (3, 5, 1.0, 20), TOTAL_VARIATION, 800, 2, "0x1.10afb61252bf9p-1", 3, "6cdc628fb753ec8c"),
-        ("rand", (5, 4, 1.0, 13), KL, 4000, 7, "0x1.0d76b32707768p-1", 50, "1ad7d24e607622fb"),
+        ("rand", (5, 4, 1.0, 13), KL, 4000, 7, "0x1.0d76b32707768p-1", 49, "1ad7d24e607622fb"),
         ("rand", (5, 3, 0.5, 14), TOTAL_VARIATION, 1500, 8, "0x1.06f234a42e09ap-1", 10, "ad76d9ce4c3e5652"),
-        ("rand", (8, 8, 1.0, 15), CHI_SQUARED, 5000, 9, "0x1.47e27f9b3afb6p-1", 52, "c2b92622adb5239a"),
+        ("rand", (8, 8, 1.0, 15), CHI_SQUARED, 5000, 9, "0x1.47e27f9b3afb6p-1", 49, "c2b92622adb5239a"),
         ("rand", (8, 5, 0.1, 16), KL, 3000, 10, "0x1.fbaf462c2c184p-1", 51, "2b2645bec2607318"),
-        ("rand", (12, 4, 1.0, 17), KL, 4000, 11, "0x1.4a30c6d858ffdp-1", 54, "b73406f60d60ea52"),
-        ("rand", (6, 30, 0.5, 18), CHI_SQUARED, 3000, 12, "0x1.4867394df6f99p-1", 56, "d90d12dc6263dea2"),
+        ("rand", (12, 4, 1.0, 17), KL, 4000, 11, "0x1.4a30c6d858ffdp-1", 51, "b73406f60d60ea52"),
+        ("rand", (6, 30, 0.5, 18), CHI_SQUARED, 3000, 12, "0x1.4867394df6f99p-1", 49, "d90d12dc6263dea2"),
         ("zeros", None, KL, 3000, 7, "0x1.9999999984534p-1", 41, "74de6e13f597749b"),
         ("zeros", None, CHI_SQUARED, 2000, 8, "0x1.999999997e855p-1", 41, "8f2724149b99576f"),
     ]
@@ -581,13 +592,15 @@ class TestEstimateEtaF:
             ratio = est.output_divergence / est.input_divergence
             assert est.value == min(ratio, 1.0), (kind, args, spec.value, budget, seed)
 
-    # As PINNED, for larger channels: at 30 x 30 the pair stage examines 139
-    # pairs over several blocks, and at 300 x 3 it stops after 2 of 44 850.
+    # As PINNED, for larger channels: at 30 x 30 the pair stage passes 139
+    # pairs over several blocks and peaks 3 of them, the concavity bound
+    # skipping the rest, and at 300 x 3 it peaks the first pair, skips the
+    # second and stops at the third of 44 850.
     ROLLING = [
-        ((30, 30, 1.0, 5), KL, 10_000, 2, "0x1.0a085474bb9bdp-1", 187, "2a11d1c6e635682f"),
-        ((30, 30, 1.0, 5), CHI_SQUARED, 10_000, 3, "0x1.0a085474bbc56p-1", 187, "959e7e9ce4769919"),
-        ((300, 3, 1.0, 1), KL, 20_000, 0, "0x1.ebb64ef67ef27p-1", 50, "d9f4018af27e5b0d"),
-        ((300, 3, 1.0, 1), CHI_SQUARED, 20_000, 4, "0x1.ebb64ef67ef9dp-1", 50, "328673ef2fcdb0cf"),
+        ((30, 30, 1.0, 5), KL, 10_000, 2, "0x1.0a085474bb9bdp-1", 51, "2a11d1c6e635682f"),
+        ((30, 30, 1.0, 5), CHI_SQUARED, 10_000, 3, "0x1.0a085474bbc56p-1", 51, "959e7e9ce4769919"),
+        ((300, 3, 1.0, 1), KL, 20_000, 0, "0x1.ebb64ef67ef27p-1", 49, "d9f4018af27e5b0d"),
+        ((300, 3, 1.0, 1), CHI_SQUARED, 20_000, 4, "0x1.ebb64ef67ef9dp-1", 49, "328673ef2fcdb0cf"),
     ]
 
     def test_witnesses_pass_validation_unchanged(self):
@@ -614,6 +627,18 @@ class TestEstimateEtaF:
         got = (est.value.hex(), est.evaluations, hashlib.sha256(witnesses).hexdigest()[:16])
         assert got == (value, evals, digest)
         assert est.value == est.output_divergence / est.input_divergence
+
+    def test_three_hundred_by_three_hundred_is_pinned(self):
+        # TV stops none of the 19 952 pairs the budget keeps (44 848 of the
+        # 44 850 are above the best h), and the concavity bound skips all but
+        # 13; the first pair is the best of all 44 850. At the default block
+        # size only: 13 pairs a block, where 64 cells would make it 1 and the
+        # search several times slower
+        est = estimate_eta_f(random_channel(300, 300, 1.0, 1), KL, 20_000, 0)
+        witnesses = est.witness_p0.probs.tobytes() + est.witness_p1.probs.tobytes()
+        got = (est.value.hex(), est.evaluations, hashlib.sha256(witnesses).hexdigest()[:16])
+        assert got == ("0x1.ad660fa3b89f9p-2", 61, "b08a0bcea67e8b1e")
+        assert sorted(np.flatnonzero(est.witness_p1.probs).tolist()) == [153, 167]
 
     @pytest.mark.parametrize("w", [BSC_THIRD, random_channel(2, 2, 10.0, 9310)], ids=["rr", "dirichlet"])
     def test_value_is_the_ratio_of_its_recorded_divergences(self, w):
@@ -953,6 +978,131 @@ class TestPairPeaks:
         for a, b, (s, h) in blocks:
             again = self._peaks(a, b)
             assert np.array_equal(again[0], s) and np.array_equal(again[1], h)
+
+
+def _exact_h(a, b, s) -> Fraction:
+    """h = p q sum d^2 / L in exact arithmetic, at the p and q that
+    `_pair_peaks` computes for logit s (p = q = 1/2 exactly at s = 0)."""
+    p, q = Fraction(1.0 / (1.0 + np.exp(-s))), Fraction(1.0 / (1.0 + np.exp(s)))
+    return p * q * sum(((x - y) ** 2 / (p * x + q * y) for x, y in zip(map(Fraction, a), map(Fraction, b))
+                        if x or y), Fraction(0))
+
+
+def _bounded_pairs(rows):
+    """Both orders of every row pair, their peaks and `_pair_bounds`' low and
+    high, with the TV distance that `_ranked_pairs` computes."""
+    i, j = np.triu_indices(len(rows), 1)
+    a, b = rows[np.r_[i, j]], rows[np.r_[j, i]]
+    with _quiet():
+        s, h = coefficients._pair_peaks(a, b)
+        low, high = coefficients._pair_bounds(a, b, _tv_pair(a, b - a))
+    return a, b, s, h, low, high
+
+
+# Dense entries, exact zeros of both signs, and entries near 2**-1000 (normal)
+# and 1e-310 (subnormal), where a square or a product underflows.
+_BOUND_WEIGHT = st.one_of(
+    st.floats(1e-3, 1.0), st.sampled_from([0.0, -0.0]), st.floats(2.0 ** -1001, 2.0 ** -999),
+    st.floats(1e-311, 1e-309, allow_subnormal=True),
+)
+
+
+class TestPairBounds:
+    """`_pair_bounds` brackets `_pair_peaks`' h, so the pair stage skips only
+    pairs that cannot beat the best h."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(_channels(_BOUND_WEIGHT))
+    # flat pairs: h is lam at every p, so h(1/2) and the bound equal h
+    @example(maxl_staircase(8, 2.0))
+    @example(maxl_staircase(16, 1.0))
+    @example(maxl_staircase(5, 2.0))
+    @example(randomized_response(5, 2.0))
+    @example(z_channel(0.3))
+    @example(validate_channel(TestEstimateEtaF.ZEROS))
+    @example(validate_channel([[0.5, 0.5, 0.0], [0.5, 0.5 - 1e-310, 1e-310], [1.0, -0.0, 0.0]]))
+    def test_low_and_high_bracket_every_peak(self, w):
+        a, b, s, h, low, high = _bounded_pairs(w.rows)
+        assert np.all(low <= h), (w.rows, low - h)
+        assert np.all(h <= high), (w.rows, h - high)
+
+    @staticmethod
+    def _small_channels():
+        rng = np.random.default_rng(3307)
+        for n in range(150):
+            k, m = int(rng.integers(2, 6)), int(rng.integers(2, 6))
+            yield random_channel(k, m, (0.1, 1.0, 10.0)[n % 3], 33_000 + n)
+        for n in range(30):  # tiny entries and zeros of both signs
+            rows = rng.choice([0.7, 0.3, 0.0, -0.0, 2.0 ** -1000, 1e-310], size=(3, 4))
+            rows[:, 0] = 1.0
+            yield validate_channel(rows / rows.sum(axis=1, keepdims=True))
+        for k in (2, 3, 5, 8):
+            for alpha in (0.5, 1.0, 2.0):
+                yield randomized_response(k, alpha)
+                if 2.0 ** alpha <= k:
+                    yield maxl_staircase(k, alpha)
+        yield from (z_channel(eps) for eps in (0.1, 0.5, 0.9))
+        yield validate_channel(TestEstimateEtaF.ZEROS)
+
+    def test_bounds_hold_in_exact_arithmetic(self):
+        # the float bounds against exact h(1/2), h'(1/2) (`_exact_slope` at
+        # s = 0, where p = q = 1/2) and max(sum d+, sum d-): the slack and the
+        # floor cover the rounding of both sides. The exact peak of the pair
+        # `_pair_peaks` reads is within its p + q rounding of the exact bound
+        channels = list(self._small_channels())
+        assert len(channels) >= 200
+        for w in channels:
+            for a, b, s, h, low, high in zip(*_bounded_pairs(w.rows)):
+                half, slope = _exact_h(a, b, 0.0), _exact_slope(a, b, 0.0)[0]
+                d = [Fraction(x) - Fraction(y) for x, y in zip(a, b)]
+                tv = max(sum((x for x in d if x > 0), Fraction(0)), sum((-x for x in d if x < 0), Fraction(0)))
+                bound = min(tv, half + abs(slope) / 2)
+                assert Fraction(low) <= half, (a, b)
+                assert bound <= Fraction(high), (a, b)
+                assert _exact_h(a, b, s) <= bound * (1 + Fraction(2) ** -50), (a, b, s)
+
+
+class TestPairStageOracle:
+    """The pair stage against every input pair peaked alone."""
+
+    @staticmethod
+    def _channels():
+        rng = np.random.default_rng(3308)
+        for n in range(40):
+            k, m = int(rng.integers(2, 13)), int(rng.integers(2, 9))
+            yield random_channel(k, m, (0.1, 1.0, 10.0)[n % 3], 33_100 + n)
+        for k in (2, 3, 6, 12):
+            yield randomized_response(k, 1.0)
+            yield maxl_staircase(k, 1.0)
+        yield from (z_channel(eps) for eps in (0.2, 0.7))
+        yield validate_channel(TestEstimateEtaF.ZEROS)
+
+    @pytest.mark.parametrize("cells", [None, 64])
+    def test_the_stage_finds_the_first_best_pair_of_all(self, monkeypatch, cells):
+        if cells is not None:
+            monkeypatch.setattr(coefficients, "_BLOCK_CELLS", cells)
+        for w in self._channels():
+            rows, k = w.rows, w.input_size
+            total = k * (k - 1) // 2
+            tv, code = coefficients._ranked_pairs(rows, total)
+            # the first pair of greatest h in rank order, and the count of the
+            # rule without the bound: pairs while TV exceeds the best h before
+            best, first, prefix = 0.0, None, None
+            with _quiet():
+                for n, (t, c) in enumerate(zip(tv.tolist(), code.tolist())):
+                    if prefix is None and t <= best:
+                        prefix = n
+                    i, j = divmod(c, k)
+                    s, h = coefficients._pair_peaks(rows[[i]], rows[[j]])
+                    if h[0] > best:
+                        best, first = float(h[0]), (i, j, float(s[0]))
+                examined, peak = coefficients._best_pair(rows, total)
+            prefix = total if prefix is None else prefix
+            assert peak == first, (rows, peak, first)  # the pair and its s, so its h
+            assert 1 <= examined <= prefix, (rows, examined, prefix)
+            for spec in (KL, CHI_SQUARED):
+                est = estimate_eta_f(w, spec, total + 48, 0)
+                assert est.evaluations - 48 <= prefix, (rows, spec.value)
 
 
 class TestContractionProperties:
