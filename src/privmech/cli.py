@@ -150,14 +150,15 @@ def cmd_simulate(args) -> int:
 def _grid_count(tok: str) -> int:
     """An --n-grid token as a sample size, by the library's count rule: a
     token that spells an integer is read exactly, however many digits, any
-    other as a float, so 100.0 is the count 100 and 100.5 is refused as n."""
+    other as a float, so 100.0 is the count 100 and 100.5 is refused as n,
+    and one that is no number as its text, which the rule refuses too."""
     try:
         value = int(tok)
     except ValueError:
         try:
             value = float(tok)
         except ValueError:
-            raise ValueError(f"n must be a whole number >= 1 and < 2**63, got {tok.strip()!r}") from None
+            value = tok.strip()
     return _check_count("n", value)
 
 

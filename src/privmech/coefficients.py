@@ -47,25 +47,31 @@ _STEP, _FLAT, _MINUS_FLAT = _readonly(1e-12), _readonly(1e-14), _readonly(-1e-14
 _LADDER = _readonly([[sign * 2.0 ** -n] for n in range(24) for sign in (1.0, -1.0)])
 _PLUS_MINUS = _readonly([1.0, -1.0])
 
-# The margins that make `_pair_bounds`' float low and high bracket
-# `_pair_peaks`' float h, low <= h <= high. Relative, with unit roundoff
-# u = 2^-53, one rounding per elementwise op and `exp` within a few ulp:
-# numpy's pairwise sum rounds each of m terms at most D <= 25 +
+# The margins of `_pair_bounds`' float low and high. Relative, with unit
+# roundoff u = 2^-53, one rounding per elementwise op and `exp` within a few
+# ulp: numpy's pairwise sum rounds each of m terms at most D <= 25 +
 # log2(max(1, m / 128)) times, so a sum is off by at most D u times the sum
 # of its terms' sizes. h's p and q are off by at most 6u each and its
-# letters by 12u, so h <= (1 + (D + 26)u) h*, h* the exact peak over [0, 1].
-# The bounds' letters carry 9u; h'(1/2) sums terms of both signs, but their
-# sizes sum to at most 2 h(1/2) (|d| <= a + b), so the tangent bound is low
-# by at most (2D + 19)u and the TV part, TV + |sum d|/2, by (2D + 3)u:
-# together under (3D + 45)u, below 2^-45 for any m < 2^36. h(1/2) is high
-# by at most (D + 9)u, and h is at least h(1/2)(1 - (D + 26)u) where the
-# peak search ends at or above h(1/2). A slack of 2^-40 leaves 32 times
-# that, at the cost of peaking the few pairs whose bound is within about
-# 1e-12 of the best h. Absolute: a result that underflows is off by at most
-# 2^-1075 per op, and `_pair_peaks` squares d, which for |d| < 2^-537 gives
-# 0 or 2^-1074, off by at most |d| from that letter's share of h. A floor of
-# 2^-500 covers m < 2^36 such letters, so only pairs whose h is below about
-# 1e-150 are never skipped.
+# letters by 12u, so h <= (1 + (D + 26)u) h*, h* the exact peak over [0, 1],
+# wherever `_pair_peaks` stops. The bounds' letters carry 9u; h'(1/2) sums
+# terms of both signs, but their sizes sum to at most 2 h(1/2)
+# (|d| <= a + b), so the tangent bound is low by at most (2D + 19)u and the
+# TV part, TV + |sum d|/2, by (2D + 3)u: together under (3D + 45)u, below
+# 2^-45 for any m < 2^36. A slack of 2^-40 leaves 32 times that, so high is
+# at least h, at the cost of peaking the few pairs whose bound is within
+# about 1e-12 of the best h. low, h(1/2) less the same slack, is at most the
+# exact h(1/2) (its rounding is (D + 9)u). It is at most h wherever the peak
+# search ends between 1/2 and the peak, at a cap whose slope points outward,
+# or at the flat test: there |G| <= 1e-14 size + D u size, and as
+# h = (size + (p - q) G) / 2, size <= 2h + |G|, so concavity gives
+# h(1/2) <= h + |G|/2 < h (1 + 2^-45). A Newton stop past the peak, or the
+# _PEAK_STEPS cut, has no such bound shown (cut after 6 steps, h(1/2)
+# exceeds h on 4 of the 7 146 ordered pairs of 300 random channels), so
+# `_best_pair` checks each low that it relies on. Absolute: a result that
+# underflows is off by at most 2^-1075 per op, and `_pair_peaks` squares d,
+# which for |d| < 2^-537 gives 0 or 2^-1074, off by at most |d| from that
+# letter's share of h. A floor of 2^-500 covers m < 2^36 such letters, so
+# only pairs whose h is below about 1e-150 are never skipped.
 _SLACK_UP, _SLACK_DOWN = _readonly(1.0 + 2.0 ** -40), _readonly(1.0 - 2.0 ** -40)
 _BOUND_FLOOR = _readonly(2.0 ** -500)
 
@@ -359,7 +365,9 @@ def _ranked_pairs(rows: np.ndarray, keep: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _pair_bounds(a: np.ndarray, b: np.ndarray, tv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For each row pair (a, b) at TV distance tv: floats low and high with
-    low <= h <= high for `_pair_peaks`' h. h is concave on [0, 1] (see
+    low <= h(1/2) and h <= high for `_pair_peaks`' h (low is at most h too,
+    wherever the peak search stops at or above h(1/2): see the slack
+    constants above). h is concave on [0, 1] (see
     `_pair_peaks`), so its peak is at most h(1/2) + |h'(1/2)|/2, and each
     letter's p q d^2 / L is at most q d where d > 0 and p |d| where d < 0, so
     the peak is at most max(sum d+, sum d-) = tv + |sum d|/2: tv itself where
@@ -380,19 +388,23 @@ def _best_pair(rows: np.ndarray, budget: int) -> tuple[int, tuple[int, int, floa
     """The pair stage: the number of input pairs examined (at most `budget`)
     and, for the first pair of greatest h among them, its inputs (i, j) and
     the logit of p at its peak (None if none was examined). Pairs go in the
-    order of `_ranked_pairs(rows, budget)`, and each pair's floor is the
-    greatest of the h of the pairs examined before it and `_pair_bounds`'
-    low of every pair before it, each at most some pair's h. The stage stops
-    at the first pair whose TV distance is at or below its floor, since h is
-    at most it, and skips a pair whose high is at or below its floor, since
-    its h cannot beat the best; it examines every other pair. The first pair
-    is always examined (its floor is 0), and a stage of one pair computes no
-    bound, as it has nothing to skip.
+    order of `_ranked_pairs(rows, budget)`. The stage stops at the first pair
+    whose TV distance is at or below the best h of the pairs examined before
+    it, since h is at most it, and skips a pair whose `_pair_bounds` high is
+    at or below that best, since its h cannot beat it; it examines every
+    other pair. The first pair is always examined (the best is 0 before it),
+    and a stage of one pair computes no bound: it would skip nothing, and
+    the bound cost a k = 2 search about 25 us, 3% of the bench's search
+    cycle (`BENCH_33.json`).
 
     A block's bounds are computed at once, and one `_pair_peaks` call peaks
-    the pairs whose high exceeds the floor that the lows alone give: a
-    superset of those examined. The pairs are then taken one at a time, so
-    the result, and the count, do not depend on the block size."""
+    only the pairs whose high exceeds their floor, the greater of the best
+    before the block and the lows of the block's earlier pairs. This is a
+    superset of the pairs examined if every low is at most some examined
+    pair's h, so each examined pair's low is checked against the best after
+    it; where one exceeds it, the block is cut after that pair and the next
+    starts there, without its low. The pairs are taken one at a time, so the
+    result, and the count, do not depend on the block size."""
     k, m = rows.shape
     block = max(1, _BLOCK_CELLS // m)
     tv, code = _ranked_pairs(rows, budget)
@@ -402,36 +414,40 @@ def _best_pair(rows: np.ndarray, budget: int) -> tuple[int, tuple[int, int, floa
         i, j = divmod(int(code[0]), k)
         s, h = _pair_peaks(rows[[i]], rows[[j]])
         return 1, ((i, j, float(s[0])) if h[0] > 0.0 else None)
-    examined, best, lows, peak = 0, 0.0, 0.0, None  # lows: the greatest low of earlier blocks
-    for start in range(0, tv.size, block):
+    examined, best, peak, start = 0, 0.0, None, 0
+    while start < tv.size:
         t = tv[start:start + block]
-        t = t[:int(np.count_nonzero(t > max(best, lows)))]  # a prefix, as t decreases
+        t = t[:int(np.count_nonzero(t > best))]  # a prefix, as t decreases
         if not t.size:
             break
         i, j = np.divmod(code[start:start + t.size], k)
         a, b = rows[i], rows[j]
         low, high = _pair_bounds(a, b, t)
-        floor = np.empty_like(low)  # each pair's floor from the lows alone
-        floor[0] = max(best, lows)
+        floor = np.empty_like(low)  # each pair's floor: the best and the lows before it
+        floor[0] = best
         np.maximum.accumulate(low[:-1], out=floor[1:])
-        np.maximum(floor, floor[0], out=floor)
+        np.maximum(floor, best, out=floor)
         n = int(np.count_nonzero(t > floor))  # a prefix: t falls as the floor rises
+        ahead = block  # the pairs this block settles
         pick = np.flatnonzero(high[:n] > floor[:n])
         if pick.size:
             s, h = _pair_peaks(a[pick], b[pick])
             for c, p in enumerate(pick.tolist()):  # one pair at a time
                 if p >= n:
                     break
-                if high[p] <= max(floor[p], best):
+                if high[p] <= best:
                     continue
                 examined += 1
                 if h[c] > best:
                     best, peak = float(h[c]), (int(i[p]), int(j[p]), float(s[c]))
                     # the first later pair at or below the new best stops the stage
                     n = min(n, max(p + 1, int(np.count_nonzero(t > best))))
-        if n < block:
+                if low[p] > best:  # later floors rest on a low that no h reached
+                    n = ahead = p + 1
+                    break
+        if n < ahead:
             break
-        lows = max(lows, float(np.maximum.reduce(low)))
+        start += ahead
     return examined, peak
 
 

@@ -114,8 +114,10 @@ def _check_count(name: str, value) -> int:
     """`value` as an int if a whole number in [1, 2**63), the int64 range of
     Generator.multinomial (100.0 is 100), else ValueError, since a count
     taken as floor(value) or used as a loop bound would silently do other
-    work than asked. The range goes first: 10**400 never reaches float()."""
-    if not (1 <= value < 2**63 and float(value).is_integer()):
+    work than asked. The range goes first: 10**400 never reaches float(). A
+    str is refused as a value, even one that spells a count, so a caller that
+    reads text passes on what it could not read as a number."""
+    if isinstance(value, str) or not (1 <= value < 2**63 and float(value).is_integer()):
         big = isinstance(value, int) and value.bit_length() > 128  # echo its size, not its digits
         got = f"an int of {value.bit_length()} bits" if big else repr(value)
         raise ValueError(f"{name} must be a whole number >= 1 and < 2**63, got {got}")

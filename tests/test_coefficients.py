@@ -443,18 +443,17 @@ class TestEstimateEtaF:
         # the buffer of about 2 * budget + k pairs is cut back to `budget`
         # many times. The reference sorts all 79 800 pairs at once by
         # (-TV, i, j) and takes them one at a time, stopping at a TV distance
-        # at or below the floor and skipping a pair whose high is at or below
-        # it. The ids name the pair blocks `_best_pair` bounds at m = 3. The
+        # at or below the best h so far and skipping a pair whose high is at
+        # or below it. The ids name the pair blocks `_best_pair` bounds at m = 3. The
         # TV ranking reads blocks of one row but for the last 3 at 21 cells
         # and the last 10 at 64, and of at least 3 rows at 4096, the default.
         rows = self._repeated_rows()
         tv = {(i, j): 0.5 * float(np.abs(rows[j] - rows[i]).sum())
               for i in range(len(rows)) for j in range(i + 1, len(rows))}
         peaks = {}  # repeated rows have the same peak and bounds
-        examined, best_h, lows, peak = 0, 0.0, 0.0, None
+        examined, best_h, peak = 0, 0.0, None
         for i, j in sorted(tv, key=lambda pair: (-tv[pair], *pair))[:budget]:
-            floor = max(best_h, lows)
-            if tv[i, j] <= floor:
+            if tv[i, j] <= best_h:
                 break
             key = (rows[i].tobytes(), rows[j].tobytes())
             if key not in peaks:
@@ -462,8 +461,7 @@ class TestEstimateEtaF:
                     peaks[key] = (*coefficients._pair_peaks(rows[[i]], rows[[j]]),
                                   *coefficients._pair_bounds(rows[[i]], rows[[j]], np.array([tv[i, j]])))
             s, h, low, high = peaks[key]
-            lows = max(lows, float(low[0]))
-            if high[0] <= floor:
+            if high[0] <= best_h:
                 continue
             examined += 1
             if h[0] > best_h:
@@ -1026,6 +1024,25 @@ class TestPairBounds:
         assert np.all(low <= h), (w.rows, low - h)
         assert np.all(h <= high), (w.rows, h - high)
 
+    # pairs whose peak search stops at the flat test near s = +-23, where the
+    # sizes of h' are far above h at 1/2 but, as h = (size + (p - q) h') / 2,
+    # not above 2h at the stop
+    FAR_FLAT = [
+        [[0.999999994087644, 5.912355963019818e-09], [6.69615436715052e-29, 1.0]],
+        [[1.0, 1.966262311670068e-24, 4.241110709165335e-31],
+         [3.927595396485471e-11, 5.391654513739935e-33, 0.999999999960724]],
+    ]
+
+    @pytest.mark.parametrize("rows", FAR_FLAT, ids=["two-letters", "three-letters"])
+    def test_a_flat_stop_far_out_stays_above_one_half(self, rows):
+        a, b, s, h, low, high = _bounded_pairs(np.array(rows))
+        for x, y, at in zip(a, b, s):
+            assert 22.9 < abs(at) < 23.0
+            slope, size = _exact_slope(x, y, at)
+            assert abs(slope) <= Fraction(2e-14) * size
+            assert _exact_h(x, y, 0.0) <= _exact_h(x, y, at)
+        assert np.all(low <= h) and np.all(h <= high)
+
     @staticmethod
     def _small_channels():
         rng = np.random.default_rng(3307)
@@ -1077,32 +1094,61 @@ class TestPairStageOracle:
         yield from (z_channel(eps) for eps in (0.2, 0.7))
         yield validate_channel(TestEstimateEtaF.ZEROS)
 
+    @staticmethod
+    def _check_stage(rows) -> int:
+        """Assert that the stage finds the first pair of greatest h in rank
+        order among all pairs, examining at most the pairs of the rule
+        without the bound: those while TV exceeds the best h before. Returns
+        that count."""
+        k = len(rows)
+        total = k * (k - 1) // 2
+        tv, code = coefficients._ranked_pairs(rows, total)
+        best, first, prefix = 0.0, None, None
+        with _quiet():
+            for n, (t, c) in enumerate(zip(tv.tolist(), code.tolist())):
+                if prefix is None and t <= best:
+                    prefix = n
+                i, j = divmod(c, k)
+                s, h = coefficients._pair_peaks(rows[[i]], rows[[j]])
+                if h[0] > best:
+                    best, first = float(h[0]), (i, j, float(s[0]))
+            examined, peak = coefficients._best_pair(rows, total)
+        prefix = total if prefix is None else prefix
+        assert peak == first, (rows, peak, first)  # the pair and its s, so its h
+        assert 1 <= examined <= prefix, (rows, examined, prefix)
+        return prefix
+
     @pytest.mark.parametrize("cells", [None, 64])
     def test_the_stage_finds_the_first_best_pair_of_all(self, monkeypatch, cells):
         if cells is not None:
             monkeypatch.setattr(coefficients, "_BLOCK_CELLS", cells)
         for w in self._channels():
-            rows, k = w.rows, w.input_size
-            total = k * (k - 1) // 2
-            tv, code = coefficients._ranked_pairs(rows, total)
-            # the first pair of greatest h in rank order, and the count of the
-            # rule without the bound: pairs while TV exceeds the best h before
-            best, first, prefix = 0.0, None, None
-            with _quiet():
-                for n, (t, c) in enumerate(zip(tv.tolist(), code.tolist())):
-                    if prefix is None and t <= best:
-                        prefix = n
-                    i, j = divmod(c, k)
-                    s, h = coefficients._pair_peaks(rows[[i]], rows[[j]])
-                    if h[0] > best:
-                        best, first = float(h[0]), (i, j, float(s[0]))
-                examined, peak = coefficients._best_pair(rows, total)
-            prefix = total if prefix is None else prefix
-            assert peak == first, (rows, peak, first)  # the pair and its s, so its h
-            assert 1 <= examined <= prefix, (rows, examined, prefix)
+            total = w.input_size * (w.input_size - 1) // 2
+            prefix = self._check_stage(w.rows)
             for spec in (KL, CHI_SQUARED):
                 est = estimate_eta_f(w, spec, total + 48, 0)
-                assert est.evaluations - 48 <= prefix, (rows, spec.value)
+                assert est.evaluations - 48 <= prefix, (w.rows, spec.value)
+
+    @pytest.mark.parametrize("cells", [None, 64])
+    def test_a_low_above_every_h_found_is_not_trusted(self, monkeypatch, cells):
+        # cut after three steps, the peak search can stop past the peak, below
+        # h(1/2): the stage must then not skip later pairs on that pair's low
+        monkeypatch.setattr(coefficients, "_PEAK_STEPS", 3)
+        if cells is not None:
+            monkeypatch.setattr(coefficients, "_BLOCK_CELLS", cells)
+        real, bounded = coefficients._pair_bounds, []
+
+        def record(a, b, tv):
+            bounded.extend(a.tobytes() + b.tobytes() for a, b in zip(a, b))
+            return real(a, b, tv)
+
+        monkeypatch.setattr(coefficients, "_pair_bounds", record)
+        cuts = 0
+        for w in self._channels():
+            bounded.clear()
+            self._check_stage(w.rows)
+            cuts += len(bounded) - len(set(bounded))  # pairs bounded again after a cut
+        assert cuts > 0
 
 
 class TestContractionProperties:

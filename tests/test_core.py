@@ -151,8 +151,8 @@ class TestCheckCount:
     # [1, 2**63), the int64 range that Generator.multinomial takes
     @pytest.mark.parametrize(
         "value",
-        [2**63, np.uint64(2**64 - 1), 10**400, 1e300, float("nan"), 2.5, 0],
-        ids=["2**63", "uint64-max", "10**400", "1e300", "nan", "2.5", "0"],
+        [2**63, np.uint64(2**64 - 1), 10**400, 1e300, float("nan"), 2.5, 0, "5"],
+        ids=["2**63", "uint64-max", "10**400", "1e300", "nan", "2.5", "0", "str"],
     )
     def test_rejects_with_value_error(self, value):
         with pytest.raises(ValueError, match="n must be a whole number >= 1"):
